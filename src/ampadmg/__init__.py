@@ -2,6 +2,8 @@
 statement generators, linear Gaussian semantics, do-calculus and exact
 structure learning."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AmpAdmgError,
     DirectedCycleError,
@@ -81,4 +83,5 @@ from .learner import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, obj in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]

@@ -12,21 +12,21 @@ import argparse
 import json
 import sys
 import traceback
-from itertools import combinations
+from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .docalc import check_derivation, intervene, parse_derivation, rule_applicable
 from .errors import AmpAdmgError, NoFeasibleModelError, ParseError
 from .graph import Dialect, MixedGraph, parse, serialize
 from .learner import (MAX_NODES_DEFAULT, atom_line, export_asp, learn,
-                      parse_constraints, problem_with)
+                      parse_constraints)
 from .markov import (CiStatement, OrderedContext, amp_statements,
                      gaussian_oracle, ordered_local_statements,
                      ordered_pairwise_statements, separation_oracle,
                      verify_statements)
 from .sem import CI_TOL, ci_test, implied_covariance, magnify, random_sem
-from .separation import SeparationQuery, separated
+from .separation import SeparationQuery, separated, singleton_queries
 
 
 def _load_graph(path: str) -> MixedGraph:
@@ -63,14 +63,6 @@ def _fmt_stmt(g: MixedGraph, s: CiStatement) -> str:
     return body
 
 
-def _all_queries(n: int) -> Iterator[tuple[int, int, frozenset]]:
-    """Every disjoint singleton pair with every conditioning set."""
-    for x, y in combinations(range(1, n + 1), 2):
-        rest = [v for v in range(1, n + 1) if v != x and v != y]
-        for pick in range(1 << len(rest)):
-            yield x, y, frozenset(rest[i] for i in range(len(rest)) if pick >> i & 1)
-
-
 # -- subcommands -----------------------------------------------------------
 
 
@@ -89,7 +81,7 @@ def _cmd_sep(args: argparse.Namespace) -> int:
 def _cmd_equiv_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     checked = 0
-    for x, y, z in _all_queries(g.n):
+    for x, y, z in singleton_queries(g.n):
         q = SeparationQuery({x}, {y}, z)
         verdicts = [separated(g, q, criterion=c) for c in (1, 2, 3, 4)]
         checked += 1
@@ -170,7 +162,7 @@ def _cmd_sem_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     sigma = implied_covariance(random_sem(g, seed=args.seed))
     seps = violations = 0
-    for x, y, z in _all_queries(g.n):
+    for x, y, z in singleton_queries(g.n):
         if not separated(g, SeparationQuery({x}, {y}, z), criterion=args.criterion):
             continue
         seps += 1
@@ -188,10 +180,10 @@ _DIALECTS = {"alt": (Dialect.ALTERNATIVE,), "orig": (Dialect.ORIGINAL,),
 
 def _load_problem(args: argparse.Namespace):
     p = parse_constraints(Path(args.constraints).read_text())
-    return problem_with(p, dialects=_DIALECTS[args.dialect],
-                        line_penalty=args.line_penalty,
-                        arrow_penalty=args.arrow_penalty,
-                        biarrow_penalty=args.biarrow_penalty)
+    return replace(p, dialects=_DIALECTS[args.dialect],
+                   line_penalty=args.line_penalty,
+                   arrow_penalty=args.arrow_penalty,
+                   biarrow_penalty=args.biarrow_penalty)
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:

@@ -1,10 +1,11 @@
 """Interventions and the three do-calculus rules for mixed graphs.
 
 Intervening on a set x cuts every arrow into x.  In the alternative
-dialect the lines at x are removed as well, but any two outside nodes that
-were joined by a line path running entirely through x are first joined
-directly, so the dependence carried by that path survives.  In the
-original dialect the biarrows touching x are simply removed.
+dialect the lines are marginalised onto the nodes outside x: the lines at
+x are removed, but any two outside nodes that were joined by a line path
+running entirely through x are joined directly, so the dependence carried
+by that path survives.  In the original dialect the biarrows touching x
+are simply removed.
 
 Rule premises are checked graphically: the graph is augmented with one
 regime indicator per node of the rule's z (an arrow from the indicator
@@ -21,45 +22,27 @@ from typing import Iterable, Sequence
 
 from .errors import MalformedScriptError, OverlappingSetsError
 from .graph import MixedGraph, _bits
-from .separation import SeparationQuery, connects_route
+from .separation import SeparationQuery, _marginal_masks, connects_route
 
 
 def intervene(g: MixedGraph, x: Iterable[int]) -> MixedGraph:
     """The graph after forcing the nodes in x from outside."""
-    xm = g.node_mask(x)
+    return MixedGraph._from_masks(g.n, _intervene_masks(g._adj, g.n, g.node_mask(x)),
+                                  g.node_names)
 
-    def outside(a, b):
-        return not (xm >> (a - 1)) & 1 and not (xm >> (b - 1)) & 1
 
-    arrows = frozenset((t, h) for t, h in g.arrows if not (xm >> (h - 1)) & 1)
-    if g.biarrows:
-        return MixedGraph(g.n, arrows,
-                          biarrows=frozenset(e for e in g.biarrows if outside(*e)),
-                          node_names=g.node_names)
-
-    lines = {e for e in g.lines if outside(*e)}
-    # Bridge line paths through x: for every line-connected block inside x,
-    # join all outside nodes on its border pairwise.
-    ne = g._adj[2]
-    left = xm
-    while left:
-        seed = left & -left
-        comp = seed
-        frontier = seed
-        border = 0
-        while frontier:
-            step = 0
-            for v in _bits(frontier):
-                step |= ne[v]
-            border |= step & ~xm
-            frontier = step & xm & ~comp
-            comp |= frontier
-        left &= ~comp
-        outside_nodes = list(_bits(border))
-        for i, a in enumerate(outside_nodes):
-            for b in outside_nodes[i + 1:]:
-                lines.add((a, b))
-    return MixedGraph(g.n, arrows, frozenset(lines), node_names=g.node_names)
+def _intervene_masks(adj, n: int, xm: int):
+    # Cut the arrows into x, drop the biarrows at x and marginalise the
+    # lines onto the nodes outside x.
+    pa, ch, ne, bi = adj
+    keep = ((1 << n) - 1) & ~xm
+    pa_x = [0] * (n + 1)
+    bi_x = [0] * (n + 1)
+    for v in _bits(keep):
+        pa_x[v] = pa[v]
+        bi_x[v] = bi[v] & keep
+    ch_x = [m & keep for m in ch]
+    return pa_x, ch_x, _marginal_masks(ne, n, keep), bi_x
 
 
 @dataclass(frozen=True)
@@ -86,17 +69,33 @@ class RegimeGraph:
 
 
 def with_regime_nodes(g: MixedGraph, targets: Iterable[int]) -> RegimeGraph:
-    """Add one indicator node per target, each pointing into its target."""
+    """Add one indicator node per target, each pointing into its target.
+
+    A labelled graph names the indicator of ``v`` ``F_<label of v>``,
+    primed until it clashes with no other label.
+    """
     targets = sorted(set(targets))
     g.node_mask(targets)  # range check
     n = g.n
     pairs = tuple((v, n + k + 1) for k, v in enumerate(targets))
+    pa, ch, ne, bi = g._adj
+    pa_r = pa + [0] * len(targets)
+    ch_r = ch + [1 << (v - 1) for v in targets]
+    for v, f in pairs:
+        pa_r[v] |= 1 << (f - 1)
+    grow = [0] * len(targets)
     names = None
     if g.node_names:
-        names = g.node_names + tuple(f"F_{g.node_names[v - 1]}" for v in targets)
-    big = MixedGraph(n + len(targets),
-                     frozenset(g.arrows) | {(f, v) for v, f in pairs},
-                     g.lines, g.biarrows, names)
+        names = list(g.node_names)
+        taken = set(names)
+        for v in targets:
+            label = f"F_{g.node_names[v - 1]}"
+            while label in taken:
+                label += "'"
+            taken.add(label)
+            names.append(label)
+        names = tuple(names)
+    big = MixedGraph._from_masks(n + len(targets), (pa_r, ch_r, ne + grow, bi + grow), names)
     return RegimeGraph(big, pairs)
 
 

@@ -9,6 +9,14 @@ most two edges (an arrow plus a line or biarrow).
 Node sets are plain ``frozenset`` objects at the API surface.  The canonical
 integer encoding (node ``i`` occupies bit ``i - 1``) used by the constraint
 formats is exposed through :func:`set_index` and :func:`set_members`.
+
+Invariants are checked once, where input enters the package: the public
+constructor ``MixedGraph(...)``, :func:`parse` and the learner's
+``parse_atom_line`` normalise and validate.  A graph the package derives
+from a valid one (an intervention, a subgraph, an augmented or marginal
+graph, a magnified graph, an enumerated candidate) is built from adjacency
+masks by ``MixedGraph._from_masks``, which trusts its caller and skips
+both steps.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from .errors import (
     DirectedCycleError,
     DoubleArrowError,
     DoubleEdgeError,
+    GraphValidationError,
     LineBiarrowMixError,
     NodeOutOfRangeError,
     ParseError,
@@ -65,6 +74,38 @@ def _norm_pair(edge) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
+def _check_names(names, n: int) -> tuple:
+    names = tuple(str(s) for s in names)
+    if len(names) != n or len(set(names)) != n:
+        raise GraphValidationError("node_names must be %d distinct labels" % n)
+    return names
+
+
+def _pairs(masks, n: int) -> frozenset:
+    # Unordered pairs (a < b) of a symmetric per-node mask list.
+    return frozenset((a, b) for a in range(1, n + 1) for b in _bits(masks[a] >> a << a))
+
+
+def _peel(pa, n: int) -> list[int]:
+    """Place nodes one at a time, each time the smallest-index node whose
+    parents are all placed.  Fewer than n nodes come back exactly when the
+    arrows in ``pa`` contain a directed cycle."""
+    order = []
+    placed = 0
+    left = (1 << n) - 1
+    while left:
+        for v in _bits(left):
+            if not pa[v] & ~placed:
+                break
+        else:
+            break
+        bit = 1 << (v - 1)
+        placed |= bit
+        left ^= bit
+        order.append(v)
+    return order
+
+
 @dataclass(frozen=True)
 class MixedGraph:
     """An immutable mixed graph.
@@ -98,11 +139,26 @@ class MixedGraph:
         object.__setattr__(self, "biarrows",
                            frozenset(_norm_pair(e) for e in self.biarrows))
         if self.node_names is not None:
-            names = tuple(str(s) for s in self.node_names)
-            if len(names) != self.n or len(set(names)) != self.n:
-                raise ValueError("node_names must be %d distinct labels" % self.n)
-            object.__setattr__(self, "node_names", names)
+            object.__setattr__(self, "node_names",
+                               _check_names(self.node_names, self.n))
         self.validate()
+
+    @classmethod
+    def _from_masks(cls, n: int, adj, node_names=None) -> "MixedGraph":
+        """A graph derived by the package from a valid one, given as its
+        ``(pa, ch, ne, bi)`` masks (index 0 unused; ``ne`` and ``bi``
+        symmetric).  Trusted: no normalisation and no :meth:`validate`;
+        the masks become the graph's ``_adj``."""
+        pa, _ch, ne, bi = adj
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "arrows", frozenset(
+            (t, h) for h in range(1, n + 1) for t in _bits(pa[h])))
+        object.__setattr__(g, "lines", _pairs(ne, n))
+        object.__setattr__(g, "biarrows", _pairs(bi, n))
+        object.__setattr__(g, "node_names", node_names)
+        g.__dict__["_adj"] = adj
+        return g
 
     # -- validation ------------------------------------------------------
 
@@ -129,40 +185,22 @@ class MixedGraph:
             raise DoubleEdgeError(f"pair {a},{b} carries both a line and a biarrow")
         if self.lines and self.biarrows:
             raise LineBiarrowMixError("lines and biarrows in the same graph")
-        cycle = self._find_cycle()
-        if cycle is not None:
-            raise DirectedCycleError(cycle)
+        pa = self._adj[0]
+        order = _peel(pa, self.n)
+        if len(order) < self.n:
+            # Every node left unplaced has an unplaced parent: climb parents
+            # from the smallest one until a node repeats.
+            left = self.full_mask
+            for v in order:
+                left &= ~(1 << (v - 1))
+            climb = [next(_bits(left))]
+            while climb[-1] not in climb[:-1]:
+                climb.append(next(_bits(pa[climb[-1]] & left)))
+            raise DirectedCycleError(climb[climb.index(climb[-1]):][::-1])
 
     def _check_node(self, i) -> None:
         if not isinstance(i, int) or not 1 <= i <= self.n:
             raise NodeOutOfRangeError(f"node {i!r} out of range 1..{self.n}")
-
-    def _find_cycle(self):
-        children: dict[int, list[int]] = {}
-        for t, h in self.arrows:
-            children.setdefault(t, []).append(h)
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = {}
-        for start in children:
-            if colour.get(start, WHITE) != WHITE:
-                continue
-            path = [start]
-            it_stack = [iter(children.get(start, ()))]
-            colour[start] = GREY
-            while path:
-                for w in it_stack[-1]:
-                    c = colour.get(w, WHITE)
-                    if c == GREY:
-                        return path[path.index(w):] + [w]
-                    if c == WHITE:
-                        colour[w] = GREY
-                        path.append(w)
-                        it_stack.append(iter(children.get(w, ())))
-                        break
-                else:
-                    colour[path.pop()] = BLACK
-                    it_stack.pop()
-        return None
 
     # -- basic structure -------------------------------------------------
 
@@ -304,21 +342,16 @@ class MixedGraph:
     def induced_subgraph(self, nodes: Iterable[int]) -> "MixedGraph":
         """Keep exactly the edges with both endpoints in ``nodes``."""
         mask = self.node_mask(nodes)
-
-        def keep(a, b):
-            return (mask >> (a - 1)) & 1 and (mask >> (b - 1)) & 1
-
-        return MixedGraph(
-            self.n,
-            frozenset(e for e in self.arrows if keep(*e)),
-            frozenset(e for e in self.lines if keep(*e)),
-            frozenset(e for e in self.biarrows if keep(*e)),
-            self.node_names,
-        )
+        adj = tuple([0] + [m & mask if (mask >> (v - 1)) & 1 else 0
+                           for v, m in enumerate(masks[1:], 1)]
+                    for masks in self._adj)
+        return MixedGraph._from_masks(self.n, adj, self.node_names)
 
     def undirected_skeleton(self) -> "MixedGraph":
         """The graph restricted to its lines."""
-        return MixedGraph(self.n, lines=self.lines, node_names=self.node_names)
+        zero = [0] * (self.n + 1)
+        return MixedGraph._from_masks(self.n, (zero, zero, self._adj[2], zero),
+                                      self.node_names)
 
     def consistent_ordering(self) -> tuple[int, ...]:
         """A node ordering that never places a strict ancestor later.
@@ -326,20 +359,7 @@ class MixedGraph:
         Deterministic: among the available nodes the smallest index is
         placed first.
         """
-        pa = self._adj[0]
-        placed = 0
-        order = []
-        for _ in range(self.n):
-            for v in range(1, self.n + 1):
-                bit = 1 << (v - 1)
-                if placed & bit:
-                    continue
-                if pa[v] & ~placed:
-                    continue
-                order.append(v)
-                placed |= bit
-                break
-        return tuple(order)
+        return tuple(_peel(self._adj[0], self.n))
 
     def is_amp_cg(self) -> bool:
         """True when the graph is a chain graph: at most one edge per pair

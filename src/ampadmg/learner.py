@@ -14,18 +14,19 @@ the optimal graphs, for use with an ASP solver.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterator
 
-from .docalc import intervene
+from .docalc import _intervene_masks, intervene
 from .errors import (
     NodeOutOfRangeError,
     NoFeasibleModelError,
     ParseError,
     ProblemTooLargeError,
 )
-from .graph import Dialect, MixedGraph, set_index
+from .graph import Dialect, MixedGraph, _peel, set_index
 from .separation import _route_connected
 
 EDGE_KINDS = ("arrow", "line", "biarrow")
@@ -110,6 +111,18 @@ class LearnProblem:
                 raise ValueError("ordering must list each node exactly once")
             object.__setattr__(self, "ordering", order)
 
+    @cached_property
+    def _checks(self):
+        # The highest node any constraint names, then the dep and the indep
+        # constraints as (regime, x, y, cond) masks plus weight.
+        top = 0
+        split = {"dep": [], "indep": []}
+        for c in self.constraints:
+            top = max(top, c.x, c.y, c.regime, *c.cond)
+            split[c.kind].append((c.regime, 1 << (c.x - 1), 1 << (c.y - 1),
+                                  set_index(c.cond), c.weight))
+        return top, tuple(split["dep"]), tuple(split["indep"])
+
     def _check_node(self, i):
         if not isinstance(i, int) or not 1 <= i <= self.n:
             raise NodeOutOfRangeError(f"node {i!r} out of range 1..{self.n}")
@@ -142,29 +155,26 @@ def regime_graph(g: MixedGraph, i: int) -> MixedGraph:
 def score(g: MixedGraph, p: LearnProblem) -> int | None:
     """Edge penalties plus violated independence weights, or None when a
     hard dependence fails."""
-    seen: dict[int, MixedGraph] = {0: g}
+    top, deps, indeps = p._checks
+    if top > g.n:
+        raise NodeOutOfRangeError(f"constraint node {top} out of range 1..{g.n}")
+    seen = {0: g._adj}
 
-    def graph_for(regime: int) -> MixedGraph:
-        gr = seen.get(regime)
-        if gr is None:
-            gr = seen[regime] = regime_graph(g, regime)
-        return gr
+    def open_route(regime, xm, ym, zm):
+        adj = seen.get(regime)
+        if adj is None:
+            adj = seen[regime] = _intervene_masks(g._adj, g.n, 1 << (regime - 1))
+        return _route_connected(adj, xm, ym, zm)
 
-    for c in p.constraints:
-        if c.kind == "dep":
-            gr = graph_for(c.regime)
-            if not _route_connected(gr._adj, gr.node_mask([c.x]),
-                                    gr.node_mask([c.y]), gr.node_mask(c.cond)):
-                return None
+    for regime, xm, ym, zm, _w in deps:
+        if not open_route(regime, xm, ym, zm):
+            return None
     total = (len(g.lines) * p.line_penalty
              + len(g.arrows) * p.arrow_penalty
              + len(g.biarrows) * p.biarrow_penalty)
-    for c in p.constraints:
-        if c.kind == "indep":
-            gr = graph_for(c.regime)
-            if _route_connected(gr._adj, gr.node_mask([c.x]),
-                                gr.node_mask([c.y]), gr.node_mask(c.cond)):
-                total += c.weight
+    for regime, xm, ym, zm, weight in indeps:
+        if open_route(regime, xm, ym, zm):
+            total += weight
     return total
 
 
@@ -195,31 +205,6 @@ def _pair_states(p: LearnProblem, dialect: Dialect, i: int, j: int):
     return [(u, a) for u in und_options for a in arrow_options]
 
 
-def _acyclic(n: int, arrows) -> bool:
-    ch = [0] * (n + 1)
-    for t, h in arrows:
-        ch[t] |= 1 << (h - 1)
-    placed = 0
-    full = (1 << n) - 1
-    while placed != full:
-        progress = False
-        for v in range(1, n + 1):
-            bit = 1 << (v - 1)
-            if placed & bit:
-                continue
-            blocked = False
-            for t in range(1, n + 1):
-                if ch[t] & bit and not placed & (1 << (t - 1)):
-                    blocked = True
-                    break
-            if not blocked:
-                placed |= bit
-                progress = True
-        if not progress:
-            return False
-    return True
-
-
 def enumerate_graphs(n: int, dialect: Dialect,
                      p: LearnProblem | None = None) -> Iterator[MixedGraph]:
     """Every valid graph of the dialect over n nodes, priors respected.
@@ -233,20 +218,27 @@ def enumerate_graphs(n: int, dialect: Dialect,
     state_lists = [_pair_states(p, dialect, i, j) for i, j in pairs]
     if any(not states for states in state_lists):
         return
-    und_field = "lines" if dialect is Dialect.ALTERNATIVE else "biarrows"
+    alternative = dialect is Dialect.ALTERNATIVE
+    zero = [0] * (n + 1)
     for combo in product(*state_lists):
-        arrows = []
-        und = []
+        pa = [0] * (n + 1)
+        ch = [0] * (n + 1)
+        und = [0] * (n + 1)
         for (i, j), (u, a) in zip(pairs, combo):
+            ib, jb = 1 << (i - 1), 1 << (j - 1)
             if u:
-                und.append((i, j))
+                und[i] |= jb
+                und[j] |= ib
             if a == 1:
-                arrows.append((i, j))
+                pa[j] |= ib
+                ch[i] |= jb
             elif a == -1:
-                arrows.append((j, i))
-        if not _acyclic(n, arrows):
+                pa[i] |= jb
+                ch[j] |= ib
+        if len(_peel(pa, n)) < n:
             continue
-        yield MixedGraph(n, frozenset(arrows), **{und_field: frozenset(und)})
+        adj = (pa, ch, und, zero) if alternative else (pa, ch, zero, und)
+        yield MixedGraph._from_masks(n, adj)
 
 
 def atom_line(g: MixedGraph) -> str:
@@ -379,12 +371,6 @@ def parse_constraints(text: str) -> LearnProblem:
                             required=frozenset(required), ordering=ordering)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-
-
-def problem_with(p: LearnProblem, **changes) -> LearnProblem:
-    """Convenience wrapper over dataclasses.replace for tweaking a parsed
-    problem (dialects, penalties)."""
-    return replace(p, **changes)
 
 
 # -- ASP export ---------------------------------------------------------------

@@ -27,8 +27,8 @@ from .separation import (
     SeparationQuery,
     _augmented_masks,
     _extended_masks,
+    _reject_biarrows,
     _ug_reachable,
-    extended_subgraph,
 )
 
 OBSERVATIONAL = 0
@@ -97,21 +97,9 @@ def markov_blanket(g: MixedGraph, s: Iterable[int], b: int) -> frozenset[int]:
     b = int(b)
     if b not in s:
         raise NodeNotInSetError(f"node {b} is not in the target set")
-    ext = extended_subgraph(g, s)
-    return _blanket_on(ext, b)
-
-
-def _blanket_on(ext: MixedGraph, b: int) -> frozenset[int]:
-    pa, ch, ne, _bi = ext._adj
-    bb = 1 << (b - 1)
-    chm = ch[b]
-    nem = 0
-    for v in _bits(bb | chm):
-        nem |= ne[v]
-    pam = 0
-    for v in _bits(bb | chm | nem):
-        pam |= pa[v]
-    return ext.mask_nodes((chm | nem | pam) & ~bb)
+    _reject_biarrows(g, "extended subgraph")
+    adj3 = _extended_masks(g, g.node_mask(s))[:3]
+    return g.mask_nodes(_blanket_mask(adj3, b))
 
 
 def _ancestral_supersets(g: MixedGraph, ordering):

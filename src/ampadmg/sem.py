@@ -23,7 +23,7 @@ from .errors import (
     SingularSubmatrixError,
     UnsupportedDialectError,
 )
-from .graph import MixedGraph
+from .graph import MixedGraph, _check_names
 
 PRECISION_ZERO_TOL = 1e-9
 CI_TOL = 1e-7
@@ -39,13 +39,15 @@ def magnify(g: MixedGraph) -> MixedGraph:
     if g.biarrows:
         raise UnsupportedDialectError("magnification expects an alternative graph")
     n = g.n
-    arrows = set(g.arrows)
-    arrows.update((n + i, i) for i in range(1, n + 1))
-    lines = frozenset((n + a, n + b) for a, b in g.lines)
+    pa, ch, ne, _bi = g._adj
+    pa_m = [0] + [pa[i] | 1 << (n + i - 1) for i in range(1, n + 1)] + [0] * n
+    ch_m = ch + [1 << (i - 1) for i in range(1, n + 1)]
+    ne_m = [0] * (n + 1) + [m << n for m in ne[1:]]
     names = None
     if g.node_names:
-        names = g.node_names + tuple(f"eps_{s}" for s in g.node_names)
-    return MixedGraph(2 * n, frozenset(arrows), lines, node_names=names)
+        names = _check_names(g.node_names + tuple(f"eps_{s}" for s in g.node_names),
+                             2 * n)
+    return MixedGraph._from_masks(2 * n, (pa_m, ch_m, ne_m, [0] * (2 * n + 1)), names)
 
 
 def _magnified_half(gp: MixedGraph) -> int:

@@ -24,7 +24,8 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import MalformedQueryError, UnsupportedDialectError
 from .graph import MixedGraph, _bits
@@ -56,6 +57,15 @@ class SeparationQuery:
             raise MalformedQueryError("x and y must be non-empty")
         if self.x & self.y or self.x & self.z or self.y & self.z:
             raise MalformedQueryError("x, y and z must be pairwise disjoint")
+
+
+def singleton_queries(n: int) -> Iterator[tuple[int, int, frozenset]]:
+    """Every unordered singleton pair ``x < y`` over nodes 1..n with every
+    conditioning set drawn from the remaining nodes."""
+    for x, y in combinations(range(1, n + 1), 2):
+        rest = [v for v in range(1, n + 1) if v != x and v != y]
+        for pick in range(1 << len(rest)):
+            yield x, y, frozenset(rest[i] for i in range(len(rest)) if pick >> i & 1)
 
 
 def _query_masks(g: MixedGraph, q: SeparationQuery):
@@ -209,18 +219,9 @@ def extended_subgraph(g: MixedGraph, nodes: Iterable[int]) -> MixedGraph:
     """Arrows and lines inside the ancestral closure of ``nodes`` plus all
     lines inside that closure's line components."""
     _reject_biarrows(g, "extended subgraph")
-    anm = g._an_mask(g.node_mask(nodes))
-    ccm = g._cc_mask(anm)
-
-    def inside(mask, a, b):
-        return (mask >> (a - 1)) & 1 and (mask >> (b - 1)) & 1
-
-    return MixedGraph(
-        g.n,
-        frozenset(e for e in g.arrows if inside(anm, *e)),
-        frozenset(e for e in g.lines if inside(ccm, *e)),
-        node_names=g.node_names,
-    )
+    pa_e, ch_e, ne_e, _anm, _ccm = _extended_masks(g, g.node_mask(nodes))
+    return MixedGraph._from_masks(g.n, (pa_e, ch_e, ne_e, [0] * (g.n + 1)),
+                                  g.node_names)
 
 
 def _extended_masks(g: MixedGraph, smask: int):
@@ -248,10 +249,12 @@ def augmented_graph(g: MixedGraph) -> MixedGraph:
     """
     _reject_biarrows(g, "augmented graph")
     pa, ch, ne, _bi = g._adj
-    aug = _augmented_masks(pa, ch, ne, g.n)
-    pairs = frozenset((a, b) for a in range(1, g.n + 1)
-                      for b in _bits(aug[a]) if a < b)
-    return MixedGraph(g.n, lines=pairs, node_names=g.node_names)
+    return _undirected(g, _augmented_masks(pa, ch, ne, g.n))
+
+
+def _undirected(g: MixedGraph, ne) -> MixedGraph:
+    zero = [0] * (g.n + 1)
+    return MixedGraph._from_masks(g.n, (zero, zero, ne, zero), g.node_names)
 
 
 def _augmented_masks(pa, ch, ne, n: int):
@@ -284,11 +287,7 @@ def marginal_graph(h: MixedGraph, nodes: Iterable[int]) -> MixedGraph:
     """
     if h.arrows or h.biarrows:
         raise UnsupportedDialectError("marginal graph expects an undirected graph")
-    xm = h.node_mask(nodes)
-    ne_m = _marginal_masks(h._adj[2], h.n, xm)
-    pairs = frozenset((a, b) for a in range(1, h.n + 1)
-                      for b in _bits(ne_m[a]) if a < b)
-    return MixedGraph(h.n, lines=pairs, node_names=h.node_names)
+    return _undirected(h, _marginal_masks(h._adj[2], h.n, h.node_mask(nodes)))
 
 
 def _marginal_masks(ne, n: int, xm: int):

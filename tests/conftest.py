@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from ampadmg import MixedGraph
+from ampadmg.separation import singleton_queries  # noqa: F401  (re-exported to the tests)
 
 DATA = Path(__file__).parent / "data"
 
@@ -64,12 +65,3 @@ def random_graph(rng: random.Random, n: int, biarrow_ok: bool = False) -> MixedG
         if rng.random() < 0.3:
             arrows.add((a, b) if rank[a] < rank[b] else (b, a))
     return MixedGraph(n, arrows, lines, biarrows)
-
-
-def singleton_queries(n: int):
-    """Every unordered singleton pair with every conditioning set."""
-    for x, y in combinations(range(1, n + 1), 2):
-        rest = [v for v in range(1, n + 1) if v != x and v != y]
-        for pick in range(1 << len(rest)):
-            z = frozenset(rest[i] for i in range(len(rest)) if pick >> i & 1)
-            yield x, y, z

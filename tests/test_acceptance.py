@@ -7,6 +7,7 @@ over every four-node graph) stays under two minutes on stock hardware.
 """
 
 import random
+from dataclasses import replace
 
 from ampadmg import (
     Dialect,
@@ -34,7 +35,6 @@ from ampadmg import (
     separation_oracle,
     verify_statements,
 )
-from ampadmg.learner import problem_with
 
 from conftest import DATA, random_graph, singleton_queries
 
@@ -127,7 +127,7 @@ def test_learner_reproduces_golden_model_counts():
     assert len(result.models) == 18
     assert all((3, j) not in m.arrows for m in result.models for j in (1, 2))
 
-    result = learn(problem_with(
+    result = learn(replace(
         full, dialects=(Dialect.ALTERNATIVE, Dialect.ORIGINAL)))
     assert result.optimal_score == 3
     lines = [atom_line(m) for m in result.models]

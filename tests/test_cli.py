@@ -153,6 +153,12 @@ def test_intervene_output_parses_back(capsys):
     assert parse(out) == intervene(g, {1})
 
 
+def test_magnify_label_clash_is_usage_error(tmp_path, capsys):
+    g = graph_file(tmp_path, "nodes A eps_A\n")
+    assert main(["magnify", "--graph", g]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # -- rule --------------------------------------------------------------------
 
 
@@ -195,6 +201,13 @@ def test_rule_single_step(capsys):
                  "--rule", "2", "--y", "B", "--z", "A", "--w", "C"])
     assert code == 1
     assert capsys.readouterr().out == "not applicable\n"
+
+
+def test_rule_answers_when_a_label_looks_like_an_indicator(tmp_path, capsys):
+    g = graph_file(tmp_path, "nodes A F_A B\narrow A B\n")
+    code = main(["rule", "--graph", g, "--rule", "2", "--y", "B", "--z", "A"])
+    assert code == 0
+    assert capsys.readouterr().out == "applicable\n"
 
 
 def test_rule_single_step_requires_y(capsys):

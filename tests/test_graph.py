@@ -13,11 +13,17 @@ from ampadmg import (
     NodeOutOfRangeError,
     ParseError,
     SelfEdgeError,
+    augmented_graph,
+    extended_subgraph,
+    intervene,
+    magnify,
+    marginal_graph,
     parse,
     relation,
     serialize,
     set_index,
     set_members,
+    with_regime_nodes,
 )
 from conftest import random_graph
 
@@ -37,10 +43,12 @@ def test_antisymmetric_arrows_rejected():
 
 
 def test_three_cycle_rejected():
+    arrows = {(1, 2), (2, 3), (3, 1), (4, 1), (2, 5)}
     with pytest.raises(DirectedCycleError) as err:
-        MixedGraph(3, arrows={(1, 2), (2, 3), (3, 1)})
+        MixedGraph(5, arrows=arrows)
     cycle = err.value.cycle
     assert cycle[0] == cycle[-1] and len(cycle) == 4
+    assert all(step in arrows for step in zip(cycle, cycle[1:]))
 
 
 def test_self_edges_rejected():
@@ -164,6 +172,24 @@ def test_undirected_skeleton(mixed6):
     assert dag.undirected_skeleton() == MixedGraph(3)
     ug = MixedGraph(3, lines={(1, 2), (2, 3)})
     assert ug.undirected_skeleton() == ug
+
+
+def test_derived_graphs_match_a_validated_rebuild():
+    # Derived graphs are built from masks without validation: each must
+    # equal, masks included, the graph rebuilt through the constructor.
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        g = random_graph(rng, n, biarrow_ok=True)
+        s = {v for v in range(1, n + 1) if rng.random() < 0.4}
+        derived = [intervene(g, s), with_regime_nodes(g, s).graph,
+                   g.induced_subgraph(s), g.undirected_skeleton()]
+        if not g.biarrows:
+            derived += [extended_subgraph(g, s), augmented_graph(g), magnify(g),
+                        marginal_graph(g.undirected_skeleton(), s)]
+        for d in derived:
+            rebuilt = MixedGraph(d.n, d.arrows, d.lines, d.biarrows)
+            assert d == rebuilt and d._adj == rebuilt._adj, (g, s, d)
 
 
 # -- orderings and chain graph check -----------------------------------------

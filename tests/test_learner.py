@@ -6,6 +6,7 @@ score of 3 for each run was frozen from the first verified run.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,7 @@ from ampadmg import (
     NoFeasibleModelError,
     ParseError,
     ProblemTooLargeError,
+    SeparationQuery,
     atom_line,
     enumerate_graphs,
     export_asp,
@@ -27,8 +29,8 @@ from ampadmg import (
     parse_constraints,
     regime_graph,
     score,
+    separated,
 )
-from ampadmg.learner import problem_with
 from conftest import DATA, random_graph
 
 OBS = parse_constraints((DATA / "indeps-obs.txt").read_text())
@@ -109,12 +111,53 @@ def test_score_arithmetic():
     p = LearnProblem(2, (Constraint("indep", 1, 2, weight=5),))
     assert score(MixedGraph(2), p) == 0
     assert score(MixedGraph(2, lines=[(1, 2)]), p) == 6
-    heavy = problem_with(p, line_penalty=3)
+    heavy = replace(p, line_penalty=3)
     assert score(MixedGraph(2, lines=[(1, 2)]), heavy) == 8
 
     hard = LearnProblem(2, (Constraint("dep", 1, 2),))
     assert score(MixedGraph(2), hard) is None
     assert score(MixedGraph(2, lines=[(1, 2)]), hard) == 1
+
+
+def test_score_rejects_constraint_nodes_beyond_the_graph():
+    p = LearnProblem(3, (Constraint("indep", 1, 3),))
+    with pytest.raises(NodeOutOfRangeError):
+        score(MixedGraph(2), p)
+    in_regime = LearnProblem(3, (Constraint("dep", 1, 2, regime=3),))
+    with pytest.raises(NodeOutOfRangeError):
+        score(MixedGraph(2), in_regime)
+
+
+def reference_score(g, p):
+    # Scores through whole graphs: intervene, then a separation query.
+    def connected(c):
+        gr = intervene(g, [c.regime]) if c.regime else g
+        return not separated(gr, SeparationQuery({c.x}, {c.y}, c.cond))
+
+    if any(c.kind == "dep" and not connected(c) for c in p.constraints):
+        return None
+    return (len(g.lines) * p.line_penalty + len(g.arrows) * p.arrow_penalty
+            + len(g.biarrows) * p.biarrow_penalty
+            + sum(c.weight for c in p.constraints
+                  if c.kind == "indep" and connected(c)))
+
+
+def test_score_matches_graph_level_reference():
+    rng = random.Random(11)
+    for trial in range(300):
+        n = rng.randint(2, 4)
+        constraints = []
+        for _ in range(rng.randint(1, 4)):
+            x, y = rng.sample(range(1, n + 1), 2)
+            rest = [v for v in range(1, n + 1) if v not in (x, y)]
+            cond = {v for v in rest if rng.random() < 0.4}
+            constraints.append(Constraint(rng.choice(("dep", "indep")), x, y, cond,
+                                          regime=rng.randint(0, n),
+                                          weight=rng.randint(0, 3)))
+        p = LearnProblem(n, constraints, line_penalty=rng.randint(0, 2),
+                         biarrow_penalty=rng.randint(0, 2))
+        g = random_graph(rng, n, biarrow_ok=trial % 2 == 1)
+        assert score(g, p) == reference_score(g, p), (g, p)
 
 
 def test_score_checks_constraints_in_their_regime():
@@ -157,8 +200,13 @@ def test_enumerate_respects_priors():
 
 
 def test_enumerated_graphs_are_acyclic():
-    for g in enumerate_graphs(3, Dialect.ALTERNATIVE):
-        g.validate()
+    # Candidates skip validation when built, so check them here.
+    for n in (3, 4):
+        for dialect in Dialect:
+            for g in enumerate_graphs(n, dialect):
+                g.validate()
+                fresh = MixedGraph(n, g.arrows, g.lines, g.biarrows)
+                assert g == fresh and g._adj == fresh._adj
 
 
 # -- golden runs -----------------------------------------------------------------
@@ -184,7 +232,7 @@ def test_learn_full_golden():
 
 
 def test_learn_both_dialects_golden():
-    both = problem_with(FULL, dialects=(Dialect.ALTERNATIVE, Dialect.ORIGINAL))
+    both = replace(FULL, dialects=(Dialect.ALTERNATIVE, Dialect.ORIGINAL))
     result = learn(both)
     assert result.optimal_score == 3
     assert len(result.models) == 34
@@ -195,9 +243,9 @@ def test_learn_both_dialects_golden():
 
 
 def test_learn_union_of_dialects():
-    both = problem_with(FULL, dialects=(Dialect.ALTERNATIVE, Dialect.ORIGINAL))
+    both = replace(FULL, dialects=(Dialect.ALTERNATIVE, Dialect.ORIGINAL))
     alt = learn(FULL)
-    orig = learn(problem_with(FULL, dialects=(Dialect.ORIGINAL,)))
+    orig = learn(replace(FULL, dialects=(Dialect.ORIGINAL,)))
     joint = learn(both)
     best = min(alt.optimal_score, orig.optimal_score)
     assert joint.optimal_score == best
@@ -207,7 +255,7 @@ def test_learn_union_of_dialects():
 
 
 def test_learn_with_ordering_prior():
-    ordered = problem_with(FULL, ordering=(1, 2, 3))
+    ordered = replace(FULL, ordering=(1, 2, 3))
     result = learn(ordered)
     pos = {1: 0, 2: 1, 3: 2}
     assert result.models
@@ -218,10 +266,10 @@ def test_learn_with_ordering_prior():
 
 
 def test_learn_never_lowers_score_with_extra_constraints():
-    tightened = problem_with(
+    tightened = replace(
         OBS, constraints=OBS.constraints + (Constraint("indep", 1, 3, weight=7),))
     assert learn(tightened).optimal_score >= learn(OBS).optimal_score
-    pinned = problem_with(OBS, required=frozenset({("line", 1, 3)}))
+    pinned = replace(OBS, required=frozenset({("line", 1, 3)}))
     assert learn(pinned).optimal_score >= learn(OBS).optimal_score
 
 
@@ -329,11 +377,11 @@ def test_export_asp_regime_atoms():
 
 
 def test_export_asp_dialect_blocks():
-    orig = export_asp(problem_with(OBS, dialects=(Dialect.ORIGINAL,)))
+    orig = export_asp(replace(OBS, dialects=(Dialect.ORIGINAL,)))
     assert "{ biarrow(X,Y,0) }" in orig
     assert ":- line(X,Y,0).\n" in orig
 
-    both = export_asp(problem_with(
+    both = export_asp(replace(
         OBS, dialects=(Dialect.ALTERNATIVE, Dialect.ORIGINAL)))
     assert "{ biarrow(X,Y,0) }" in both
     assert ":- line(X,Y,0).\n" not in both
@@ -341,10 +389,10 @@ def test_export_asp_dialect_blocks():
 
 
 def test_export_asp_priors_and_penalties():
-    p = problem_with(OBS, ordering=(1, 2, 3),
-                     forbidden=frozenset({("arrow", 1, 2)}),
-                     required=frozenset({("line", 1, 3)}),
-                     line_penalty=2)
+    p = replace(OBS, ordering=(1, 2, 3),
+                forbidden=frozenset({("arrow", 1, 2)}),
+                required=frozenset({("line", 1, 3)}),
+                line_penalty=2)
     text = export_asp(p)
     assert ":- arrow(2,1,0).\n" in text
     assert ":- arrow(3,1,0).\n" in text
