@@ -52,6 +52,17 @@ def _node_set(g: MixedGraph, raw: str | None) -> frozenset:
     return frozenset(_resolve(g, tok) for tok in raw.split(",") if tok.strip())
 
 
+def _seed(text: str) -> int:
+    """An argparse type: numpy's generators take only seeds >= 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _names(g: MixedGraph, nodes: Iterable[int]) -> str:
     return ",".join(g.node_label(v) for v in sorted(nodes))
 
@@ -273,14 +284,14 @@ def _build_parser() -> argparse.ArgumentParser:
                             "amp-block", "amp-local", "amp-pairwise"))
     p.add_argument("--oracle", choices=("graph", "gaussian"), default="graph")
     p.add_argument("--criterion", type=int, choices=(1, 2, 3, 4), default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=float, default=CI_TOL)
 
     p = graph_command("sem-check", _cmd_sem_check,
                       "check separations against a random Gaussian model's "
                       "partial correlations")
     p.add_argument("--criterion", type=int, choices=(1, 2, 3, 4), default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=float, default=CI_TOL)
 
     p = command("learn", _cmd_learn,

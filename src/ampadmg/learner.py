@@ -1,11 +1,17 @@
 """Exact structure learning from weighted (in)dependence constraints.
 
-Every candidate graph of the requested dialect(s) is enumerated and scored:
-a violated hard dependence makes the candidate infeasible, a violated
-independence adds its weight, and every edge adds a penalty.  The learner
-returns all penalty-minimising graphs.  Constraints may name a regime
-node, in which case they are checked in the graph obtained by intervening
-on that node.
+A candidate graph's score is its edge penalty plus the weights of the
+independences it violates; a violated hard dependence makes it infeasible.
+The learner returns every graph of the requested dialect(s) with the
+minimum score.  Constraints may name a regime node, in which case they are
+checked in the graph obtained by intervening on that node.
+
+Both terms of a score are non-negative, so no graph whose edge penalty
+alone exceeds the best score found so far can be optimal.  Candidates are
+therefore enumerated in non-decreasing edge-penalty order and the search
+stops at the first one past that bound (branch and bound, as in ASP-based
+exact causal discovery).  With all penalties zero there is one level and
+every candidate is scored.
 
 The same problem can be exported as a logic program whose answer sets are
 the optimal graphs, for use with an ASP solver.
@@ -14,6 +20,7 @@ the optimal graphs, for use with an ASP solver.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -86,6 +93,8 @@ class LearnProblem:
     ordering: tuple | None = None
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or self.n < 0:
+            raise ValueError(f"node count must be a non-negative integer, got {self.n!r}")
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "dialects", tuple(self.dialects))
         if not self.dialects or any(not isinstance(d, Dialect) for d in self.dialects):
@@ -152,6 +161,12 @@ def regime_graph(g: MixedGraph, i: int) -> MixedGraph:
     return intervene(g, [i])
 
 
+def _edge_penalty(g: MixedGraph, p: LearnProblem) -> int:
+    return (len(g.lines) * p.line_penalty
+            + len(g.arrows) * p.arrow_penalty
+            + len(g.biarrows) * p.biarrow_penalty)
+
+
 def score(g: MixedGraph, p: LearnProblem) -> int | None:
     """Edge penalties plus violated independence weights, or None when a
     hard dependence fails."""
@@ -169,9 +184,7 @@ def score(g: MixedGraph, p: LearnProblem) -> int | None:
     for regime, xm, ym, zm, _w in deps:
         if not open_route(regime, xm, ym, zm):
             return None
-    total = (len(g.lines) * p.line_penalty
-             + len(g.arrows) * p.arrow_penalty
-             + len(g.biarrows) * p.biarrow_penalty)
+    total = _edge_penalty(g, p)
     for regime, xm, ym, zm, weight in indeps:
         if open_route(regime, xm, ym, zm):
             total += weight
@@ -179,11 +192,12 @@ def score(g: MixedGraph, p: LearnProblem) -> int | None:
 
 
 def _pair_states(p: LearnProblem, dialect: Dialect, i: int, j: int):
-    # Allowed (undirected?, arrow) states for the pair i < j under the priors.
+    # Allowed undirected-edge options and, independently, allowed arrow
+    # options for the pair i < j under the priors.
     und_kind = "line" if dialect is Dialect.ALTERNATIVE else "biarrow"
     other_kind = "biarrow" if dialect is Dialect.ALTERNATIVE else "line"
     if (other_kind, i, j) in p.required:
-        return []  # the required edge kind does not exist in this dialect
+        return [], []  # the required edge kind does not exist in this dialect
     und_options = [False, True]
     if (und_kind, i, j) in p.forbidden:
         und_options = [False]
@@ -202,43 +216,59 @@ def _pair_states(p: LearnProblem, dialect: Dialect, i: int, j: int):
         arrow_options = [a for a in arrow_options if a == 1]
     if ("arrow", j, i) in p.required:
         arrow_options = [a for a in arrow_options if a == -1]
-    return [(u, a) for u in und_options for a in arrow_options]
+    return und_options, arrow_options
 
 
 def enumerate_graphs(n: int, dialect: Dialect,
                      p: LearnProblem | None = None) -> Iterator[MixedGraph]:
-    """Every valid graph of the dialect over n nodes, priors respected.
+    """Every valid graph of the dialect over n nodes, priors respected, in
+    non-decreasing order of edge penalty under ``p``'s penalties.
 
-    Deterministic order: pairs scan in lexicographic order and pair states
-    in a fixed sequence, so repeated runs enumerate identically.
+    The acyclic arrow sets and the undirected-edge sets are each built
+    once and grouped by edge count; a level is every pairing of an arrow
+    count k with an undirected count m of equal penalty, and each level's
+    graphs are built only when the consumer reaches it.  The order is
+    deterministic: levels by (penalty, k, m), then arrow sets and
+    undirected sets in the order the pair states are scanned.
     """
     if p is None:
         p = LearnProblem(n)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    state_lists = [_pair_states(p, dialect, i, j) for i, j in pairs]
-    if any(not states for states in state_lists):
+    options = [_pair_states(p, dialect, i, j) for i, j in pairs]
+    if any(not und or not arrows for und, arrows in options):
         return
-    alternative = dialect is Dialect.ALTERNATIVE
-    zero = [0] * (n + 1)
-    for combo in product(*state_lists):
+    dags = defaultdict(list)  # arrow count -> [(pa, ch)]
+    for combo in product(*(arrows for _und, arrows in options)):
         pa = [0] * (n + 1)
         ch = [0] * (n + 1)
-        und = [0] * (n + 1)
-        for (i, j), (u, a) in zip(pairs, combo):
+        for (i, j), a in zip(pairs, combo):
             ib, jb = 1 << (i - 1), 1 << (j - 1)
-            if u:
-                und[i] |= jb
-                und[j] |= ib
             if a == 1:
                 pa[j] |= ib
                 ch[i] |= jb
             elif a == -1:
                 pa[i] |= jb
                 ch[j] |= ib
-        if len(_peel(pa, n)) < n:
-            continue
-        adj = (pa, ch, und, zero) if alternative else (pa, ch, zero, und)
-        yield MixedGraph._from_masks(n, adj)
+        if len(_peel(pa, n)) == n:
+            dags[len(combo) - combo.count(0)].append((pa, ch))
+    unds = defaultdict(list)  # undirected-edge count -> [masks]
+    for combo in product(*(und for und, _arrows in options)):
+        und = [0] * (n + 1)
+        for (i, j), u in zip(pairs, combo):
+            if u:
+                und[i] |= 1 << (j - 1)
+                und[j] |= 1 << (i - 1)
+        unds[sum(combo)].append(und)
+    alternative = dialect is Dialect.ALTERNATIVE
+    und_penalty = p.line_penalty if alternative else p.biarrow_penalty
+    levels = sorted((k * p.arrow_penalty + m * und_penalty, k, m)
+                    for k in dags for m in unds)
+    zero = [0] * (n + 1)
+    for _penalty, k, m in levels:
+        for pa, ch in dags[k]:
+            for und in unds[m]:
+                adj = (pa, ch, und, zero) if alternative else (pa, ch, zero, und)
+                yield MixedGraph._from_masks(n, adj)
 
 
 def atom_line(g: MixedGraph) -> str:
@@ -266,10 +296,14 @@ _ATOM_RE = re.compile(r"^(arrow|line|biarrow)\((\d+),(\d+)\)$")
 
 
 def learn(p: LearnProblem, max_n: int = MAX_NODES_DEFAULT) -> LearnResult:
-    """Exhaustive search for all penalty-minimising graphs.
+    """All score-minimising graphs, by bound-ordered exact search.
 
-    Models found in several dialects are reported once; the result list is
-    sorted by the atom-line rendering.
+    Each dialect's candidates arrive in non-decreasing edge penalty
+    (:func:`enumerate_graphs`).  A score is never below the edge penalty,
+    so a dialect's search stops at its first candidate whose penalty
+    exceeds the best score found so far; that best score carries over to
+    the next dialect.  Models found in several dialects are reported once;
+    the result list is sorted by the atom-line rendering.
     """
     if p.n > max_n:
         raise ProblemTooLargeError(
@@ -278,6 +312,8 @@ def learn(p: LearnProblem, max_n: int = MAX_NODES_DEFAULT) -> LearnResult:
     models: dict[MixedGraph, None] = {}
     for dialect in p.dialects:
         for g in enumerate_graphs(p.n, dialect, p):
+            if best is not None and _edge_penalty(g, p) > best:
+                break
             s = score(g, p)
             if s is None:
                 continue

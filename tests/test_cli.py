@@ -5,6 +5,7 @@ captured text are asserted together.  Exit conventions: 0 affirmative,
 1 negative answer, 2 usage or parse trouble, 3 internal failure.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -253,6 +254,16 @@ def test_markov_verify_amp_rejects_non_chain_graph(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_negative_seed_is_usage_error(capsys):
+    for argv in (["sem-check", "--graph", str(DATA / "mixed6.g")],
+                 ["markov-verify", "--graph", str(DATA / "mixed6.g"),
+                  "--property", "ordered-pairwise", "--oracle", "gaussian"]):
+        assert main(argv + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be non-negative" in captured.err
+
+
 # -- sem-check ---------------------------------------------------------------
 
 
@@ -326,6 +337,43 @@ def test_learn_bad_constraint_file_is_usage_error(tmp_path, capsys):
     code = main(["learn", "--constraints", str(cfile)])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_negative_node_count_is_usage_error(tmp_path, capsys):
+    cfile = tmp_path / "c.txt"
+    cfile.write_text("nodes -1\n")
+    for command in ("learn", "export-asp"):
+        assert main([command, "--constraints", str(cfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: node count")
+
+
+# SHA-256 of the stdout of `learn --constraints tests/data/<file> <flags>` as
+# the exhaustive search printed it; the bound-ordered search must not change
+# one byte.
+LEARN_STDOUT_SHA256 = (
+    ("indeps-obs.txt", ["--dialect", "alt"],
+     "66ae40a9f80e47d737a684a226f3130aa090370100db7fdee50ff474ac762767"),
+    ("indeps-obs.txt", ["--dialect", "alt", "--format", "json"],
+     "8422793309591891ec92f222b260345d789d772ab6851d404f074102fff7abfd"),
+    ("indeps-obs.txt", ["--dialect", "both"],
+     "61d38697791896835b090cc7031420d3fe57636ef181f108eadafc981c53065d"),
+    ("indeps-full.txt", ["--dialect", "orig"],
+     "4e3026874fb81d0e485141a361d724379daac1351656c5e30b79b187168dda62"),
+    ("indeps-full.txt", ["--dialect", "both", "--format", "json"],
+     "c669e47a7cefa1bebf1a7ddeda882354260dc2600d4bdc41b49ae59124655752"),
+    ("indeps-obs.txt", ["--line-penalty", "0", "--arrow-penalty", "0",
+                        "--biarrow-penalty", "0", "--dialect", "both"],
+     "3a851681cdf7970fbf924ee77df6ef1340d93e98c44b358d42694926bf8aae54"),
+)
+
+
+@pytest.mark.parametrize("name,flags,digest", LEARN_STDOUT_SHA256)
+def test_learn_stdout_is_pinned(name, flags, digest, capsys):
+    assert main(["learn", "--constraints", str(DATA / name), *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_learn_respects_penalty_flags(capsys):

@@ -7,13 +7,17 @@ score of 3 for each run was frozen from the first verified run.
 
 import random
 from dataclasses import replace
+from functools import cache
+from itertools import combinations, product
 
 import pytest
 
 from ampadmg import (
     Constraint,
     Dialect,
+    DirectedCycleError,
     LearnProblem,
+    LearnResult,
     MixedGraph,
     NodeOutOfRangeError,
     NoFeasibleModelError,
@@ -55,6 +59,8 @@ def test_constraint_validation():
 
 
 def test_problem_validation():
+    with pytest.raises(ValueError):
+        LearnProblem(-1)
     with pytest.raises(ValueError):
         LearnProblem(3, dialects=())
     with pytest.raises(ValueError):
@@ -175,6 +181,8 @@ def test_enumerate_counts():
     assert sum(1 for _ in enumerate_graphs(2, Dialect.ALTERNATIVE)) == 6
     assert sum(1 for _ in enumerate_graphs(3, Dialect.ALTERNATIVE)) == 200
     assert sum(1 for _ in enumerate_graphs(3, Dialect.ORIGINAL)) == 200
+    for dialect in Dialect:
+        assert sum(1 for _ in enumerate_graphs(4, dialect)) == 34752
 
 
 def test_enumerate_is_deterministic():
@@ -290,6 +298,145 @@ def test_learn_size_cap():
         learn(LearnProblem(6))
     with pytest.raises(ProblemTooLargeError):
         learn(LearnProblem(3), max_n=2)
+
+
+# -- bound-ordered search against brute force -----------------------------------
+#
+# The reference is the plain product-and-score loop: every valid graph, built
+# and validated through the public constructor, filtered by the priors, and
+# each one scored.
+
+
+@cache
+def all_graphs(n, dialect):
+    pairs = list(combinations(range(1, n + 1), 2))
+    out = []
+    for combo in product(product((False, True), (0, 1, -1)), repeat=len(pairs)):
+        arrows = [(i, j) if a == 1 else (j, i)
+                  for (i, j), (_u, a) in zip(pairs, combo) if a]
+        und = [pair for pair, (u, _a) in zip(pairs, combo) if u]
+        try:
+            if dialect is Dialect.ALTERNATIVE:
+                out.append(MixedGraph(n, arrows, lines=und))
+            else:
+                out.append(MixedGraph(n, arrows, biarrows=und))
+        except DirectedCycleError:
+            pass
+    return tuple(out)
+
+
+def respects_priors(g, p):
+    edges = ({("arrow", *e) for e in g.arrows} | {("line", *e) for e in g.lines}
+             | {("biarrow", *e) for e in g.biarrows})
+    if edges & p.forbidden or not p.required <= edges:
+        return False
+    if p.ordering is None:
+        return True
+    pos = {v: k for k, v in enumerate(p.ordering)}
+    return all(pos[t] < pos[h] for t, h in g.arrows)
+
+
+def brute_force_graphs(n, dialect, p):
+    return [g for g in all_graphs(n, dialect) if respects_priors(g, p)]
+
+
+def brute_force_learn(p):
+    best, models = None, {}
+    for dialect in p.dialects:
+        for g in brute_force_graphs(p.n, dialect, p):
+            s = score(g, p)
+            if s is None:
+                continue
+            if best is None or s < best:
+                best, models = s, {g: None}
+            elif s == best:
+                models[g] = None
+    if best is None:
+        raise NoFeasibleModelError("reference: no feasible model")
+    return LearnResult(best, tuple(sorted(models, key=atom_line)))
+
+
+def edge_penalty(g, p):
+    return (len(g.lines) * p.line_penalty + len(g.arrows) * p.arrow_penalty
+            + len(g.biarrows) * p.biarrow_penalty)
+
+
+def random_priors(rng, n):
+    pairs = list(combinations(range(1, n + 1), 2))
+    kinds = ("arrow", "line", "biarrow")
+    candidates = [(k, a, b) for k in kinds for a, b in pairs]
+    candidates += [("arrow", b, a) for a, b in pairs]
+    chosen = rng.sample(candidates, min(len(candidates), rng.randint(0, 3)))
+    split = rng.randint(0, len(chosen))
+    ordering = None
+    if rng.random() < 0.3:
+        ordering = list(range(1, n + 1))
+        rng.shuffle(ordering)
+    return frozenset(chosen[:split]), frozenset(chosen[split:]), ordering
+
+
+def random_problem(rng, n):
+    constraints = []
+    for _ in range(rng.randint(1, 5)):
+        x, y = rng.sample(range(1, n + 1), 2)
+        rest = [v for v in range(1, n + 1) if v not in (x, y)]
+        cond = {v for v in rest if rng.random() < 0.4}
+        constraints.append(Constraint(rng.choice(("dep", "indep")), x, y, cond,
+                                      regime=rng.randint(0, n),
+                                      weight=rng.randint(0, 3)))
+    penalties = (0, 0, 0) if rng.random() < 0.2 else \
+        tuple(rng.randint(0, 2) for _ in range(3))
+    forbidden, required, ordering = (
+        random_priors(rng, n) if rng.random() < 0.5 else (frozenset(), frozenset(), None))
+    return LearnProblem(
+        n, constraints,
+        dialects=rng.choice(((Dialect.ALTERNATIVE,), (Dialect.ORIGINAL,),
+                             (Dialect.ALTERNATIVE, Dialect.ORIGINAL))),
+        line_penalty=penalties[0], arrow_penalty=penalties[1],
+        biarrow_penalty=penalties[2],
+        forbidden=forbidden, required=required, ordering=ordering)
+
+
+def test_enumerate_is_penalty_ordered_and_matches_brute_force():
+    rng = random.Random(3)
+    for n in (2, 3, 4):
+        for dialect in Dialect:
+            for trial in range(3 if n < 4 else 1):
+                forbidden, required, ordering = (
+                    random_priors(rng, n) if trial else (frozenset(), frozenset(), None))
+                p = LearnProblem(n, line_penalty=rng.randint(0, 3),
+                                 arrow_penalty=rng.randint(0, 3),
+                                 biarrow_penalty=rng.randint(0, 3),
+                                 forbidden=forbidden, required=required,
+                                 ordering=ordering)
+                out = list(enumerate_graphs(n, dialect, p))
+                penalties = [edge_penalty(g, p) for g in out]
+                assert penalties == sorted(penalties), p
+                assert len(set(out)) == len(out)
+                assert set(out) == set(brute_force_graphs(n, dialect, p)), p
+
+
+def test_learn_matches_brute_force():
+    rng = random.Random(17)
+    seen = set()
+    for trial in range(150):
+        p = random_problem(rng, rng.choice((2, 3)) if trial % 15 else 4)
+        try:
+            expected = brute_force_learn(p)
+        except NoFeasibleModelError:
+            with pytest.raises(NoFeasibleModelError):
+                learn(p)
+            seen.add("infeasible")
+            continue
+        assert learn(p) == expected, p
+        seen.add(p.dialects)
+        if not (p.line_penalty or p.arrow_penalty or p.biarrow_penalty):
+            seen.add("zero penalties")
+        if p.forbidden or p.required or p.ordering:
+            seen.add("priors")
+        if any(c.regime for c in p.constraints):
+            seen.add("regimes")
+    assert len(seen) == 7, seen
 
 
 # -- atom lines ------------------------------------------------------------------
