@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .docalc import check_derivation, intervene, parse_derivation, rule_applicable
 from .errors import AmpAdmgError, NoFeasibleModelError, ParseError
-from .graph import Dialect, MixedGraph, parse, serialize
+from .graph import Dialect, MixedGraph, _label_index, _node_list, parse, serialize
 from .learner import (MAX_NODES_DEFAULT, atom_line, export_asp, learn,
                       parse_constraints)
 from .markov import (CiStatement, OrderedContext, amp_statements,
@@ -33,23 +33,11 @@ def _load_graph(path: str) -> MixedGraph:
     return parse(Path(path).read_text())
 
 
-def _resolve(g: MixedGraph, token: str) -> int:
-    tok = token.strip()
-    if tok.lstrip("-").isdigit():
-        v = int(tok)
-        if not 1 <= v <= g.n:
-            raise ParseError(f"node {v} out of range 1..{g.n}")
-        return v
-    if g.node_names and tok in g.node_names:
-        return g.node_names.index(tok) + 1
-    raise ParseError(f"unknown node {tok!r}")
-
-
 def _node_set(g: MixedGraph, raw: str | None) -> frozenset:
     """Comma-separated indices or labels; missing or empty means the empty set."""
     if raw is None:
         return frozenset()
-    return frozenset(_resolve(g, tok) for tok in raw.split(",") if tok.strip())
+    return _node_list(raw, g.n, _label_index(g.node_names))
 
 
 def _seed(text: str) -> int:

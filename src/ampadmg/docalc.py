@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import MalformedScriptError, OverlappingSetsError
-from .graph import MixedGraph, _bits
+from .errors import MalformedQueryError, OverlappingSetsError, ParseError
+from .graph import MixedGraph, _bits, _label_index, _lines, _node_list
 from .separation import SeparationQuery, _marginal_masks, connects_route
 
 
@@ -120,7 +120,7 @@ def rule_applicable(g: MixedGraph, rule: int, x: Iterable[int], y: Iterable[int]
         raise ValueError(f"rule must be 1, 2 or 3, got {rule!r}")
     x, y, z, w = (frozenset(int(i) for i in s) for s in (x, y, z, w))
     if not y:
-        raise ValueError("y must be non-empty")
+        raise MalformedQueryError("y must be non-empty")
     _disjoint(x, y, z, w)
     for s in (x, y, z, w):
         g.node_mask(s)  # range check
@@ -170,43 +170,22 @@ _STEP_RE = re.compile(
 def parse_derivation(text: str, g: MixedGraph | None = None) -> tuple[RuleApplication, ...]:
     """Parse a derivation script: one ``rule <k> x=.. y=.. z=.. w=..`` per
     line, sets comma-separated (indices, or labels when the graph has them),
-    empty allowed.  ``#`` starts a comment."""
-    label_index = {}
-    if g is not None and g.node_names:
-        label_index = {s: i + 1 for i, s in enumerate(g.node_names)}
-
-    def parse_set(raw: str, line_no: int) -> frozenset:
-        if not raw:
-            return frozenset()
-        out = set()
-        for tok in raw.split(","):
-            if tok.lstrip("-").isdigit():
-                out.add(int(tok))
-            elif tok in label_index:
-                out.add(label_index[tok])
-            else:
-                raise MalformedScriptError(f"line {line_no}: unknown node {tok!r}")
-        return frozenset(out)
-
+    empty allowed.  ``#`` starts a comment.  Given a graph, indices are
+    checked against its node range; without one, :func:`rule_applicable`
+    checks them."""
+    n = g.n if g is not None else None
+    labels = _label_index(g.node_names if g is not None else None)
     steps = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in _lines(text):
         m = _STEP_RE.match(line)
         if not m:
-            raise MalformedScriptError(f"line {line_no}: expected "
-                                       f"'rule <k> x=<set> y=<set> z=<set> w=<set>'")
+            raise ParseError("expected 'rule <k> x=<set> y=<set> z=<set> w=<set>'",
+                             line_no)
         rule = int(m.group("rule"))
         if rule not in (1, 2, 3):
-            raise MalformedScriptError(f"line {line_no}: rule must be 1, 2 or 3")
-        steps.append(RuleApplication(
-            rule,
-            parse_set(m.group("x"), line_no),
-            parse_set(m.group("y"), line_no),
-            parse_set(m.group("z"), line_no),
-            parse_set(m.group("w"), line_no),
-        ))
+            raise ParseError("rule must be 1, 2 or 3", line_no)
+        steps.append(RuleApplication(rule, *(
+            _node_list(m.group(k), n, labels, line_no) for k in "xyzw")))
     return tuple(steps)
 
 

@@ -69,10 +69,6 @@ class OverlappingSetsError(AmpAdmgError, ValueError):
     """Node sets that must be disjoint overlap."""
 
 
-class MalformedScriptError(AmpAdmgError, ValueError):
-    """A derivation script line could not be parsed."""
-
-
 class ProblemTooLargeError(AmpAdmgError, ValueError):
     """The learning problem exceeds the exhaustive-search size cap."""
 
@@ -82,10 +78,15 @@ class NoFeasibleModelError(AmpAdmgError, ValueError):
 
 
 class ParseError(AmpAdmgError, ValueError):
-    """A text input (graph file, constraint file) could not be parsed."""
+    """A text input (graph file, constraint file, derivation script or
+    command-line node list) could not be parsed."""
 
     def __init__(self, message, line_no=None):
         self.line_no = line_no
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
+
+
+# A bad derivation script is a bad text input like any other.
+MalformedScriptError = ParseError

@@ -22,6 +22,7 @@ both steps.
 from __future__ import annotations
 
 import enum
+import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -66,6 +67,14 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length()
         mask ^= low
+
+
+def _union(step, mask: int) -> int:
+    """OR of ``step[v]`` over the nodes v in ``mask``."""
+    out = 0
+    for v in _bits(mask):
+        out |= step[v]
+    return out
 
 
 def _norm_pair(edge) -> tuple[int, int]:
@@ -250,9 +259,7 @@ class MixedGraph:
         cur = seed
         frontier = seed
         while frontier:
-            add = 0
-            for v in _bits(frontier):
-                add |= step[v]
+            add = _union(step, frontier)
             frontier = add & ~cur
             cur |= add
         return cur
@@ -279,30 +286,15 @@ class MixedGraph:
 
     def parents(self, nodes: Iterable[int]) -> frozenset[int]:
         """Tails of arrows pointing into the set."""
-        mask = self.node_mask(nodes)
-        pa = self._adj[0]
-        out = 0
-        for v in _bits(mask):
-            out |= pa[v]
-        return self.mask_nodes(out)
+        return self.mask_nodes(_union(self._adj[0], self.node_mask(nodes)))
 
     def children(self, nodes: Iterable[int]) -> frozenset[int]:
         """Heads of arrows leaving the set."""
-        mask = self.node_mask(nodes)
-        ch = self._adj[1]
-        out = 0
-        for v in _bits(mask):
-            out |= ch[v]
-        return self.mask_nodes(out)
+        return self.mask_nodes(_union(self._adj[1], self.node_mask(nodes)))
 
     def neighbours(self, nodes: Iterable[int]) -> frozenset[int]:
         """Nodes joined to the set by a line."""
-        mask = self.node_mask(nodes)
-        ne = self._adj[2]
-        out = 0
-        for v in _bits(mask):
-            out |= ne[v]
-        return self.mask_nodes(out)
+        return self.mask_nodes(_union(self._adj[2], self.node_mask(nodes)))
 
     def ancestors(self, nodes: Iterable[int]) -> frozenset[int]:
         """Reflexive transitive closure of parent steps."""
@@ -418,6 +410,74 @@ def relation(g: MixedGraph, kind: str, nodes: Iterable[int]) -> frozenset[int]:
 
 
 # -- text format -----------------------------------------------------------
+#
+# Graph files, constraint files, derivation scripts and CLI node lists all
+# read lines through `_lines`, integers through `_int_token` and node
+# tokens through `_node`, so a token means the same thing in each of them.
+
+
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line number, content)`` of every line that is not blank once its
+    ``#`` comment is cut off."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
+
+
+def _int_token(tok: str) -> int | None:
+    """The integer a token spells, or None when it spells none.
+
+    A token is an integer exactly when it is an optional single ``-``
+    followed by decimal digits, the only digits ``int()`` accepts; digits
+    that are not decimal (``²``) and repeated signs (``--2``) make a label.
+    """
+    digits = tok[1:] if tok.startswith("-") else tok
+    return int(tok) if digits.isdecimal() else None
+
+
+def _integer(tok: str, what: str, line_no: int | None = None) -> int:
+    """:func:`_int_token`, raising a :class:`ParseError` that names ``what``
+    when the token spells no integer."""
+    value = _int_token(tok)
+    if value is None:
+        raise ParseError(f"{what} must be an integer, got {tok!r}", line_no)
+    return value
+
+
+def _numeric(tok: str) -> bool:
+    # Minus signs then digits of any kind ("-3", "²", "--2") read as a
+    # number, so a nodes line may not declare such a token as a label.
+    digits = tok.lstrip("-")
+    return bool(digits) and all(unicodedata.digit(c, None) is not None
+                                for c in digits)
+
+
+def _label_index(names) -> dict[str, int]:
+    return {label: i for i, label in enumerate(names or (), start=1)}
+
+
+def _node(tok: str, n: int | None, labels: dict[str, int],
+          line_no: int | None = None) -> int:
+    """Resolve one node token: an integer token is an index, any other
+    token a label in ``labels``.  An index outside 1..n (not checked when
+    n is None) or an unknown label raises :class:`ParseError`."""
+    i = _int_token(tok)
+    if i is None:
+        if tok not in labels:
+            raise ParseError(f"unknown node {tok!r}", line_no)
+        return labels[tok]
+    if n is not None and not 1 <= i <= n:
+        raise ParseError(f"node {tok} out of range 1..{n}", line_no)
+    return i
+
+
+def _node_list(raw: str, n: int | None, labels: dict[str, int],
+               line_no: int | None = None) -> frozenset[int]:
+    """Comma-separated node tokens; space around an item is ignored and
+    empty items are skipped."""
+    return frozenset(_node(tok.strip(), n, labels, line_no)
+                     for tok in raw.split(",") if tok.strip())
 
 
 def serialize(g: MixedGraph) -> str:
@@ -451,21 +511,9 @@ def parse(text: str) -> MixedGraph:
     """
     n = None
     names: tuple | None = None
-    index: dict[str, int] = {}
-    arrows, lines, biarrows = set(), set(), set()
-
-    def node(tokens, which, line_no):
-        raw = tokens[which]
-        if raw.lstrip("-").isdigit():
-            return int(raw)
-        if raw not in index:
-            raise ParseError(f"unknown node label {raw!r}", line_no)
-        return index[raw]
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    labels: dict[str, int] = {}
+    edges = {"arrow": set(), "line": set(), "biarrow": set()}
+    for line_no, line in _lines(text):
         tokens = line.split()
         kw = tokens[0]
         if kw == "nodes":
@@ -474,33 +522,27 @@ def parse(text: str) -> MixedGraph:
             rest = tokens[1:]
             if not rest:
                 raise ParseError("nodes line needs a count or labels", line_no)
-            if len(rest) == 1 and rest[0].isdigit():
+            if len(rest) == 1 and rest[0].isdecimal():
                 n = int(rest[0])
-            else:
-                for lbl in rest:
-                    if lbl.lstrip("-").isdigit():
-                        raise ParseError(
-                            f"label {lbl!r} is numeric; use a node count instead",
-                            line_no)
-                names = tuple(rest)
-                if len(set(names)) != len(names):
-                    raise ParseError("duplicate node label", line_no)
-                n = len(names)
-                index = {lbl: i + 1 for i, lbl in enumerate(names)}
+                continue
+            for lbl in rest:
+                if _numeric(lbl):
+                    raise ParseError(
+                        f"label {lbl!r} is numeric; use a node count instead",
+                        line_no)
+            names = tuple(rest)
+            if len(set(names)) != len(names):
+                raise ParseError("duplicate node label", line_no)
+            n = len(names)
+            labels = _label_index(names)
             continue
         if n is None:
             raise ParseError("first line must declare nodes", line_no)
-        if kw not in ("arrow", "line", "biarrow") or len(tokens) != 3:
+        if kw not in edges or len(tokens) != 3:
             raise ParseError(f"unrecognised line {line!r}", line_no)
-        a = node(tokens, 1, line_no)
-        b = node(tokens, 2, line_no)
-        if kw == "arrow":
-            arrows.add((a, b))
-        elif kw == "line":
-            lines.add((a, b))
-        else:
-            biarrows.add((a, b))
+        edges[kw].add((_node(tokens[1], n, labels, line_no),
+                       _node(tokens[2], n, labels, line_no)))
     if n is None:
         raise ParseError("missing nodes line")
-    return MixedGraph(n, frozenset(arrows), frozenset(lines),
-                      frozenset(biarrows), names)
+    return MixedGraph(n, frozenset(edges["arrow"]), frozenset(edges["line"]),
+                      frozenset(edges["biarrow"]), names)

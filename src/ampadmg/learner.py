@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     ProblemTooLargeError,
 )
-from .graph import Dialect, MixedGraph, _peel, set_index
+from .graph import Dialect, MixedGraph, _integer, _lines, _node, _node_list, _peel, set_index
 from .separation import _route_connected
 
 EDGE_KINDS = ("arrow", "line", "biarrow")
@@ -349,16 +349,7 @@ def parse_constraints(text: str) -> LearnProblem:
     ordering = None
     forbidden = set()
     required = set()
-
-    def want_int(tok, line_no, what):
-        if not tok.lstrip("-").isdigit():
-            raise ParseError(f"{what} must be an integer, got {tok!r}", line_no)
-        return int(tok)
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in _lines(text):
         tokens = line.split()
         kw = tokens[0]
         if kw == "nodes":
@@ -366,24 +357,21 @@ def parse_constraints(text: str) -> LearnProblem:
                 raise ParseError("duplicate nodes line", line_no)
             if len(tokens) != 2:
                 raise ParseError("nodes line needs a count", line_no)
-            n = want_int(tokens[1], line_no, "node count")
+            n = _integer(tokens[1], "node count", line_no)
             continue
         if n is None:
             raise ParseError("first line must declare nodes", line_no)
         if kw in ("dep", "indep"):
             if len(tokens) != 6:
                 raise ParseError(f"{kw} needs x y {{set}} regime weight", line_no)
-            x = want_int(tokens[1], line_no, "x")
-            y = want_int(tokens[2], line_no, "y")
+            x, y = (_node(t, n, {}, line_no) for t in tokens[1:3])
             braced = tokens[3]
             if not (braced.startswith("{") and braced.endswith("}")):
                 raise ParseError("conditioning set must be braced, e.g. {1,3} or {}",
                                  line_no)
-            inner = braced[1:-1]
-            cond = frozenset(want_int(t, line_no, "conditioning node")
-                             for t in inner.split(",") if t)
-            regime = want_int(tokens[4], line_no, "regime")
-            weight = want_int(tokens[5], line_no, "weight")
+            cond = _node_list(braced[1:-1], n, {}, line_no)
+            regime = _integer(tokens[4], "regime", line_no)
+            weight = _integer(tokens[5], "weight", line_no)
             try:
                 constraints.append(Constraint(kw, x, y, cond, regime, weight))
             except ValueError as exc:
@@ -391,12 +379,11 @@ def parse_constraints(text: str) -> LearnProblem:
         elif kw == "order":
             if ordering is not None:
                 raise ParseError("duplicate order line", line_no)
-            ordering = tuple(want_int(t, line_no, "order entry") for t in tokens[1:])
+            ordering = tuple(_node(t, n, {}, line_no) for t in tokens[1:])
         elif kw in ("forbid", "require"):
             if len(tokens) != 4 or tokens[1] not in EDGE_KINDS:
                 raise ParseError(f"{kw} needs an edge kind and two nodes", line_no)
-            a = want_int(tokens[2], line_no, "node")
-            b = want_int(tokens[3], line_no, "node")
+            a, b = (_node(t, n, {}, line_no) for t in tokens[2:])
             (forbidden if kw == "forbid" else required).add((tokens[1], a, b))
         else:
             raise ParseError(f"unrecognised line {line!r}", line_no)

@@ -16,13 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import (
-    InconsistentOrderingError,
-    MalformedQueryError,
-    NodeNotInSetError,
-    NotAnAmpCgError,
-)
-from .graph import MixedGraph, _bits
+from .errors import InconsistentOrderingError, NodeNotInSetError, NotAnAmpCgError
+from .graph import MixedGraph, _bits, _union
 from .separation import (
     SeparationQuery,
     _augmented_masks,
@@ -37,23 +32,11 @@ AMP_FLAVOURS = ("block-recursive", "local", "pairwise")
 
 
 @dataclass(frozen=True)
-class CiStatement:
+class CiStatement(SeparationQuery):
     """x independent of y given z, in regime 0 (observational) or under an
     intervention on node ``regime``."""
 
-    x: frozenset
-    y: frozenset
-    z: frozenset = frozenset()
     regime: int = OBSERVATIONAL
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", frozenset(int(i) for i in self.x))
-        object.__setattr__(self, "y", frozenset(int(i) for i in self.y))
-        object.__setattr__(self, "z", frozenset(int(i) for i in self.z))
-        if not self.x or not self.y:
-            raise MalformedQueryError("x and y must be non-empty")
-        if self.x & self.y or self.x & self.z or self.y & self.z:
-            raise MalformedQueryError("x, y and z must be pairwise disjoint")
 
     def canonical(self) -> "CiStatement":
         """Swap x and y into a fixed order so symmetric duplicates collapse."""
@@ -145,12 +128,8 @@ def _blanket_mask(adj3, b: int) -> int:
     pa, ch, ne = adj3
     bb = 1 << (b - 1)
     chm = ch[b]
-    nem = 0
-    for v in _bits(bb | chm):
-        nem |= ne[v]
-    pam = 0
-    for v in _bits(bb | chm | nem):
-        pam |= pa[v]
+    nem = _union(ne, bb | chm)
+    pam = _union(pa, bb | chm | nem)
     return (chm | nem | pam) & ~bb
 
 
@@ -212,14 +191,6 @@ def amp_statements(g: MixedGraph, flavour: str) -> tuple[CiStatement, ...]:
     return _finish(out)
 
 
-def _pa_mask(g, mask):
-    pa = g._adj[0]
-    out = 0
-    for v in _bits(mask):
-        out |= pa[v]
-    return out
-
-
 def _block_recursive(g, cm):
     # Every non-empty block of the component against its non-semidescendants
     # given its parents; plus every separation of the component's undirected
@@ -227,11 +198,11 @@ def _block_recursive(g, cm):
     for dm in _submasks(cm):
         if not dm:
             continue
-        pam = _pa_mask(g, dm)
+        pam = _union(g._adj[0], dm)
         ym = (g.full_mask & ~g._sde_mask(dm)) & ~pam
         if ym:
             yield CiStatement(g.mask_nodes(dm), g.mask_nodes(ym), g.mask_nodes(pam))
-    pac = _pa_mask(g, cm)
+    pac = _union(g._adj[0], cm)
     ne = g._adj[2]
     comp_adj = [ne[v] & cm for v in range(g.n + 1)]
     for xm in _submasks(cm):
@@ -257,7 +228,7 @@ def _local(g, cm, ndm):
             yield CiStatement(frozenset([a]), g.mask_nodes(ym),
                               g.mask_nodes(ndm | nea))
         for sm in _submasks(cm & ~ab):
-            pam = _pa_mask(g, ab | sm)
+            pam = _union(g._adj[0], ab | sm)
             ym2 = ndm & ~pam
             if ym2:
                 yield CiStatement(frozenset([a]), g.mask_nodes(ym2),
@@ -272,7 +243,7 @@ def _pairwise(g, cm, ndm):
             zm = (ndm | cm) & ~ab & ~(1 << (b - 1))
             yield CiStatement(frozenset([a]), frozenset([b]), g.mask_nodes(zm))
         for sm in _submasks(cm & ~ab):
-            pam = _pa_mask(g, ab | sm)
+            pam = _union(g._adj[0], ab | sm)
             for b in _bits(ndm & ~pam):
                 zm = sm | (ndm & ~(1 << (b - 1)))
                 yield CiStatement(frozenset([a]), frozenset([b]), g.mask_nodes(zm))
@@ -293,7 +264,7 @@ def separation_oracle(g: MixedGraph, criterion: int = 2) -> Callable[[CiStatemen
         gr = cache.get(stmt.regime)
         if gr is None:
             gr = cache[stmt.regime] = intervene(g, [stmt.regime])
-        return separated(gr, SeparationQuery(stmt.x, stmt.y, stmt.z), criterion)
+        return separated(gr, stmt, criterion)
 
     return oracle
 

@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import MalformedQueryError, UnsupportedDialectError
-from .graph import MixedGraph, _bits
+from .graph import MixedGraph, _bits, _union
 
 # End marks: how a walk most recently arrived at a node.
 END_LINE, END_HEAD, END_TAIL = 0, 1, 2
@@ -305,9 +305,7 @@ def _marginal_masks(ne, n: int, xm: int):
         frontier = vb
         border = 0
         while frontier:
-            step = 0
-            for u in _bits(frontier):
-                step |= ne[u]
+            step = _union(ne, frontier)
             border |= step & xm
             frontier = step & ~xm & ~comp
             comp |= frontier
@@ -321,9 +319,7 @@ def _ug_reachable(adj, xm: int, ym: int, zm: int) -> bool:
     frontier = xm
     seen = xm
     while frontier:
-        step = 0
-        for v in _bits(frontier):
-            step |= adj[v]
+        step = _union(adj, frontier)
         if step & ym:
             return True
         frontier = step & ~seen & ~zm

@@ -5,12 +5,17 @@ captured text are asserted together.  Exit conventions: 0 affirmative,
 1 negative answer, 2 usage or parse trouble, 3 internal failure.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ampadmg import (
+    AmpAdmgError,
     export_asp,
     intervene,
     magnify,
@@ -402,6 +407,183 @@ def test_export_asp_dialect_flag(capsys):
     out = capsys.readouterr().out
     assert "{ biarrow(X,Y,0) }" in out
     assert ":- biarrow(X,Y,0), line(Z,W,0)." in out
+
+
+# SHA-256 of the stdout, and the exit code, of the parsing-heavy commands over
+# tests/data ("name"), computed at the commit before node tokens got one shared
+# reader; that reader must not change one byte.
+STDOUT_SHA256 = (
+    (["sep", "--graph", "@mixed6.g", "--x", "1", "--y", "5", "--z", "2,6"], 0,
+     "f286e192b325cf9f7deedd2bdda9b080fdc8d66feb748ac12e18c744e307d6b2"),
+    (["sep", "--graph", "@mixed6.g", "--x", "A,B", "--y", "F", "--z", "D"], 1,
+     "77ff73618d165c9ca1d50b611d88c747261b55161020c066fe445f3bd4083832"),
+    (["sep", "--graph", "@double-edge.g", "--x", "A", "--y", "D", "--z", "B",
+      "--criterion", "3", "--format", "json"], 1,
+     "d4c923bc7ae78f73de79885f44d4cab2b618fe7a2e58245ed63c2b544a8fa6d3"),
+    (["intervene", "--graph", "@mixed6.g", "--x", "2,C"], 0,
+     "2d8e6666cc54a6539d259375405ccd82e4b4b3f0d999abdbc4aeed3949c3484d"),
+    (["intervene", "--graph", "@ident-orig.g", "--x", "B"], 0,
+     "8f8cb482ed3646afa47691e177845c6e10c01bbd7eb66520f435fecb22ec111b"),
+    (["magnify", "--graph", "@mixed6.g"], 0,
+     "79df37de1f71897b49e2cd2573aff869e0b11ddc4809befcfdeeef6e475f2a0c"),
+    (["rule", "--graph", "@ident-alt.g", "--script", "@ident-deriv.txt"], 0,
+     "5f0405fdc5ef11c45d1f77319af5d29121910bde1284a29baa92070ad9e5dece"),
+    (["rule", "--graph", "@ident-orig.g", "--script", "@ident-deriv.txt"], 1,
+     "15d76eb549f7239cda0ac63c625e040194b15e8feff7602431fc0937c14a0bf5"),
+    (["export-asp", "--constraints", "@indeps-full.txt", "--dialect", "both"], 0,
+     "e94175a53f4965ff12d2d494405599cc03be98335462696895084e5bc05dca6d"),
+    (["export-asp", "--constraints", "@indeps-obs.txt"], 0,
+     "ec3a8046372a36670ac74c90ee21159cd5837d81455cc1ef5da0dcc2e2e596ed"),
+    (["equiv-check", "--graph", "@mixed6.g"], 0,
+     "c1f296db1d49c341b4b876bb1203eaf0658628e37a58d023fa07c659b6cd86f5"),
+    (["equiv-check", "--graph", "@chain-lines.g"], 0,
+     "b1e9cc6f98ca293137273deb2eeafb5281b757ccc804ae16a43256232f3f01e3"),
+)
+
+
+@pytest.mark.parametrize("argv,code,digest", STDOUT_SHA256)
+def test_stdout_is_pinned(argv, code, digest, capsys):
+    assert main([str(DATA / a[1:]) if a[0] == "@" else a for a in argv]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- text input ----------------------------------------------------------------
+#
+# Graph files, constraint files, derivation scripts and command-line node
+# lists share one line reader and one node-token rule: an optional single
+# "-" followed by decimal digits is an index, anything else a label.  "²"
+# (a digit that is not decimal) and "--2" once passed a looser test and
+# then crashed int().
+
+ODD_TOKENS = ("²", "--2")
+
+
+def _bad_inputs(tok):
+    graph = "nodes A B C\narrow A B\n"
+    constraints = "nodes 3\ndep 1 2 {} 0 1\n"
+    rule = ["rule", "--graph", str(DATA / "ident-alt.g")]
+    return (
+        ("graph edge", ["magnify", "--graph", "@g"], f"nodes 3\narrow 1 {tok}\n"),
+        ("graph nodes", ["magnify", "--graph", "@g"], f"nodes {tok}\n"),
+        ("graph label list", ["magnify", "--graph", "@g"], f"nodes A {tok}\n"),
+        ("cli flag", ["sep", "--graph", "@g", f"--x={tok}", "--y", "B"], graph),
+        ("script set", rule + ["--script", "@g"], f"rule 3 x={tok} y=C z=A w=\n"),
+        ("constraint x", ["learn", "--constraints", "@g"], f"nodes 3\ndep 1 {tok} {{}} 0 1\n"),
+        ("constraint set", ["learn", "--constraints", "@g"], f"nodes 3\ndep 1 2 {{{tok}}} 0 1\n"),
+        ("constraint order", ["learn", "--constraints", "@g"], constraints + f"order 1 2 {tok}\n"),
+        ("constraint prior", ["learn", "--constraints", "@g"], constraints + f"forbid line 1 {tok}\n"),
+        ("constraint nodes", ["export-asp", "--constraints", "@g"], f"nodes {tok}\n"),
+    )
+
+
+@pytest.mark.parametrize("tok", ODD_TOKENS)
+def test_odd_number_tokens_are_usage_errors(tok, tmp_path, capsys):
+    for what, argv, text in _bad_inputs(tok):
+        path = graph_file(tmp_path, text)
+        code = main([path if a == "@g" else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2, what
+        assert captured.err.startswith("error:"), what
+        assert captured.out == "", what
+
+
+def test_out_of_range_index_names_its_line(tmp_path, capsys):
+    cases = (
+        (["magnify", "--graph"], "nodes 3\narrow 1 2\n\nline 2 4\n", "line 4: node 4"),
+        (["learn", "--constraints"], "nodes 3\ndep 1 2 {} 0 1\nindep 1 2 {0} 0 1\n",
+         "line 3: node 0"),
+        (["learn", "--constraints"], "nodes 3\nrequire arrow 1 -2\n", "line 2: node -2"),
+    )
+    for argv, text, message in cases:
+        assert main(argv + [graph_file(tmp_path, text)]) == 2
+        assert message in capsys.readouterr().err
+    script = tmp_path / "s.txt"
+    script.write_text("rule 3 x= y=C z=A w=\n# applies?\nrule 1 x= y=3 z=1 w=9\n")
+    assert main(["rule", "--graph", str(DATA / "ident-alt.g"),
+                 "--script", str(script)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3: node 9 out of range 1..3\n"
+
+
+def test_script_skips_empty_list_items(tmp_path, capsys):
+    script = tmp_path / "s.txt"
+    script.write_text("rule 3 x= y=,C, z=A w=\nrule 2 x= y=B z=A,,A w=,C\n")
+    assert main(["rule", "--graph", str(DATA / "ident-alt.g"),
+                 "--script", str(script)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "rule 3 x= y=C z=A w=  # applicable",
+        "rule 2 x= y=B z=A w=C  # applicable",
+    ]
+
+
+def test_empty_y_is_usage_error(tmp_path, capsys):
+    script = tmp_path / "s.txt"
+    script.write_text("rule 1 x= y= z=A w=\n")
+    for argv in (["--script", str(script)], ["--rule", "1", "--y", ",", "--z", "A"]):
+        assert main(["rule", "--graph", str(DATA / "ident-alt.g"), *argv]) == 2
+        assert capsys.readouterr().err == "error: y must be non-empty\n"
+
+
+FUZZ_TOKENS = st.sampled_from(
+    ["1", "2", "3", "0", "-1", "-", "--2", "²", "١", "A", "B", "C", "Q", "", ","])
+FUZZ_LISTS = st.lists(FUZZ_TOKENS, max_size=4).map(",".join)
+
+
+@st.composite
+def text_inputs(draw):
+    """A command line, the text of the file "@f" it reads (or None) and the
+    library reader of that text."""
+    tok, lst = draw(FUZZ_TOKENS), draw(FUZZ_LISTS)
+    kind = draw(st.sampled_from(("graph", "constraints", "script", "flags")))
+    if kind == "graph":
+        head = draw(st.sampled_from(("nodes 3", "nodes A B C", f"nodes {tok}",
+                                     f"nodes A {tok}")))
+        edges = draw(st.lists(st.tuples(
+            st.sampled_from(("arrow", "line", "biarrow")), FUZZ_TOKENS, FUZZ_TOKENS),
+            max_size=3))
+        text = "\n".join([head] + [" ".join(e) for e in edges])
+        return ["magnify", "--graph", "@f"], text, parse
+    if kind == "constraints":
+        lines = draw(st.lists(st.sampled_from((
+            f"dep 1 {tok} {{}} 0 1", f"indep 1 2 {{{lst}}} 0 1", f"dep 2 3 {{}} {tok} 1",
+            f"order {lst.replace(',', ' ')}", f"forbid line {tok} 1",
+            f"require arrow 1 {tok}", "order 3 2 1")), max_size=3))
+        nodes = draw(st.sampled_from(("3", "2", tok)))
+        text = "\n".join([f"nodes {nodes}"] + lines)
+        return ["export-asp", "--constraints", "@f"], text, parse_constraints
+    if kind == "script":
+        sets = draw(st.lists(FUZZ_LISTS, min_size=4, max_size=4))
+        rule = draw(st.sampled_from("123"))
+        text = f"rule {rule} x={sets[0]} y={sets[1]} z={sets[2]} w={sets[3]}\n"
+        return ["rule", "--graph", str(DATA / "ident-alt.g"), "--script", "@f"], text, \
+            parse_derivation
+    flags = draw(st.lists(FUZZ_LISTS, min_size=3, max_size=3))
+    command = draw(st.sampled_from((
+        ["sep", "--x", flags[0], "--y", flags[1], "--z", flags[2]],
+        ["intervene", "--x", flags[0]],
+        ["rule", "--rule", "2", "--y", flags[0], "--z", flags[1], "--w", flags[2]])))
+    graph = draw(st.sampled_from(("mixed6.g", "chain-lines.g")))
+    return [command[0], "--graph", str(DATA / graph), *command[1:]], None, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=text_inputs())
+def test_any_text_input_is_answered_or_rejected(case, tmp_path_factory):
+    argv, text, reader = case
+    if text is not None:
+        try:
+            reader(text)
+        except AmpAdmgError:
+            pass
+        path = tmp_path_factory.mktemp("fuzz") / "f"
+        path.write_text(text)
+        argv = [str(path) if a == "@f" else a for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
 
 
 # -- determinism -------------------------------------------------------------

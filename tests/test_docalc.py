@@ -214,6 +214,13 @@ def test_parse_derivation_errors(ident_alt):
         parse_derivation("rule 7 x= y=1 z= w=")
 
 
+def test_parse_derivation_checks_range_only_against_a_graph(ident_alt):
+    steps = parse_derivation("rule 1 x=0 y=4 z= w=")
+    assert (steps[0].x, steps[0].y) == ({0}, {4})
+    with pytest.raises(MalformedScriptError, match="line 2: node 4 out of range"):
+        parse_derivation("rule 1 x= y=A z= w=\nrule 1 x= y=4 z= w=", ident_alt)
+
+
 def test_check_derivation(ident_alt, ident_orig):
     steps = parse_derivation((DATA / "ident-deriv.txt").read_text(), ident_alt)
     report = check_derivation(ident_alt, steps)
