@@ -244,6 +244,11 @@ class MixedGraph:
     def _an_cache(self) -> dict:
         return {}
 
+    @cached_property
+    def _moral_cache(self) -> dict:
+        # separation._moral_masks, keyed by (criterion, ancestor set).
+        return {}
+
     def node_mask(self, nodes: Iterable[int]) -> int:
         mask = 0
         for i in nodes:
@@ -425,21 +430,29 @@ def _lines(text: str) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
-def _int_token(tok: str) -> int | None:
+def _int_token(tok: str, line_no: int | None = None) -> int | None:
     """The integer a token spells, or None when it spells none.
 
     A token is an integer exactly when it is an optional single ``-``
     followed by decimal digits, the only digits ``int()`` accepts; digits
     that are not decimal (``²``) and repeated signs (``--2``) make a label.
+    An integer with more digits than ``int()`` converts raises
+    :class:`ParseError`.
     """
     digits = tok[1:] if tok.startswith("-") else tok
-    return int(tok) if digits.isdecimal() else None
+    if not digits.isdecimal():
+        return None
+    try:
+        return int(tok)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ParseError(f"integer of {len(digits)} digits is too long",
+                         line_no) from None
 
 
 def _integer(tok: str, what: str, line_no: int | None = None) -> int:
     """:func:`_int_token`, raising a :class:`ParseError` that names ``what``
     when the token spells no integer."""
-    value = _int_token(tok)
+    value = _int_token(tok, line_no)
     if value is None:
         raise ParseError(f"{what} must be an integer, got {tok!r}", line_no)
     return value
@@ -462,7 +475,7 @@ def _node(tok: str, n: int | None, labels: dict[str, int],
     """Resolve one node token: an integer token is an index, any other
     token a label in ``labels``.  An index outside 1..n (not checked when
     n is None) or an unknown label raises :class:`ParseError`."""
-    i = _int_token(tok)
+    i = _int_token(tok, line_no)
     if i is None:
         if tok not in labels:
             raise ParseError(f"unknown node {tok!r}", line_no)
@@ -523,7 +536,7 @@ def parse(text: str) -> MixedGraph:
             if not rest:
                 raise ParseError("nodes line needs a count or labels", line_no)
             if len(rest) == 1 and rest[0].isdecimal():
-                n = int(rest[0])
+                n = _integer(rest[0], "node count", line_no)
                 continue
             for lbl in rest:
                 if _numeric(lbl):

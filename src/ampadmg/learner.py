@@ -469,8 +469,15 @@ def export_asp(p: LearnProblem) -> str:
     The program enumerates candidate graphs, reproduces the walk
     reachability fixpoint as ``end_*`` rules, rejects models that violate a
     ``dep`` atom and weighs violated ``indep`` atoms plus edges.  Output is
-    byte-stable for a given problem.
+    byte-stable for a given problem.  A problem whose largest set index
+    ``2^n - 1`` has more digits than ``str()`` converts raises
+    :class:`ProblemTooLargeError`.
     """
+    try:
+        top = str((1 << p.n) - 1)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ProblemTooLargeError(
+            f"n={p.n} is too large to print the set indices") from None
     out = [_ASP_BASE.format(lp=p.line_penalty, ap=p.arrow_penalty)]
     if Dialect.ORIGINAL in p.dialects:
         out.append(_ASP_BIARROW.format(bp=p.biarrow_penalty))

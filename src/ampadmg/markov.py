@@ -20,8 +20,8 @@ from .errors import InconsistentOrderingError, NodeNotInSetError, NotAnAmpCgErro
 from .graph import MixedGraph, _bits, _union
 from .separation import (
     SeparationQuery,
-    _augmented_masks,
     _extended_masks,
+    _moral_masks,
     _reject_biarrows,
     _ug_reachable,
 )
@@ -81,8 +81,7 @@ def markov_blanket(g: MixedGraph, s: Iterable[int], b: int) -> frozenset[int]:
     if b not in s:
         raise NodeNotInSetError(f"node {b} is not in the target set")
     _reject_biarrows(g, "extended subgraph")
-    adj3 = _extended_masks(g, g.node_mask(s))[:3]
-    return g.mask_nodes(_blanket_mask(adj3, b))
+    return g.mask_nodes(_blanket_mask(_extended_masks(g, g.node_mask(s)), b))
 
 
 def _ancestral_supersets(g: MixedGraph, ordering):
@@ -112,7 +111,7 @@ def ordered_local_statements(ctx: OrderedContext) -> tuple[CiStatement, ...]:
     g = ctx.graph
     out = []
     for sm in _ancestral_supersets(g, ctx.ordering):
-        ext_adj = _extended_masks(g, sm)[:3]
+        ext_adj = _extended_masks(g, sm)
         for b in _bits(sm):
             mb = _blanket_mask(ext_adj, b)
             if mb & ~sm:
@@ -145,16 +144,15 @@ def ordered_pairwise_statements(ctx: OrderedContext) -> tuple[CiStatement, ...]:
     g = ctx.graph
     out = []
     for sm in _ancestral_supersets(g, ctx.ordering):
-        pa_e, ch_e, ne_e, _anm, ccm = _extended_masks(g, sm)
-        if ccm != sm:
+        if g._cc_mask(sm) != sm:
             continue
-        aug = _augmented_masks(pa_e, ch_e, ne_e, g.n)
+        aug = _moral_masks(g, sm, 3)
         members = list(_bits(sm))
         for i, b in enumerate(members):
             for c in members[i + 1:]:
                 if (aug[b] >> (c - 1)) & 1:
                     continue
-                zm = ccm & ~(1 << (b - 1)) & ~(1 << (c - 1))
+                zm = sm & ~(1 << (b - 1)) & ~(1 << (c - 1))
                 out.append(CiStatement(frozenset([b]), frozenset([c]),
                                        g.mask_nodes(zm)))
     return _finish(out)

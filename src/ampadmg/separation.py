@@ -19,6 +19,10 @@ The four decision procedures:
 
 Criterion 2 also accepts graphs with bidirected edges; the others reject
 them.
+
+Graphs and queries are immutable, so the work they share is done once:
+each graph memoises the augmented graph of criteria 3 and 4 per criterion
+and ancestor set, and each query its node masks.
 """
 
 from __future__ import annotations
@@ -69,7 +73,14 @@ def singleton_queries(n: int) -> Iterator[tuple[int, int, frozenset]]:
 
 
 def _query_masks(g: MixedGraph, q: SeparationQuery):
-    return g.node_mask(q.x), g.node_mask(q.y), g.node_mask(q.z)
+    """``(xm, ym, zm)``, built node by node, with the range check, on the
+    query's first graph and kept on the query; later graphs check the range
+    with one shift and rebuild only to raise the same error."""
+    masks = q.__dict__.get("_masks")
+    if masks is None or (masks[0] | masks[1] | masks[2]) >> g.n:
+        masks = q.__dict__["_masks"] = (
+            g.node_mask(q.x), g.node_mask(q.y), g.node_mask(q.z))
+    return masks
 
 
 def _reject_biarrows(g: MixedGraph, what: str):
@@ -219,7 +230,7 @@ def extended_subgraph(g: MixedGraph, nodes: Iterable[int]) -> MixedGraph:
     """Arrows and lines inside the ancestral closure of ``nodes`` plus all
     lines inside that closure's line components."""
     _reject_biarrows(g, "extended subgraph")
-    pa_e, ch_e, ne_e, _anm, _ccm = _extended_masks(g, g.node_mask(nodes))
+    pa_e, ch_e, ne_e = _extended_masks(g, g.node_mask(nodes))
     return MixedGraph._from_masks(g.n, (pa_e, ch_e, ne_e, [0] * (g.n + 1)),
                                   g.node_names)
 
@@ -236,7 +247,7 @@ def _extended_masks(g: MixedGraph, smask: int):
         ch_e[v] = ch[v] & anm
     for v in _bits(ccm):
         ne_e[v] = ne[v] & ccm
-    return pa_e, ch_e, ne_e, anm, ccm
+    return pa_e, ch_e, ne_e
 
 
 def augmented_graph(g: MixedGraph) -> MixedGraph:
@@ -315,6 +326,25 @@ def _marginal_masks(ne, n: int, xm: int):
     return out
 
 
+def _moral_masks(g: MixedGraph, smask: int, criterion: int) -> tuple:
+    """Line masks of the augmented graph of the extended subgraph over
+    ``smask``; for criterion 4 the extended subgraph's lines are first
+    marginalised onto the ancestor set.
+
+    Both depend on ``smask`` only through its ancestor set, so the graph
+    memoises them per ``(criterion, ancestor set)``.
+    """
+    anm = g._an_mask(smask)
+    cache = g._moral_cache
+    aug = cache.get((criterion, anm))
+    if aug is None:
+        pa_e, ch_e, ne_e = _extended_masks(g, anm)
+        if criterion == 4:
+            ne_e = _marginal_masks(ne_e, g.n, anm)
+        aug = cache[criterion, anm] = tuple(_augmented_masks(pa_e, ch_e, ne_e, g.n))
+    return aug
+
+
 def _ug_reachable(adj, xm: int, ym: int, zm: int) -> bool:
     frontier = xm
     seen = xm
@@ -344,11 +374,7 @@ def separated(g: MixedGraph, q: SeparationQuery, criterion: int = 2) -> bool:
         raise ValueError(f"criterion must be 1..4, got {criterion!r}")
     _reject_biarrows(g, f"criterion {criterion}")
     xm, ym, zm = _query_masks(g, q)
-    pa_e, ch_e, ne_e, anm, _ccm = _extended_masks(g, xm | ym | zm)
-    if criterion == 4:
-        ne_e = _marginal_masks(ne_e, g.n, anm)
-    aug = _augmented_masks(pa_e, ch_e, ne_e, g.n)
-    return not _ug_reachable(aug, xm, ym, zm)
+    return not _ug_reachable(_moral_masks(g, xm | ym | zm, criterion), xm, ym, zm)
 
 
 def separated_with_determinism(

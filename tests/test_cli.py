@@ -401,6 +401,15 @@ def test_export_asp_matches_library(capsys):
     assert "dep(1,2,0,0,1)." in out
 
 
+def test_export_asp_refuses_unprintable_set_indices(tmp_path, capsys):
+    # 2^20000 - 1 has more digits than str() converts.
+    assert main(["export-asp", "--constraints",
+                 graph_file(tmp_path, "nodes 20000\n")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n=20000 is too large to print the set indices\n"
+
+
 def test_export_asp_dialect_flag(capsys):
     main(["export-asp", "--constraints", str(DATA / "indeps-obs.txt"),
           "--dialect", "both"])
@@ -438,6 +447,21 @@ STDOUT_SHA256 = (
      "c1f296db1d49c341b4b876bb1203eaf0658628e37a58d023fa07c659b6cd86f5"),
     (["equiv-check", "--graph", "@chain-lines.g"], 0,
      "b1e9cc6f98ca293137273deb2eeafb5281b757ccc804ae16a43256232f3f01e3"),
+    # Computed before criteria 3 and 4 memoised their augmented graphs.
+    (["sem-check", "--graph", "@mixed6.g", "--criterion", "3"], 0,
+     "a2d7fb5c73889965b62b40da19e424b895011da5953715ff02bc9ddd29a1ce3f"),
+    (["sem-check", "--graph", "@mixed6.g", "--criterion", "4"], 0,
+     "a2d7fb5c73889965b62b40da19e424b895011da5953715ff02bc9ddd29a1ce3f"),
+    (["markov-verify", "--graph", "@mixed6.g", "--property", "ordered-pairwise",
+      "--criterion", "3"], 0,
+     "97f43060f64bd9084fdef62676c36d283f2fcc88d1e7570b90e5d643259c027f"),
+    (["markov-verify", "--graph", "@mixed6.g", "--property", "ordered-local",
+      "--criterion", "4"], 0,
+     "159e2b0f0f0ee9e682dc5213f0aec03519e613321d8eb18bfb30a1205f4f3c20"),
+    (["equiv-check", "--graph", "@double-edge.g"], 0,
+     "76384c0fb30620cc7367aa6cc6fcf5387bb97e4d2a1d470c72ee343efec0c055"),
+    (["equiv-check", "--graph", "@ident-alt.g"], 0,
+     "76384c0fb30620cc7367aa6cc6fcf5387bb97e4d2a1d470c72ee343efec0c055"),
 )
 
 
@@ -454,9 +478,9 @@ def test_stdout_is_pinned(argv, code, digest, capsys):
 # lists share one line reader and one node-token rule: an optional single
 # "-" followed by decimal digits is an index, anything else a label.  "²"
 # (a digit that is not decimal) and "--2" once passed a looser test and
-# then crashed int().
+# then crashed int(), as did an integer past int()'s digit limit.
 
-ODD_TOKENS = ("²", "--2")
+ODD_TOKENS = ("²", "--2", pytest.param("1" * 5000, id="5000-digits"))
 
 
 def _bad_inputs(tok):

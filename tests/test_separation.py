@@ -8,6 +8,7 @@ from ampadmg import (
     Dialect,
     MalformedQueryError,
     MixedGraph,
+    NodeOutOfRangeError,
     SeparationQuery,
     UnsupportedDialectError,
     augmented_graph,
@@ -17,10 +18,12 @@ from ampadmg import (
     extended_node_set,
     extended_subgraph,
     marginal_graph,
+    parse,
     separated,
     separated_with_determinism,
 )
-from conftest import random_graph, singleton_queries
+from ampadmg.separation import _moral_masks
+from conftest import DATA, random_graph, singleton_queries
 
 
 # -- brute-force oracles ------------------------------------------------------
@@ -307,6 +310,70 @@ def test_separated_is_symmetric(seed):
     a = separated(g, SeparationQuery({x}, {y}, z))
     b = separated(g, SeparationQuery({y}, {x}, z))
     assert a == b
+
+
+# -- memos ---------------------------------------------------------------------
+#
+# A graph memoises the augmented graph of criteria 3 and 4, and a query its
+# node masks.  Each memoised answer must equal one computed from scratch.
+
+
+def _memo_graphs():
+    graphs = [parse(path.read_text()) for path in sorted(DATA.glob("*.g"))]
+    rng = random.Random(23)
+    graphs += [random_graph(rng, n) for n in (2, 3, 4, 5, 6, 6, 7, 7)]
+    return [g for g in graphs if not g.biarrows]
+
+
+def test_memoised_criteria_3_and_4_match_fresh_graphs():
+    # One graph object and one query object per question, every question
+    # asked twice in shuffled order; the reference rebuilds the graph and
+    # the query each time, so both start with empty memos.
+    rng = random.Random(29)
+    for g in _memo_graphs():
+        asks = [(SeparationQuery({x}, {y}, z), c)
+                for x, y, z in singleton_queries(g.n) for c in (3, 4)] * 2
+        rng.shuffle(asks)
+        for q, c in asks:
+            fresh = MixedGraph(g.n, g.arrows, g.lines)
+            assert separated(g, q, criterion=c) == separated(
+                fresh, SeparationQuery(q.x, q.y, q.z), criterion=c), (g, q, c)
+
+
+def test_moral_masks_match_public_constructions():
+    rng = random.Random(31)
+    for g in _memo_graphs():
+        asks = [(sm, c) for sm in range(1, 1 << g.n) for c in (3, 4)] * 2
+        rng.shuffle(asks)
+        for sm, c in asks:
+            nodes = g.mask_nodes(sm)
+            ext = extended_subgraph(g, nodes)
+            if c == 4:
+                lines = marginal_graph(ext.undirected_skeleton(),
+                                       g.ancestors(nodes)).lines
+                ext = MixedGraph(g.n, ext.arrows, lines)
+            want = tuple(augmented_graph(ext)._adj[2])
+            assert _moral_masks(g, sm, c) == want, (g, nodes, c)
+
+
+def test_query_reused_across_graphs_keeps_range_errors():
+    big = random_graph(random.Random(37), 9)
+    small = random_graph(random.Random(41), 6)
+    reused = {SeparationQuery({8}, {1}, {2}): "node 8 out of range 1..6",
+              SeparationQuery({2}, {1}, {3, 9}): "node 9 out of range 1..6"}
+    zero = SeparationQuery({3}, {1}, {0})
+    for c in (1, 2, 3, 4):
+        for _ in range(2):
+            for q, message in reused.items():
+                want = separated(MixedGraph(9, big.arrows, big.lines),
+                                 SeparationQuery(q.x, q.y, q.z), criterion=c)
+                assert separated(big, q, criterion=c) == want
+                with pytest.raises(NodeOutOfRangeError) as exc:
+                    separated(small, q, criterion=c)
+                assert str(exc.value) == message
+            with pytest.raises(NodeOutOfRangeError) as exc:
+                separated(big, zero, criterion=c)
+            assert str(exc.value) == "node 0 out of range 1..9"
 
 
 # -- separation under determinism ----------------------------------------------
