@@ -12,18 +12,20 @@ formats is exposed through :func:`set_index` and :func:`set_members`.
 
 Invariants are checked once, where input enters the package: the public
 constructor ``MixedGraph(...)``, :func:`parse` and the learner's
-``parse_atom_line`` normalise and validate.  A graph the package derives
-from a valid one (an intervention, a subgraph, an augmented or marginal
-graph, a magnified graph, an enumerated candidate) is built from adjacency
-masks by ``MixedGraph._from_masks``, which trusts its caller and skips
-both steps.
+``parse_atom_line`` turn edge pairs into per-node adjacency masks and
+validate those.  The masks are the graph: every engine reads them, and the
+edge sets ``arrows``, ``lines`` and ``biarrows`` are views built from them
+on first access.  A graph the package derives from a valid one (an
+intervention, a subgraph, an augmented or marginal graph, a magnified
+graph, an enumerated candidate) is built from masks by
+``MixedGraph._from_masks``, which trusts its caller and stores them as
+they are.
 """
 
 from __future__ import annotations
 
 import enum
 import unicodedata
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -37,6 +39,12 @@ from .errors import (
     ParseError,
     SelfEdgeError,
 )
+
+
+MAX_GRAPH_NODES = 100_000
+"""The most nodes a graph file may declare.  Building a graph is quadratic
+in its node count, so :func:`parse` refuses a larger count or label list
+before it allocates anything."""
 
 
 class Dialect(enum.Enum):
@@ -77,10 +85,9 @@ def _union(step, mask: int) -> int:
     return out
 
 
-def _norm_pair(edge) -> tuple[int, int]:
-    a, b = edge
-    a, b = int(a), int(b)
-    return (a, b) if a <= b else (b, a)
+def _check_node(i, n: int) -> None:
+    if not isinstance(i, int) or not 1 <= i <= n:
+        raise NodeOutOfRangeError(f"node {i!r} out of range 1..{n}")
 
 
 def _check_names(names, n: int) -> tuple:
@@ -115,9 +122,13 @@ def _peel(pa, n: int) -> list[int]:
     return order
 
 
-@dataclass(frozen=True)
 class MixedGraph:
-    """An immutable mixed graph.
+    """An immutable mixed graph over the nodes ``1..n``, stored as its
+    per-node adjacency masks ``(pa, ch, ne, bi)``: parents, children, line
+    and biarrow neighbours, each a list indexed by node (index 0 unused).
+    ``arrows``, ``lines`` and ``biarrows`` are read-only frozenset views of
+    the masks, built on first access.  Equality and hashing compare ``n``
+    and the masks.
 
     Parameters
     ----------
@@ -134,111 +145,107 @@ class MixedGraph:
         only: they do not take part in equality or hashing.
     """
 
-    n: int
-    arrows: frozenset = frozenset()
-    lines: frozenset = frozenset()
-    biarrows: frozenset = frozenset()
-    node_names: tuple | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "arrows",
-                           frozenset((int(t), int(h)) for t, h in self.arrows))
-        object.__setattr__(self, "lines",
-                           frozenset(_norm_pair(e) for e in self.lines))
-        object.__setattr__(self, "biarrows",
-                           frozenset(_norm_pair(e) for e in self.biarrows))
-        if self.node_names is not None:
-            object.__setattr__(self, "node_names",
-                               _check_names(self.node_names, self.n))
+    def __init__(self, n: int, arrows=frozenset(), lines=frozenset(),
+                 biarrows=frozenset(), node_names=None):
+        if not isinstance(n, int) or n < 0:
+            raise NodeOutOfRangeError(f"invalid node count {n!r}")
+        if node_names is not None:
+            node_names = _check_names(node_names, n)
+        pa, ch, ne, bi = adj = tuple([0] * (n + 1) for _ in range(4))
+        for kind, pairs, out, into in (("arrow", arrows, ch, pa), ("line", lines, ne, ne),
+                                       ("biarrow", biarrows, bi, bi)):
+            for a, b in pairs:
+                a, b = int(a), int(b)
+                _check_node(a, n)
+                _check_node(b, n)
+                if a == b:
+                    raise SelfEdgeError(f"{kind} {a} {'->' if kind == 'arrow' else '-'} {b}")
+                out[a] |= 1 << (b - 1)
+                into[b] |= 1 << (a - 1)
+        self.__dict__.update(n=n, _adj=adj, node_names=node_names)
         self.validate()
 
     @classmethod
     def _from_masks(cls, n: int, adj, node_names=None) -> "MixedGraph":
         """A graph derived by the package from a valid one, given as its
         ``(pa, ch, ne, bi)`` masks (index 0 unused; ``ne`` and ``bi``
-        symmetric).  Trusted: no normalisation and no :meth:`validate`;
-        the masks become the graph's ``_adj``."""
-        pa, _ch, ne, bi = adj
+        symmetric).  Trusted: the masks are stored as they are, with no
+        :meth:`validate` and no edge sets."""
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "arrows", frozenset(
-            (t, h) for h in range(1, n + 1) for t in _bits(pa[h])))
-        object.__setattr__(g, "lines", _pairs(ne, n))
-        object.__setattr__(g, "biarrows", _pairs(bi, n))
-        object.__setattr__(g, "node_names", node_names)
-        g.__dict__["_adj"] = adj
+        g.__dict__.update(n=n, _adj=adj, node_names=node_names)
         return g
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: MixedGraph is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: MixedGraph is immutable")
+
+    def _key(self) -> tuple:
+        pa, _ch, ne, bi = self._adj
+        return self.n, tuple(pa), tuple(ne), tuple(bi)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    # -- edge sets ---------------------------------------------------------
+
+    @cached_property
+    def arrows(self) -> frozenset:
+        """Directed edges as ``(tail, head)`` pairs."""
+        pa = self._adj[0]
+        return frozenset((t, h) for h in range(1, self.n + 1) for t in _bits(pa[h]))
+
+    @cached_property
+    def lines(self) -> frozenset:
+        """Undirected edges as pairs ``(a, b)`` with ``a < b``."""
+        return _pairs(self._adj[2], self.n)
+
+    @cached_property
+    def biarrows(self) -> frozenset:
+        """Bidirected edges as pairs ``(a, b)`` with ``a < b``."""
+        return _pairs(self._adj[3], self.n)
 
     # -- validation ------------------------------------------------------
 
     def validate(self) -> None:
-        """Check every structural invariant, raising on the first violation."""
-        if not isinstance(self.n, int) or self.n < 0:
-            raise NodeOutOfRangeError(f"invalid node count {self.n!r}")
-        for t, h in self.arrows:
-            self._check_node(t)
-            self._check_node(h)
-            if t == h:
-                raise SelfEdgeError(f"arrow {t} -> {h}")
-            if (h, t) in self.arrows:
-                raise DoubleArrowError(f"both {t} -> {h} and {h} -> {t}")
-        for kind, pairs in (("line", self.lines), ("biarrow", self.biarrows)):
-            for a, b in pairs:
-                self._check_node(a)
-                self._check_node(b)
-                if a == b:
-                    raise SelfEdgeError(f"{kind} {a} - {b}")
-        conflict = self.lines & self.biarrows
-        if conflict:
-            a, b = min(conflict)
-            raise DoubleEdgeError(f"pair {a},{b} carries both a line and a biarrow")
-        if self.lines and self.biarrows:
+        """Check the invariants the masks can still break, raising on the
+        first violation.  The constructor checks node ranges and self-edges
+        while it builds the masks."""
+        pa, ch, ne, bi = self._adj
+        for v in range(1, self.n + 1):
+            if pa[v] & ch[v]:
+                u = next(_bits(pa[v] & ch[v]))
+                raise DoubleArrowError(f"both {v} -> {u} and {u} -> {v}")
+            if ne[v] & bi[v]:
+                u = next(_bits(ne[v] & bi[v]))
+                raise DoubleEdgeError(f"pair {v},{u} carries both a line and a biarrow")
+        if any(ne) and any(bi):
             raise LineBiarrowMixError("lines and biarrows in the same graph")
-        pa = self._adj[0]
         order = _peel(pa, self.n)
         if len(order) < self.n:
             # Every node left unplaced has an unplaced parent: climb parents
             # from the smallest one until a node repeats.
-            left = self.full_mask
-            for v in order:
-                left &= ~(1 << (v - 1))
+            left = self.full_mask & ~set_index(order)
             climb = [next(_bits(left))]
             while climb[-1] not in climb[:-1]:
                 climb.append(next(_bits(pa[climb[-1]] & left)))
             raise DirectedCycleError(climb[climb.index(climb[-1]):][::-1])
 
-    def _check_node(self, i) -> None:
-        if not isinstance(i, int) or not 1 <= i <= self.n:
-            raise NodeOutOfRangeError(f"node {i!r} out of range 1..{self.n}")
-
     # -- basic structure -------------------------------------------------
 
-    @property
+    @cached_property
     def dialect(self) -> Dialect:
-        return Dialect.ORIGINAL if self.biarrows else Dialect.ALTERNATIVE
+        return Dialect.ORIGINAL if any(self._adj[3]) else Dialect.ALTERNATIVE
 
     @cached_property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    @cached_property
-    def _adj(self):
-        # Per-node adjacency bitmasks: parents, children, line and biarrow
-        # neighbours.  Index 0 is unused so nodes index directly.
-        pa = [0] * (self.n + 1)
-        ch = [0] * (self.n + 1)
-        ne = [0] * (self.n + 1)
-        bi = [0] * (self.n + 1)
-        for t, h in self.arrows:
-            pa[h] |= 1 << (t - 1)
-            ch[t] |= 1 << (h - 1)
-        for a, b in self.lines:
-            ne[a] |= 1 << (b - 1)
-            ne[b] |= 1 << (a - 1)
-        for a, b in self.biarrows:
-            bi[a] |= 1 << (b - 1)
-            bi[b] |= 1 << (a - 1)
-        return pa, ch, ne, bi
 
     @cached_property
     def _an_cache(self) -> dict:
@@ -252,7 +259,7 @@ class MixedGraph:
     def node_mask(self, nodes: Iterable[int]) -> int:
         mask = 0
         for i in nodes:
-            self._check_node(i)
+            _check_node(i, self.n)
             mask |= 1 << (i - 1)
         return mask
 
@@ -359,22 +366,21 @@ class MixedGraph:
         return tuple(_peel(self._adj[0], self.n))
 
     def is_amp_cg(self) -> bool:
-        """True when the graph is a chain graph: at most one edge per pair
-        and no cycle of forward arrow/line steps that uses an arrow."""
-        if self.biarrows:
+        """True when the graph is a chain graph: no biarrows and no cycle of
+        forward arrow/line steps that uses an arrow.  An arrow and a line on
+        one pair make such a cycle, so each pair carries at most one edge."""
+        pa, _ch, _ne, bi = self._adj
+        if any(bi):
             return False
-        for a, b in self.lines:
-            if (a, b) in self.arrows or (b, a) in self.arrows:
-                return False
-        for t, h in self.arrows:
-            if (self._sde_mask(1 << (h - 1)) >> (t - 1)) & 1:
+        for v in range(1, self.n + 1):
+            if pa[v] and pa[v] & self._sde_mask(1 << (v - 1)):
                 return False
         return True
 
     # -- presentation ------------------------------------------------------
 
     def node_label(self, i: int) -> str:
-        self._check_node(i)
+        _check_node(i, self.n)
         return self.node_names[i - 1] if self.node_names else str(i)
 
     def __repr__(self):
@@ -535,8 +541,12 @@ def parse(text: str) -> MixedGraph:
             rest = tokens[1:]
             if not rest:
                 raise ParseError("nodes line needs a count or labels", line_no)
-            if len(rest) == 1 and rest[0].isdecimal():
-                n = _integer(rest[0], "node count", line_no)
+            numeric = len(rest) == 1 and rest[0].isdecimal()
+            n = _integer(rest[0], "node count", line_no) if numeric else len(rest)
+            if n > MAX_GRAPH_NODES:
+                raise ParseError(f"{n} nodes exceed the cap of {MAX_GRAPH_NODES}",
+                                 line_no)
+            if numeric:
                 continue
             for lbl in rest:
                 if _numeric(lbl):
@@ -544,9 +554,8 @@ def parse(text: str) -> MixedGraph:
                         f"label {lbl!r} is numeric; use a node count instead",
                         line_no)
             names = tuple(rest)
-            if len(set(names)) != len(names):
+            if len(set(names)) != n:
                 raise ParseError("duplicate node label", line_no)
-            n = len(names)
             labels = _label_index(names)
             continue
         if n is None:
@@ -557,5 +566,4 @@ def parse(text: str) -> MixedGraph:
                        _node(tokens[2], n, labels, line_no)))
     if n is None:
         raise ParseError("missing nodes line")
-    return MixedGraph(n, frozenset(edges["arrow"]), frozenset(edges["line"]),
-                      frozenset(edges["biarrow"]), names)
+    return MixedGraph(n, edges["arrow"], edges["line"], edges["biarrow"], names)

@@ -29,20 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from .errors import MalformedQueryError, UnsupportedDialectError
-from .graph import MixedGraph, _bits, _union
+from .graph import Dialect, MixedGraph, _bits, _union
 
 # End marks: how a walk most recently arrived at a node.
 END_LINE, END_HEAD, END_TAIL = 0, 1, 2
-
-
-class WalkState(NamedTuple):
-    """A node together with the mark of the walk's last step into it."""
-
-    node: int
-    end_mark: int
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ def _query_masks(g: MixedGraph, q: SeparationQuery):
 
 
 def _reject_biarrows(g: MixedGraph, what: str):
-    if g.biarrows:
+    if g.dialect is Dialect.ORIGINAL:
         raise UnsupportedDialectError(f"{what} is not defined for bidirected edges")
 
 
@@ -296,7 +289,7 @@ def marginal_graph(h: MixedGraph, nodes: Iterable[int]) -> MixedGraph:
     Two kept nodes are joined when they are joined in ``h`` or connected
     by a path running entirely through dropped nodes.
     """
-    if h.arrows or h.biarrows:
+    if any(h._adj[0]) or any(h._adj[3]):
         raise UnsupportedDialectError("marginal graph expects an undirected graph")
     return _undirected(h, _marginal_masks(h._adj[2], h.n, h.node_mask(nodes)))
 

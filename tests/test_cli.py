@@ -410,6 +410,16 @@ def test_export_asp_refuses_unprintable_set_indices(tmp_path, capsys):
     assert captured.err == "error: n=20000 is too large to print the set indices\n"
 
 
+def test_graph_file_node_count_is_capped(tmp_path, capsys):
+    # Refused before anything is allocated: this must return at once.
+    g = graph_file(tmp_path, "# huge\nnodes 1000000000000\n")
+    assert main(["sep", "--graph", g, "--x", "1", "--y", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: line 2: 1000000000000 nodes exceed "
+                            "the cap of 100000\n")
+
+
 def test_export_asp_dialect_flag(capsys):
     main(["export-asp", "--constraints", str(DATA / "indeps-obs.txt"),
           "--dialect", "both"])
@@ -462,6 +472,21 @@ STDOUT_SHA256 = (
      "76384c0fb30620cc7367aa6cc6fcf5387bb97e4d2a1d470c72ee343efec0c055"),
     (["equiv-check", "--graph", "@ident-alt.g"], 0,
      "76384c0fb30620cc7367aa6cc6fcf5387bb97e4d2a1d470c72ee343efec0c055"),
+    # Computed before graphs stored only their adjacency masks; these go
+    # through is_amp_cg and connectivity_components.  chain-lines.g has a
+    # semidirected cycle (A -> B -> C - A), so it is refused with no output.
+    (["markov-verify", "--graph", "@chain-lines.g", "--property", "amp-block"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["markov-verify", "--graph", "@chain-lines.g", "--property", "amp-local"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["markov-verify", "--graph", "@chain-lines.g", "--property", "amp-pairwise"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["markov-verify", "--graph", "@amp-chain.g", "--property", "amp-block"], 0,
+     "347835e3600ae7d4400d4f1610d04233f25d42eacc416b777a11a9234e2d59f9"),
+    (["markov-verify", "--graph", "@amp-chain.g", "--property", "amp-local"], 0,
+     "3c0d74adcab9519b23cd7c7aa9f87ad2ae2ec5669cd9ce7ca90d1c77eb8e9c20"),
+    (["markov-verify", "--graph", "@amp-chain.g", "--property", "amp-pairwise"], 0,
+     "7b643ad1c8a0a93d470d6531e5af5b88440cad69cc66107d0b9ecf387ac9f694"),
 )
 
 

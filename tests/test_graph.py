@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from ampadmg import (
     Dialect,
+    GraphValidationError,
     DirectedCycleError,
     DoubleArrowError,
     DoubleEdgeError,
@@ -90,6 +91,97 @@ def test_dialect_of_biarrow_graph(ident_orig):
 def test_unordered_pairs_are_normalized():
     g = MixedGraph(2, lines={(2, 1)})
     assert g.lines == {(1, 2)}
+
+
+# -- masks as the representation --------------------------------------------
+
+
+@st.composite
+def pair_sets(draw):
+    """``(n, arrows, lines, biarrows, masks)``: random valid edge pairs of
+    one dialect, undirected pairs in either orientation, and the
+    ``(pa, ch, ne, bi)`` masks they stand for, built here by hand."""
+    n = draw(st.integers(0, 7))
+    rank = draw(st.permutations(range(n)))
+    biarrows_ok = draw(st.booleans())
+    arrows, und = set(), set()
+    pa, ch, ne, bi = ([0] * (n + 1) for _ in range(4))
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            if draw(st.booleans()):
+                t, h = (a, b) if rank[a - 1] < rank[b - 1] else (b, a)
+                arrows.add((t, h))
+                pa[h] |= 1 << (t - 1)
+                ch[t] |= 1 << (h - 1)
+            if draw(st.booleans()):
+                und.add((a, b) if draw(st.booleans()) else (b, a))
+                m = bi if biarrows_ok else ne
+                m[a] |= 1 << (b - 1)
+                m[b] |= 1 << (a - 1)
+    lines, biarrows = (set(), und) if biarrows_ok else (und, set())
+    return n, arrows, lines, biarrows, (pa, ch, ne, bi)
+
+
+def _sorted_pairs(pairs):
+    return frozenset((min(e), max(e)) for e in pairs)
+
+
+@given(pair_sets())
+def test_constructor_and_masks_build_the_same_graph(case):
+    n, arrows, lines, biarrows, masks = case
+    g = MixedGraph(n, arrows, lines, biarrows)
+    d = MixedGraph._from_masks(n, masks)
+    assert g == d and hash(g) == hash(d)
+    assert g._adj == d._adj
+    assert g.arrows == d.arrows == arrows
+    assert g.lines == d.lines == _sorted_pairs(lines)
+    assert g.biarrows == d.biarrows == _sorted_pairs(biarrows)
+    assert repr(g) == repr(d)
+    assert serialize(g) == serialize(d)
+    assert g.dialect is d.dialect is (Dialect.ORIGINAL if biarrows else Dialect.ALTERNATIVE)
+
+
+def test_labels_take_no_part_in_equality():
+    plain = MixedGraph(3, arrows={(1, 2)}, lines={(2, 3)})
+    named = MixedGraph(3, arrows={(1, 2)}, lines={(2, 3)}, node_names=("A", "B", "C"))
+    other = MixedGraph(3, arrows={(1, 2)}, lines={(2, 3)}, node_names=("X", "Y", "Z"))
+    assert plain == named == other
+    assert hash(plain) == hash(named) == hash(other)
+    assert plain != MixedGraph(3, arrows={(1, 2)})
+    assert plain != MixedGraph(4, arrows={(1, 2)}, lines={(2, 3)})
+
+
+def test_graphs_are_immutable_and_compare_only_to_graphs():
+    g = MixedGraph(2, arrows={(1, 2)})
+    assert (g == object()) is False
+    assert g != (2, frozenset({(1, 2)}))
+    with pytest.raises(AttributeError):
+        g.n = 3
+    with pytest.raises(AttributeError):
+        g.lines = frozenset({(1, 2)})
+    assert g.n == 2 and not g.lines
+
+
+@pytest.mark.parametrize("kwargs,error,message", [
+    (dict(n=2, arrows={(1, 1)}), SelfEdgeError, "arrow 1 -> 1"),
+    (dict(n=2, lines={(2, 2)}), SelfEdgeError, "line 2 - 2"),
+    (dict(n=3, arrows={(3, 2), (2, 3)}), DoubleArrowError, "both 2 -> 3 and 3 -> 2"),
+    (dict(n=3, lines={(2, 3)}, biarrows={(3, 2)}), DoubleEdgeError,
+     "pair 2,3 carries both a line and a biarrow"),
+    (dict(n=3, lines={(1, 2)}, biarrows={(2, 3)}), LineBiarrowMixError,
+     "lines and biarrows in the same graph"),
+    (dict(n=3, arrows={(1, 2), (2, 3), (3, 1)}), DirectedCycleError,
+     "directed cycle: 1 -> 2 -> 3 -> 1"),
+    (dict(n=2, arrows={(1, 3)}), NodeOutOfRangeError, "node 3 out of range 1..2"),
+    (dict(n=-1), NodeOutOfRangeError, "invalid node count -1"),
+], ids=["self-arrow", "self-line", "double-arrow", "line-and-biarrow", "mix",
+        "3-cycle", "out-of-range", "negative-n"])
+def test_violation_errors_are_pinned(kwargs, error, message):
+    with pytest.raises(error) as err:
+        MixedGraph(**kwargs)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert isinstance(err.value, (GraphValidationError, NodeOutOfRangeError))
 
 
 # -- node set encoding -------------------------------------------------------
@@ -247,6 +339,16 @@ def test_parse_rejects_garbage():
         parse("nodes 2\nedge 1 2\n")
     with pytest.raises(ParseError):
         parse("arrow 1 2\n")  # no nodes line first
+
+
+def test_parse_caps_the_declared_node_count():
+    # Each is refused before a graph is built, so none takes measurable time.
+    with pytest.raises(ParseError) as err:
+        parse("nodes 1000000000000\n")
+    assert str(err.value) == "line 1: 1000000000000 nodes exceed the cap of 100000"
+    with pytest.raises(ParseError) as err:
+        parse("# labels\nnodes " + " ".join(f"v{i}" for i in range(100_001)) + "\n")
+    assert str(err.value) == "line 2: 100001 nodes exceed the cap of 100000"
 
 
 @given(st.integers(0, 10**6), st.integers(1, 6))

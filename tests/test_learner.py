@@ -35,6 +35,7 @@ from ampadmg import (
     score,
     separated,
 )
+from ampadmg import learner
 from conftest import DATA, random_graph
 
 OBS = parse_constraints((DATA / "indeps-obs.txt").read_text())
@@ -218,6 +219,25 @@ def test_enumerated_graphs_are_acyclic():
 
 
 # -- golden runs -----------------------------------------------------------------
+
+
+def test_learn_builds_edge_sets_only_for_its_models(monkeypatch):
+    # Candidates are scored on their masks; only the returned models are
+    # rendered, so no other candidate may have built its edge-set views.
+    yielded = []
+
+    def recording(*args):
+        for g in real(*args):
+            yielded.append(g)
+            yield g
+
+    real = learner.enumerate_graphs
+    monkeypatch.setattr(learner, "enumerate_graphs", recording)
+    models = {id(m) for m in learn(OBS).models}
+    assert len(yielded) > len(models) > 0
+    for g in yielded:
+        if id(g) not in models:
+            assert not {"arrows", "lines", "biarrows"} & g.__dict__.keys(), g
 
 
 def test_learn_observational_golden():
