@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import MalformedQueryError, OverlappingSetsError, ParseError
-from .graph import MixedGraph, _bits, _label_index, _lines, _node_list
+from .graph import MixedGraph, _bits, _integer, _label_index, _lines, _node_list
 from .separation import SeparationQuery, _marginal_masks, connects_route
 
 
@@ -181,7 +181,7 @@ def parse_derivation(text: str, g: MixedGraph | None = None) -> tuple[RuleApplic
         if not m:
             raise ParseError("expected 'rule <k> x=<set> y=<set> z=<set> w=<set>'",
                              line_no)
-        rule = int(m.group("rule"))
+        rule = _integer(m.group("rule"), "rule", line_no)
         if rule not in (1, 2, 3):
             raise ParseError("rule must be 1, 2 or 3", line_no)
         steps.append(RuleApplication(rule, *(

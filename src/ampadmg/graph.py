@@ -25,6 +25,7 @@ they are.
 from __future__ import annotations
 
 import enum
+import heapq
 import unicodedata
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -42,9 +43,9 @@ from .errors import (
 
 
 MAX_GRAPH_NODES = 100_000
-"""The most nodes a graph file may declare.  Building a graph is quadratic
-in its node count, so :func:`parse` refuses a larger count or label list
-before it allocates anything."""
+"""The most nodes a graph file or a constraint file may declare.  Node sets
+are n-bit masks, so :func:`parse` and the learner's ``parse_constraints``
+refuse a larger count or label list before they allocate anything."""
 
 
 class Dialect(enum.Enum):
@@ -102,23 +103,25 @@ def _pairs(masks, n: int) -> frozenset:
     return frozenset((a, b) for a in range(1, n + 1) for b in _bits(masks[a] >> a << a))
 
 
-def _peel(pa, n: int) -> list[int]:
+def _peel(pa, ch, n: int) -> list[int]:
     """Place nodes one at a time, each time the smallest-index node whose
     parents are all placed.  Fewer than n nodes come back exactly when the
-    arrows in ``pa`` contain a directed cycle."""
+    arrows in ``pa`` (mirrored in ``ch``) contain a directed cycle.
+
+    Each node keeps a count of its unplaced parents; placing a node counts
+    down its children, and a node whose count reaches 0 joins a min-heap of
+    ready nodes.  The cost is linear in nodes plus arrows, up to the heap's
+    log factor."""
+    waiting = [m.bit_count() for m in pa]
+    ready = [v for v in range(1, n + 1) if not waiting[v]]  # sorted: a heap
     order = []
-    placed = 0
-    left = (1 << n) - 1
-    while left:
-        for v in _bits(left):
-            if not pa[v] & ~placed:
-                break
-        else:
-            break
-        bit = 1 << (v - 1)
-        placed |= bit
-        left ^= bit
+    while ready:
+        v = heapq.heappop(ready)
         order.append(v)
+        for w in _bits(ch[v]):
+            waiting[w] -= 1
+            if not waiting[w]:
+                heapq.heappush(ready, w)
     return order
 
 
@@ -227,7 +230,7 @@ class MixedGraph:
                 raise DoubleEdgeError(f"pair {v},{u} carries both a line and a biarrow")
         if any(ne) and any(bi):
             raise LineBiarrowMixError("lines and biarrows in the same graph")
-        order = _peel(pa, self.n)
+        order = _peel(pa, ch, self.n)
         if len(order) < self.n:
             # Every node left unplaced has an unplaced parent: climb parents
             # from the smallest one until a node repeats.
@@ -363,7 +366,7 @@ class MixedGraph:
         Deterministic: among the available nodes the smallest index is
         placed first.
         """
-        return tuple(_peel(self._adj[0], self.n))
+        return tuple(_peel(self._adj[0], self._adj[1], self.n))
 
     def is_amp_cg(self) -> bool:
         """True when the graph is a chain graph: no biarrows and no cycle of
@@ -464,6 +467,11 @@ def _integer(tok: str, what: str, line_no: int | None = None) -> int:
     return value
 
 
+def _check_node_count(n: int, line_no: int) -> None:
+    if n > MAX_GRAPH_NODES:
+        raise ParseError(f"{n} nodes exceed the cap of {MAX_GRAPH_NODES}", line_no)
+
+
 def _numeric(tok: str) -> bool:
     # Minus signs then digits of any kind ("-3", "²", "--2") read as a
     # number, so a nodes line may not declare such a token as a label.
@@ -543,9 +551,7 @@ def parse(text: str) -> MixedGraph:
                 raise ParseError("nodes line needs a count or labels", line_no)
             numeric = len(rest) == 1 and rest[0].isdecimal()
             n = _integer(rest[0], "node count", line_no) if numeric else len(rest)
-            if n > MAX_GRAPH_NODES:
-                raise ParseError(f"{n} nodes exceed the cap of {MAX_GRAPH_NODES}",
-                                 line_no)
+            _check_node_count(n, line_no)
             if numeric:
                 continue
             for lbl in rest:

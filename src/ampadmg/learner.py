@@ -33,8 +33,8 @@ from .errors import (
     ParseError,
     ProblemTooLargeError,
 )
-from .graph import (Dialect, MixedGraph, _check_node, _integer, _lines, _node, _node_list,
-                    _peel, set_index)
+from .graph import (Dialect, MixedGraph, _check_node, _check_node_count, _integer, _lines,
+                    _node, _node_list, _peel, set_index)
 from .separation import _route_connected
 
 EDGE_KINDS = ("arrow", "line", "biarrow")
@@ -246,7 +246,7 @@ def enumerate_graphs(n: int, dialect: Dialect,
             elif a == -1:
                 pa[i] |= jb
                 ch[j] |= ib
-        if len(_peel(pa, n)) == n:
+        if len(_peel(pa, ch, n)) == n:
             dags[len(combo) - combo.count(0)].append((pa, ch))
     unds = defaultdict(list)  # undirected-edge count -> [masks]
     for combo in product(*(und for und, _arrows in options)):
@@ -284,7 +284,7 @@ def parse_atom_line(text: str, n: int) -> MixedGraph:
         m = _ATOM_RE.match(tok)
         if not m:
             raise ParseError(f"unrecognised atom {tok!r}")
-        kind, a, b = m.group(1), int(m.group(2)), int(m.group(3))
+        kind, a, b = m.group(1), _integer(m.group(2), "node"), _integer(m.group(3), "node")
         {"arrow": arrows, "line": lines, "biarrow": biarrows}[kind].add((a, b))
     return MixedGraph(n, arrows, lines, biarrows)
 
@@ -331,7 +331,7 @@ def learn(p: LearnProblem, max_n: int = MAX_NODES_DEFAULT) -> LearnResult:
 def parse_constraints(text: str) -> LearnProblem:
     """Parse the constraint file format.
 
-    ``nodes <n>`` first, then any of::
+    ``nodes <n>`` first, with n at most ``MAX_GRAPH_NODES``, then any of::
 
         dep <x> <y> {<comma-set or empty>} <regime> <weight>
         indep <x> <y> {<comma-set or empty>} <regime> <weight>
@@ -355,6 +355,7 @@ def parse_constraints(text: str) -> LearnProblem:
             if len(tokens) != 2:
                 raise ParseError("nodes line needs a count", line_no)
             n = _integer(tokens[1], "node count", line_no)
+            _check_node_count(n, line_no)
             continue
         if n is None:
             raise ParseError("first line must declare nodes", line_no)

@@ -85,18 +85,16 @@ def markov_blanket(g: MixedGraph, s: Iterable[int], b: int) -> frozenset[int]:
 
 
 def _ancestral_supersets(g: MixedGraph, ordering):
-    # Yields (S, members) for every ancestral S that is contained in some
-    # prefix of the ordering and contains the prefix's last node.
-    for k, a in enumerate(ordering):
-        pre = ordering[:k]
+    # Yields the mask of every ancestral S that is contained in some prefix
+    # of the ordering and contains the prefix's last node.
+    pre = 0
+    for a in ordering:
         ab = 1 << (a - 1)
-        for pick in range(1 << k):
-            sm = ab
-            for j in range(k):
-                if pick >> j & 1:
-                    sm |= 1 << (pre[j] - 1)
+        for sub in _submasks(pre):
+            sm = sub | ab
             if g._an_mask(sm) == sm:
                 yield sm
+        pre |= ab
 
 
 def ordered_local_statements(ctx: OrderedContext) -> tuple[CiStatement, ...]:

@@ -11,8 +11,9 @@ The four decision procedures:
    avoid Z except that a line-line non-collider with a parent outside Z
    may be conditioned on;
 2. walks that may revisit nodes; colliders must be in Z, non-colliders
-   must avoid Z, no exceptions -- decided by a reachability fixpoint over
-   (node, end mark) states;
+   must avoid Z, no exceptions -- decided by a frontier fixpoint over
+   three node masks, the nodes a walk reaches with each end mark (line,
+   head, tail), in the style of the closures on the graph's masks;
 3. reachability in the augmented graph of the extended subgraph over
    x + y + z;
 4. as 3 but with the undirected part marginalised onto the ancestor set.
@@ -87,8 +88,9 @@ def _reject_biarrows(g: MixedGraph, what: str):
 def connects_route(g: MixedGraph, q: SeparationQuery) -> bool:
     """True when some walk from x to y is open given z.
 
-    Walks may revisit nodes, so reachability over ``(node, end mark)``
-    states decides the question: colliders are passable exactly inside z,
+    Walks may revisit nodes, so reachability decides the question: each
+    round extends the masks of nodes reached through a line, a head and a
+    tail by one step.  Colliders are passable exactly inside z,
     non-colliders exactly outside z.
     """
     xm, ym, zm = _query_masks(g, q)
@@ -97,53 +99,43 @@ def connects_route(g: MixedGraph, q: SeparationQuery) -> bool:
 
 def _route_connected(adj, xm: int, ym: int, zm: int) -> bool:
     pa, ch, ne, bi = adj
-    seen = [0, 0, 0]  # reached nodes per end mark
-    queue = []
-
-    def push(targets: int, mark: int) -> bool:
-        if targets & ym:
+    reached_line = reached_head = reached_tail = 0
+    # The nodes a walk may leave through a line, along an arrow, against an
+    # arrow and through a biarrow.  Endpoints carry no collider status, so
+    # every first step out of x is allowed.
+    by_line = by_arrow = by_pa = by_bi = xm
+    while True:
+        # The nodes first reached with each end mark: line, head, tail.
+        fl = fh = ft = 0
+        for v in _bits(by_line | by_arrow | by_pa):  # by_bi lies in by_line
+            vb = 1 << (v - 1)
+            if by_line & vb:
+                fl |= ne[v]
+            if by_arrow & vb:
+                fh |= ch[v]
+            if by_bi & vb:
+                fh |= bi[v]
+            if by_pa & vb:
+                ft |= pa[v]
+        fl &= ~reached_line
+        fh &= ~reached_head
+        ft &= ~reached_tail
+        if not fl | fh | ft:
+            return False
+        if (fl | fh | ft) & ym:
             return True
-        fresh = targets & ~seen[mark]
-        if fresh:
-            seen[mark] |= fresh
-            for w in _bits(fresh):
-                queue.append((w, mark))
-        return False
-
-    for s in _bits(xm):
-        # Endpoints carry no collider status; every first step is allowed.
-        if push(ne[s], END_LINE):
-            return True
-        if push(ch[s] | bi[s], END_HEAD):
-            return True
-        if push(pa[s], END_TAIL):
-            return True
-
-    i = 0
-    while i < len(queue):
-        v, mark = queue[i]
-        i += 1
-        in_z = (zm >> (v - 1)) & 1
-        # Leaving through a line: collider iff we arrived through a head.
-        if in_z if mark == END_HEAD else not in_z:
-            if push(ne[v], END_LINE):
-                return True
-        # Leaving along an arrow (tail at v): always a non-collider.
-        if not in_z:
-            if push(ch[v], END_HEAD):
-                return True
-        # Leaving against an arrow (head at v): collider unless we arrived
-        # through a tail.
-        if not in_z if mark == END_TAIL else in_z:
-            if push(pa[v], END_TAIL):
-                return True
-        # Leaving through a biarrow (head at v): collider iff we arrived
-        # through a head; a line arrival cannot occur in a valid graph.
-        if bi[v]:
-            if (in_z if mark == END_HEAD else (not in_z and mark == END_TAIL)):
-                if push(bi[v], END_HEAD):
-                    return True
-    return False
+        reached_line |= fl
+        reached_head |= fh
+        reached_tail |= ft
+        # A non-collider passes outside z, a collider inside.  Leaving along
+        # an arrow is never a collider; leaving against an arrow or through a
+        # biarrow is one unless the walk arrived through a tail; leaving
+        # through a line is one iff it arrived through a head.  A line
+        # arrival cannot meet a biarrow in a valid graph.
+        by_line = (fh & zm) | ((fl | ft) & ~zm)
+        by_arrow = (fl | fh | ft) & ~zm
+        by_pa = ((fl | fh) & zm) | (ft & ~zm)
+        by_bi = (fh & zm) | (ft & ~zm)
 
 
 # -- criterion 1: simple paths ----------------------------------------------

@@ -410,6 +410,28 @@ def test_export_asp_refuses_unprintable_set_indices(tmp_path, capsys):
     assert captured.err == "error: n=20000 is too large to print the set indices\n"
 
 
+def test_constraint_file_node_count_is_capped(tmp_path, capsys):
+    # Refused while parsing, before any set index is computed: this must
+    # return at once.
+    c = graph_file(tmp_path, "nodes 1000000000000\n")
+    for command in ("export-asp", "learn"):
+        assert main([command, "--constraints", c]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: line 1: 1000000000000 nodes exceed "
+                                "the cap of 100000\n")
+
+
+def test_overlong_rule_number_is_usage_error(tmp_path, capsys):
+    script = tmp_path / "s.txt"
+    script.write_text(f"rule {'1' * 5000} x=1 y=2 z= w=\n")
+    assert main(["rule", "--graph", str(DATA / "mixed6.g"),
+                 "--script", str(script)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: integer of 5000 digits is too long\n"
+
+
 def test_graph_file_node_count_is_capped(tmp_path, capsys):
     # Refused before anything is allocated: this must return at once.
     g = graph_file(tmp_path, "# huge\nnodes 1000000000000\n")
@@ -487,6 +509,12 @@ STDOUT_SHA256 = (
      "3c0d74adcab9519b23cd7c7aa9f87ad2ae2ec5669cd9ce7ca90d1c77eb8e9c20"),
     (["markov-verify", "--graph", "@amp-chain.g", "--property", "amp-pairwise"], 0,
      "7b643ad1c8a0a93d470d6531e5af5b88440cad69cc66107d0b9ecf387ac9f694"),
+    # Computed before criterion 2 became a frontier fixpoint over node
+    # masks; these run it at the default criterion.
+    (["sem-check", "--graph", "@mixed6.g"], 0,
+     "a2d7fb5c73889965b62b40da19e424b895011da5953715ff02bc9ddd29a1ce3f"),
+    (["markov-verify", "--graph", "@mixed6.g", "--property", "ordered-local"], 0,
+     "159e2b0f0f0ee9e682dc5213f0aec03519e613321d8eb18bfb30a1205f4f3c20"),
 )
 
 

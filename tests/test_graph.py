@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -297,6 +298,21 @@ def test_ordering_respects_arrows(mixed6):
     order = mixed6.consistent_ordering()
     pos = {v: i for i, v in enumerate(order)}
     assert all(pos[t] < pos[h] for t, h in mixed6.arrows)
+
+
+def test_consistent_ordering_matches_brute_force():
+    # The reference: the lexicographically first permutation that places
+    # every arrow's tail before its head, which is the order that always
+    # places the smallest available node.
+    rng = random.Random(53)
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        g = random_graph(rng, n)
+        for perm in permutations(range(1, n + 1)):
+            pos = {v: i for i, v in enumerate(perm)}
+            if all(pos[t] < pos[h] for t, h in g.arrows):
+                break
+        assert g.consistent_ordering() == perm, g
 
 
 def test_is_amp_cg(double_edge3):

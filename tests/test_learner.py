@@ -483,6 +483,12 @@ def test_parse_atom_line_rejects_garbage():
         parse_atom_line("arrow(1,2) squiggle", 3)
 
 
+def test_parse_atom_line_rejects_overlong_integers():
+    with pytest.raises(ParseError) as err:
+        parse_atom_line(f"arrow({'1' * 5000},2)", 3)
+    assert str(err.value) == "integer of 5000 digits is too long"
+
+
 # -- constraint files ------------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from ampadmg import (
     enumerate_graphs,
     extended_node_set,
     extended_subgraph,
+    intervene,
     marginal_graph,
     parse,
     separated,
@@ -181,6 +182,44 @@ def test_route_matches_walk_oracle_random_n4():
             q = SeparationQuery({x}, {y}, z)
             assert connects_route(g, q) == oracle_route_connected(
                 g, {x}, {y}, z), (g, x, y, z)
+
+
+def _random_sets(rng, n):
+    # Disjoint x, y (non-empty) and z, each possibly of several nodes.
+    nodes = rng.sample(range(1, n + 1), n)
+    i = rng.randint(1, n - 1)
+    j = rng.randint(i + 1, n)
+    return (set(nodes[:i]), set(nodes[i:j]),
+            {v for v in nodes[j:] if rng.random() < 0.6})
+
+
+def test_route_matches_walk_oracle_on_node_sets():
+    # Both dialects, up to n = 6, with x, y and z of any size.
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randint(3, 6)
+        g = random_graph(rng, n, biarrow_ok=True)
+        for _ in range(20):
+            x, y, z = _random_sets(rng, n)
+            assert connects_route(g, SeparationQuery(x, y, z)) == \
+                oracle_route_connected(g, x, y, z), (g, x, y, z)
+
+
+def test_route_matches_walk_oracle_on_regime_graphs():
+    # The graphs the learner scores regime constraints in.
+    rng = random.Random(47)
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        g = random_graph(rng, n, biarrow_ok=True)
+        for i in range(1, n + 1):
+            h = intervene(g, [i])
+            for x, y, z in singleton_queries(n):
+                assert connects_route(h, SeparationQuery({x}, {y}, z)) == \
+                    oracle_route_connected(h, {x}, {y}, z), (h, x, y, z)
+            for _ in range(10):
+                x, y, z = _random_sets(rng, n)
+                assert connects_route(h, SeparationQuery(x, y, z)) == \
+                    oracle_route_connected(h, x, y, z), (h, x, y, z)
 
 
 # -- path engine --------------------------------------------------------------
