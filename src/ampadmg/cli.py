@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .docalc import check_derivation, intervene, parse_derivation, rule_applicable
 from .errors import AmpAdmgError, NoFeasibleModelError, ParseError
-from .graph import Dialect, MixedGraph, _label_index, _node_list, parse, serialize
+from .graph import Dialect, MixedGraph, _label_index, _node_list, parse, serialize, set_index
 from .learner import (MAX_NODES_DEFAULT, atom_line, export_asp, learn,
                       parse_constraints)
 from .markov import (CiStatement, OrderedContext, amp_statements,
@@ -40,15 +40,18 @@ def _node_set(g: MixedGraph, raw: str | None) -> frozenset:
     return _node_list(raw, g.n, _label_index(g.node_names))
 
 
-def _seed(text: str) -> int:
-    """An argparse type: numpy's generators take only seeds >= 0."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
-    return seed
+def _non_negative(what: str):
+    """An argparse type for an integer >= 0: numpy's generators take only
+    such seeds, and the learner only such penalties."""
+    def parse_value(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{what} must be non-negative, got {value}")
+        return value
+    return parse_value
 
 
 def _names(g: MixedGraph, nodes: Iterable[int]) -> str:
@@ -81,7 +84,7 @@ def _cmd_equiv_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     checked = 0
     for x, y, z in singleton_queries(g.n):
-        q = SeparationQuery({x}, {y}, z)
+        q = SeparationQuery._from_masks(1 << (x - 1), 1 << (y - 1), set_index(z))
         verdicts = [separated(g, q, criterion=c) for c in (1, 2, 3, 4)]
         checked += 1
         if len(set(verdicts)) != 1:
@@ -162,12 +165,13 @@ def _cmd_sem_check(args: argparse.Namespace) -> int:
     sigma = implied_covariance(random_sem(g, seed=args.seed))
     seps = violations = 0
     for x, y, z in singleton_queries(g.n):
-        if not separated(g, SeparationQuery({x}, {y}, z), criterion=args.criterion):
+        s = CiStatement._from_masks(1 << (x - 1), 1 << (y - 1), set_index(z))
+        if not separated(g, s, criterion=args.criterion):
             continue
         seps += 1
         if not ci_test(sigma, x, y, z, tol=args.tol):
             violations += 1
-            print(f"VIOLATION {_fmt_stmt(g, CiStatement({x}, {y}, z))}")
+            print(f"VIOLATION {_fmt_stmt(g, s)}")
     print(f"seed {args.seed}, tol {args.tol:g}: "
           f"{seps} separations checked, {violations} violations")
     return 0 if violations == 0 else 1
@@ -214,9 +218,9 @@ def _add_learn_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--constraints", required=True, metavar="FILE",
                    help="constraint file (nodes/dep/indep/order/forbid/require)")
     p.add_argument("--dialect", choices=sorted(_DIALECTS), default="alt")
-    p.add_argument("--line-penalty", type=int, default=1, metavar="K")
-    p.add_argument("--arrow-penalty", type=int, default=1, metavar="K")
-    p.add_argument("--biarrow-penalty", type=int, default=1, metavar="K")
+    for kind in ("line", "arrow", "biarrow"):
+        p.add_argument(f"--{kind}-penalty", type=_non_negative(f"{kind} penalty"),
+                       default=1, metavar="K")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -272,14 +276,14 @@ def _build_parser() -> argparse.ArgumentParser:
                             "amp-block", "amp-local", "amp-pairwise"))
     p.add_argument("--oracle", choices=("graph", "gaussian"), default="graph")
     p.add_argument("--criterion", type=int, choices=(1, 2, 3, 4), default=2)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative("seed"), default=0)
     p.add_argument("--tol", type=float, default=CI_TOL)
 
     p = graph_command("sem-check", _cmd_sem_check,
                       "check separations against a random Gaussian model's "
                       "partial correlations")
     p.add_argument("--criterion", type=int, choices=(1, 2, 3, 4), default=2)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative("seed"), default=0)
     p.add_argument("--tol", type=float, default=CI_TOL)
 
     p = command("learn", _cmd_learn,

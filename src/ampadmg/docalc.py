@@ -99,15 +99,6 @@ def with_regime_nodes(g: MixedGraph, targets: Iterable[int]) -> RegimeGraph:
     return RegimeGraph(big, pairs)
 
 
-def _disjoint(*sets):
-    seen = set()
-    for s in sets:
-        for i in s:
-            if i in seen:
-                raise OverlappingSetsError(f"node {i} appears in two argument sets")
-            seen.add(i)
-
-
 def rule_applicable(g: MixedGraph, rule: int, x: Iterable[int], y: Iterable[int],
                     z: Iterable[int], w: Iterable[int]) -> bool:
     """Check the premise of do-calculus rule 1, 2 or 3.
@@ -121,17 +112,23 @@ def rule_applicable(g: MixedGraph, rule: int, x: Iterable[int], y: Iterable[int]
     x, y, z, w = (frozenset(int(i) for i in s) for s in (x, y, z, w))
     if not y:
         raise MalformedQueryError("y must be non-empty")
-    _disjoint(x, y, z, w)
-    for s in (x, y, z, w):
-        g.node_mask(s)  # range check
-    if not z:
+    xm, ym, zm, wm = masks = [g.node_mask(s) for s in (x, y, z, w)]  # range check
+    seen = 0
+    for s, m in zip((x, y, z, w), masks):
+        if m & seen:
+            i = next(i for i in s if seen >> (i - 1) & 1)
+            raise OverlappingSetsError(f"node {i} appears in two argument sets")
+        seen |= m
+    if not zm:
         return True  # empty z: the rewrite is the identity
     if rule == 1:
-        return not connects_route(intervene(g, x), SeparationQuery(y, z, x | w))
+        return not connects_route(intervene(g, x),
+                                  SeparationQuery._from_masks(ym, zm, xm | wm))
     rg = with_regime_nodes(g, z)
     cut = intervene(rg.graph, x)
-    cond = x | w | z if rule == 2 else x | w
-    return not connects_route(cut, SeparationQuery(y, rg.indicators, cond))
+    cond = xm | wm | zm if rule == 2 else xm | wm
+    indicators = rg.graph.full_mask & ~g.full_mask  # the nodes above g's
+    return not connects_route(cut, SeparationQuery._from_masks(ym, indicators, cond))
 
 
 @dataclass(frozen=True)

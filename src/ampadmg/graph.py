@@ -8,7 +8,8 @@ most two edges (an arrow plus a line or biarrow).
 
 Node sets are plain ``frozenset`` objects at the API surface.  The canonical
 integer encoding (node ``i`` occupies bit ``i - 1``) used by the constraint
-formats is exposed through :func:`set_index` and :func:`set_members`.
+formats is exposed through :func:`set_index` and :func:`set_members`.  Queries
+and statements store their node sets in it; ``x``, ``y`` and ``z`` are views.
 
 Invariants are checked once, where input enters the package: the public
 constructor ``MixedGraph(...)``, :func:`parse` and the learner's

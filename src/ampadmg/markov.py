@@ -31,22 +31,31 @@ OBSERVATIONAL = 0
 AMP_FLAVOURS = ("block-recursive", "local", "pairwise")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CiStatement(SeparationQuery):
     """x independent of y given z, in regime 0 (observational) or under an
-    intervention on node ``regime``."""
+    intervention on node ``regime``; held as masks like a query."""
 
     regime: int = OBSERVATIONAL
 
+    def __init__(self, x, y, z=frozenset(), regime: int = OBSERVATIONAL):
+        super().__init__(x, y, z)
+        self.__dict__["regime"] = regime
+
     def canonical(self) -> "CiStatement":
         """Swap x and y into a fixed order so symmetric duplicates collapse."""
-        if tuple(sorted(self.y)) < tuple(sorted(self.x)):
+        x, y = self.sort_key()[:2]
+        if y >= x:
+            return self
+        if min(self.xm, self.ym, self.zm) < 0:  # a mask of -1: swap the sets
             return CiStatement(self.y, self.x, self.z, self.regime)
-        return self
+        return CiStatement._from_masks(self.ym, self.xm, self.zm, regime=self.regime)
 
     def sort_key(self):
-        return (tuple(sorted(self.x)), tuple(sorted(self.y)),
-                tuple(sorted(self.z)), self.regime)
+        masks = self.xm, self.ym, self.zm
+        if min(masks) < 0:  # a mask of -1: sort the sets
+            return (*(tuple(sorted(s)) for s in (self.x, self.y, self.z)), self.regime)
+        return (*(tuple(_bits(m)) for m in masks), self.regime)
 
 
 def _finish(stmts: Iterable[CiStatement]) -> tuple[CiStatement, ...]:
@@ -116,8 +125,7 @@ def ordered_local_statements(ctx: OrderedContext) -> tuple[CiStatement, ...]:
                 continue
             ym = sm & ~mb & ~(1 << (b - 1))
             if ym:
-                out.append(CiStatement(frozenset([b]), g.mask_nodes(ym),
-                                       g.mask_nodes(mb)))
+                out.append(CiStatement._from_masks(1 << (b - 1), ym, mb))
     return _finish(out)
 
 
@@ -151,8 +159,7 @@ def ordered_pairwise_statements(ctx: OrderedContext) -> tuple[CiStatement, ...]:
                 if (aug[b] >> (c - 1)) & 1:
                     continue
                 zm = sm & ~(1 << (b - 1)) & ~(1 << (c - 1))
-                out.append(CiStatement(frozenset([b]), frozenset([c]),
-                                       g.mask_nodes(zm)))
+                out.append(CiStatement._from_masks(1 << (b - 1), 1 << (c - 1), zm))
     return _finish(out)
 
 
@@ -197,7 +204,7 @@ def _block_recursive(g, cm):
         pam = _union(g._adj[0], dm)
         ym = (g.full_mask & ~g._sde_mask(dm)) & ~pam
         if ym:
-            yield CiStatement(g.mask_nodes(dm), g.mask_nodes(ym), g.mask_nodes(pam))
+            yield CiStatement._from_masks(dm, ym, pam)
     pac = _union(g._adj[0], cm)
     ne = g._adj[2]
     comp_adj = [ne[v] & cm for v in range(g.n + 1)]
@@ -210,8 +217,7 @@ def _block_recursive(g, cm):
                 continue  # canonical: smallest node lives in x
             for zm in _submasks(rest & ~ym):
                 if not _ug_reachable(comp_adj, xm, ym, zm):
-                    yield CiStatement(g.mask_nodes(xm), g.mask_nodes(ym),
-                                      g.mask_nodes(zm | pac))
+                    yield CiStatement._from_masks(xm, ym, zm | pac)
 
 
 def _local(g, cm, ndm):
@@ -221,14 +227,12 @@ def _local(g, cm, ndm):
         nea = ne[a]
         ym = cm & ~ab & ~nea
         if ym:
-            yield CiStatement(frozenset([a]), g.mask_nodes(ym),
-                              g.mask_nodes(ndm | nea))
+            yield CiStatement._from_masks(ab, ym, ndm | nea)
         for sm in _submasks(cm & ~ab):
             pam = _union(g._adj[0], ab | sm)
             ym2 = ndm & ~pam
             if ym2:
-                yield CiStatement(frozenset([a]), g.mask_nodes(ym2),
-                                  g.mask_nodes(sm | pam))
+                yield CiStatement._from_masks(ab, ym2, sm | pam)
 
 
 def _pairwise(g, cm, ndm):
@@ -237,12 +241,12 @@ def _pairwise(g, cm, ndm):
         ab = 1 << (a - 1)
         for b in _bits(cm & ~ab & ~ne[a]):
             zm = (ndm | cm) & ~ab & ~(1 << (b - 1))
-            yield CiStatement(frozenset([a]), frozenset([b]), g.mask_nodes(zm))
+            yield CiStatement._from_masks(ab, 1 << (b - 1), zm)
         for sm in _submasks(cm & ~ab):
             pam = _union(g._adj[0], ab | sm)
             for b in _bits(ndm & ~pam):
                 zm = sm | (ndm & ~(1 << (b - 1)))
-                yield CiStatement(frozenset([a]), frozenset([b]), g.mask_nodes(zm))
+                yield CiStatement._from_masks(ab, 1 << (b - 1), zm)
 
 
 # -- verification -------------------------------------------------------------

@@ -21,40 +21,58 @@ The four decision procedures:
 Criterion 2 also accepts graphs with bidirected edges; the others reject
 them.
 
-Graphs and queries are immutable, so the work they share is done once:
-each graph memoises the augmented graph of criteria 3 and 4 per criterion
-and ancestor set, and each query its node masks.
+A query is its node masks, checked once where it enters; the package builds
+its own queries (statements, singleton sweeps, rule premises) from masks,
+and asking a graph costs one shift for the range check.  Graphs memoise the
+augmented graph of criteria 3 and 4 per criterion and ancestor set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .errors import MalformedQueryError, UnsupportedDialectError
-from .graph import Dialect, MixedGraph, _bits, _union
+from .graph import MAX_GRAPH_NODES, Dialect, MixedGraph, _bits, _union, set_index
 
 # End marks: how a walk most recently arrived at a node.
 END_LINE, END_HEAD, END_TAIL = 0, 1, 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SeparationQuery:
-    """Disjoint node sets x, y (non-empty) and a conditioning set z."""
+    """Disjoint node sets x, y (non-empty) and a conditioning set z, held as
+    masks ``xm``, ``ym``, ``zm`` (node i is bit i - 1) that equality and
+    hashing compare; the sets are checked once and are views built on first
+    access.  A set naming a node outside ``1..MAX_GRAPH_NODES`` gets the
+    mask -1, which every graph refuses."""
 
-    x: frozenset
-    y: frozenset
-    z: frozenset = frozenset()
+    xm: int
+    ym: int
+    zm: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", frozenset(int(i) for i in self.x))
-        object.__setattr__(self, "y", frozenset(int(i) for i in self.y))
-        object.__setattr__(self, "z", frozenset(int(i) for i in self.z))
-        if not self.x or not self.y:
+    def __init__(self, x, y, z=frozenset()):
+        x, y, z = sets = [frozenset(int(i) for i in s) for s in (x, y, z)]
+        if not x or not y:
             raise MalformedQueryError("x and y must be non-empty")
-        if self.x & self.y or self.x & self.z or self.y & self.z:
+        if x & y or x & z or y & z:
             raise MalformedQueryError("x, y and z must be pairwise disjoint")
+        xm, ym, zm = (set_index(s) if 1 <= min(s, default=1) and max(s, default=1)
+                      <= MAX_GRAPH_NODES else -1 for s in sets)
+        self.__dict__.update(x=x, y=y, z=z, xm=xm, ym=ym, zm=zm)
+
+    @classmethod
+    def _from_masks(cls, xm: int, ym: int, zm: int, **fields):
+        """Trusted: a query built from masks the package holds."""
+        q = object.__new__(cls)
+        q.__dict__.update(xm=xm, ym=ym, zm=zm, **fields)
+        return q
+
+    x = cached_property(lambda q: frozenset(_bits(q.xm)))
+    y = cached_property(lambda q: frozenset(_bits(q.ym)))
+    z = cached_property(lambda q: frozenset(_bits(q.zm)))
 
 
 def singleton_queries(n: int) -> Iterator[tuple[int, int, frozenset]]:
@@ -67,14 +85,12 @@ def singleton_queries(n: int) -> Iterator[tuple[int, int, frozenset]]:
 
 
 def _query_masks(g: MixedGraph, q: SeparationQuery):
-    """``(xm, ym, zm)``, built node by node, with the range check, on the
-    query's first graph and kept on the query; later graphs check the range
-    with one shift and rebuild only to raise the same error."""
-    masks = q.__dict__.get("_masks")
-    if masks is None or (masks[0] | masks[1] | masks[2]) >> g.n:
-        masks = q.__dict__["_masks"] = (
-            g.node_mask(q.x), g.node_mask(q.y), g.node_mask(q.z))
-    return masks
+    """The query's masks, range-checked against g by one shift.  Only when
+    that fails are they rebuilt node by node through ``g.node_mask``, which
+    raises the ``NodeOutOfRangeError`` naming the node."""
+    if (q.xm | q.ym | q.zm) >> g.n:
+        return g.node_mask(q.x), g.node_mask(q.y), g.node_mask(q.z)
+    return q.xm, q.ym, q.zm
 
 
 def _reject_biarrows(g: MixedGraph, what: str):

@@ -269,6 +269,16 @@ def test_negative_seed_is_usage_error(capsys):
         assert "seed must be non-negative" in captured.err
 
 
+def test_negative_penalty_is_usage_error(capsys):
+    for command in ("learn", "export-asp"):
+        for kind in ("line", "arrow", "biarrow"):
+            assert main([command, "--constraints", str(DATA / "indeps-obs.txt"),
+                         f"--{kind}-penalty", "-1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{kind} penalty must be non-negative" in captured.err
+
+
 # -- sem-check ---------------------------------------------------------------
 
 
@@ -515,6 +525,26 @@ STDOUT_SHA256 = (
      "a2d7fb5c73889965b62b40da19e424b895011da5953715ff02bc9ddd29a1ce3f"),
     (["markov-verify", "--graph", "@mixed6.g", "--property", "ordered-local"], 0,
      "159e2b0f0f0ee9e682dc5213f0aec03519e613321d8eb18bfb30a1205f4f3c20"),
+    # Computed before queries and statements were stored as their masks.
+    # At --tol 0 every test fails, so these print every statement a
+    # generator emits, in order, not just the count line.
+    (["sem-check", "--graph", "@mixed6.g", "--tol", "0"], 1,
+     "f3342ec0c88028c5968bb738a75c043887061bdc61dce4ffd5e28aec6b476e9a"),
+    (["markov-verify", "--graph", "@mixed6.g", "--property", "ordered-local",
+      "--oracle", "gaussian", "--tol", "0"], 1,
+     "69a06387768dc1a850554c2ddcfc21fd38e243d3de79653cbec1829c554d6be8"),
+    (["markov-verify", "--graph", "@mixed6.g", "--property", "ordered-pairwise",
+      "--oracle", "gaussian", "--tol", "0"], 1,
+     "5f6946cfb3f36b8ac4e2ef36f5223cfe8ff654572d52fb8de0a465e6a38ab6d4"),
+    (["markov-verify", "--graph", "@amp-chain.g", "--property", "amp-block",
+      "--oracle", "gaussian", "--tol", "0"], 1,
+     "6cbdb0ed89d6014db97cee6dac605db71c528fa1ee5217ccfc56d376d6a1dfb8"),
+    (["markov-verify", "--graph", "@amp-chain.g", "--property", "amp-local",
+      "--oracle", "gaussian", "--tol", "0"], 1,
+     "2d1d7589ccadb751abbc5d5b554e2d39aef9db527fe2b8be3d36cf9bf928a67c"),
+    (["markov-verify", "--graph", "@amp-chain.g", "--property", "amp-pairwise",
+      "--oracle", "gaussian", "--tol", "0"], 1,
+     "5d2d5c756cb13cdd2ec784503be9dee36dc2594a433544a229bc1061e41b9bf5"),
 )
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ampadmg import (
     CiStatement,
@@ -10,6 +11,7 @@ from ampadmg import (
     NodeNotInSetError,
     NotAnAmpCgError,
     OrderedContext,
+    SeparationQuery,
     amp_statements,
     augmented_graph,
     extended_subgraph,
@@ -19,11 +21,13 @@ from ampadmg import (
     markov_blanket,
     ordered_local_statements,
     ordered_pairwise_statements,
+    parse,
     random_sem,
     separation_oracle,
+    set_index,
     verify_statements,
 )
-from conftest import random_graph
+from conftest import DATA, random_graph
 
 
 # -- statements ----------------------------------------------------------------
@@ -41,6 +45,58 @@ def test_statement_canonical_swaps_sides():
     a = CiStatement({2}, {1}, frozenset())
     b = CiStatement({1}, {2}, frozenset())
     assert a.canonical() == b.canonical() == b
+
+
+@st.composite
+def _disjoint_sets(draw):
+    # Each of nodes 1..n lands in x, y, z or none of them.
+    n = draw(st.integers(2, 9))
+    roles = draw(st.lists(st.sampled_from("xyz-"), min_size=n, max_size=n)
+                 .filter(lambda r: "x" in r and "y" in r))
+    return tuple(frozenset(v for v, r in enumerate(roles, 1) if r == k) for k in "xyz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_disjoint_sets(), st.integers(0, 9))
+def test_mask_built_queries_equal_set_built_ones(sets, regime):
+    x, y, z = sets
+    masks = [set_index(s) for s in sets]
+    for built, public in ((SeparationQuery._from_masks(*masks), SeparationQuery(x, y, z)),
+                          (CiStatement._from_masks(*masks, regime=regime),
+                           CiStatement(x, y, z, regime))):
+        assert built == public and hash(built) == hash(public)
+        assert (built.x, built.y, built.z) == (public.x, public.y, public.z) == sets
+    # A frozenset reference for the order the statement generators sort by.
+    key = (tuple(sorted(x)), tuple(sorted(y)), tuple(sorted(z)), regime)
+    canon = (y, x) if key[1] < key[0] else (x, y)
+    for s in (CiStatement._from_masks(*masks, regime=regime), CiStatement(x, y, z, regime)):
+        assert s.sort_key() == key
+        c = s.canonical()
+        assert (c.x, c.y, c.z, c.regime) == (*canon, z, regime)
+        assert c == CiStatement(*canon, z, regime)
+
+
+def test_statements_naming_a_node_below_1_still_order():
+    # Their sets hold the mask -1, so they are sorted and swapped as sets.
+    s = CiStatement({5}, {0, 2}, {-1}, 3)
+    assert s.sort_key() == ((5,), (0, 2), (-1,), 3)
+    c = s.canonical()
+    assert (c.x, c.y, c.z, c.regime) == ({0, 2}, {5}, {-1}, 3)
+
+
+def test_verified_statements_build_no_node_set_views():
+    # Generators, _finish and the separation oracle work on masks only, so
+    # no statement may have built its x, y or z frozenset.
+    for name, generate in (
+            ("mixed6.g", lambda g: ordered_local_statements(
+                OrderedContext(g, g.consistent_ordering()))),
+            ("amp-chain.g", lambda g: amp_statements(g, "block-recursive")
+             + amp_statements(g, "local") + amp_statements(g, "pairwise"))):
+        g = parse((DATA / name).read_text())
+        stmts = generate(g)
+        assert stmts and not verify_statements(stmts, separation_oracle(g))
+        for s in stmts:
+            assert not {"x", "y", "z"} & s.__dict__.keys(), s
 
 
 # -- Markov blankets -------------------------------------------------------------

@@ -23,6 +23,7 @@ from ampadmg import (
     separated,
     separated_with_determinism,
 )
+from ampadmg.graph import MAX_GRAPH_NODES
 from ampadmg.separation import _moral_masks
 from conftest import DATA, random_graph, singleton_queries
 
@@ -413,6 +414,19 @@ def test_query_reused_across_graphs_keeps_range_errors():
             with pytest.raises(NodeOutOfRangeError) as exc:
                 separated(big, zero, criterion=c)
             assert str(exc.value) == "node 0 out of range 1..9"
+
+
+def test_query_naming_a_node_no_graph_has_builds_no_mask():
+    # Such a set holds the mask -1 and keeps its frozenset, so the error
+    # still names the node and no mask as wide as the node is allocated.
+    g = random_graph(random.Random(43), 5)
+    for bad in (0, -2, MAX_GRAPH_NODES + 1):
+        q = SeparationQuery({2}, {1}, {3, bad})
+        assert (q.xm, q.ym, q.zm) == (2, 1, -1) and q.z == {3, bad}
+        for c in (1, 2, 3, 4):
+            with pytest.raises(NodeOutOfRangeError) as exc:
+                separated(g, q, criterion=c)
+            assert str(exc.value) == f"node {bad} out of range 1..5"
 
 
 # -- separation under determinism ----------------------------------------------
