@@ -13,6 +13,7 @@ import json
 import sys
 import traceback
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -223,7 +224,9 @@ def _add_learn_flags(p: argparse.ArgumentParser) -> None:
                        default=1, metavar="K")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process; help and usage go to each call's sys.stdout/stderr.
     top = argparse.ArgumentParser(
         prog="ampadmg",
         description="Mixed-graph separation, Markov statements, Gaussian "

@@ -114,9 +114,9 @@ def rule_applicable(g: MixedGraph, rule: int, x: Iterable[int], y: Iterable[int]
         raise MalformedQueryError("y must be non-empty")
     xm, ym, zm, wm = masks = [g.node_mask(s) for s in (x, y, z, w)]  # range check
     seen = 0
-    for s, m in zip((x, y, z, w), masks):
+    for m in masks:
         if m & seen:
-            i = next(i for i in s if seen >> (i - 1) & 1)
+            i = next(_bits(m & seen))
             raise OverlappingSetsError(f"node {i} appears in two argument sets")
         seen |= m
     if not zm:

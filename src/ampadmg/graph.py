@@ -21,6 +21,9 @@ intervention, a subgraph, an augmented or marginal graph, a magnified
 graph, an enumerated candidate) is built from masks by
 ``MixedGraph._from_masks``, which trusts its caller and stores them as
 they are.
+
+:func:`_spread` is the one reachability function over the masks: the
+closures, criteria 3 and 4 and the marginalisation of lines all call it.
 """
 
 from __future__ import annotations
@@ -85,6 +88,20 @@ def _union(step, mask: int) -> int:
     for v in _bits(mask):
         out |= step[v]
     return out
+
+
+def _spread(step, seed: int, block: int = 0, stop: int = 0) -> int:
+    """``seed`` plus every node reachable from it through the per-node masks
+    ``step``.  A node in ``block`` is reached but never left.  Once a node in
+    ``stop`` is reached the walk ends early, with what it has reached so far.
+    """
+    cur = seed
+    frontier = seed & ~block
+    while frontier and not cur & stop:
+        add = _union(step, frontier)
+        frontier = add & ~cur & ~block
+        cur |= add
+    return cur
 
 
 def _check_node(i, n: int) -> None:
@@ -270,33 +287,22 @@ class MixedGraph:
     def mask_nodes(self, mask: int) -> frozenset[int]:
         return frozenset(_bits(mask))
 
-    def _spread(self, step, seed: int) -> int:
-        # Union of `seed` with everything reachable through per-node masks.
-        cur = seed
-        frontier = seed
-        while frontier:
-            add = _union(step, frontier)
-            frontier = add & ~cur
-            cur |= add
-        return cur
-
     def _an_mask(self, mask: int) -> int:
         cache = self._an_cache
         hit = cache.get(mask)
         if hit is None:
-            hit = cache[mask] = self._spread(self._adj[0], mask)
+            hit = cache[mask] = _spread(self._adj[0], mask)
         return hit
 
     def _de_mask(self, mask: int) -> int:
-        return self._spread(self._adj[1], mask)
+        return _spread(self._adj[1], mask)
 
     def _sde_mask(self, mask: int) -> int:
-        pa, ch, ne, bi = self._adj
-        step = [ch[v] | ne[v] for v in range(self.n + 1)]
-        return self._spread(step, mask)
+        _pa, ch, ne, _bi = self._adj
+        return _spread([c | m for c, m in zip(ch, ne)], mask)
 
     def _cc_mask(self, mask: int) -> int:
-        return self._spread(self._adj[2], mask)
+        return _spread(self._adj[2], mask)
 
     # -- node relations ----------------------------------------------------
 

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import InconsistentOrderingError, NodeNotInSetError, NotAnAmpCgError
-from .graph import MixedGraph, _bits, _union
+from .graph import MixedGraph, _bits, _spread, _union
 from .separation import (
     SeparationQuery,
     _extended_masks,
     _moral_masks,
     _reject_biarrows,
-    _ug_reachable,
 )
 
 OBSERVATIONAL = 0
@@ -206,8 +205,7 @@ def _block_recursive(g, cm):
         if ym:
             yield CiStatement._from_masks(dm, ym, pam)
     pac = _union(g._adj[0], cm)
-    ne = g._adj[2]
-    comp_adj = [ne[v] & cm for v in range(g.n + 1)]
+    ne = g._adj[2]  # no line leaves the component
     for xm in _submasks(cm):
         if not xm:
             continue
@@ -216,7 +214,7 @@ def _block_recursive(g, cm):
             if not ym or (ym & -ym) < (xm & -xm):
                 continue  # canonical: smallest node lives in x
             for zm in _submasks(rest & ~ym):
-                if not _ug_reachable(comp_adj, xm, ym, zm):
+                if not _spread(ne, xm, zm, ym) & ym:
                     yield CiStatement._from_masks(xm, ym, zm | pac)
 
 

@@ -35,7 +35,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .errors import MalformedQueryError, UnsupportedDialectError
-from .graph import MAX_GRAPH_NODES, Dialect, MixedGraph, _bits, _union, set_index
+from .graph import MAX_GRAPH_NODES, Dialect, MixedGraph, _bits, _spread, set_index
 
 # End marks: how a walk most recently arrived at a node.
 END_LINE, END_HEAD, END_TAIL = 0, 1, 2
@@ -306,22 +306,13 @@ def _marginal_masks(ne, n: int, xm: int):
     out = [0] * (n + 1)
     for v in _bits(xm):
         out[v] = ne[v] & xm
-    hidden = 0
-    for v in range(1, n + 1):
-        vb = 1 << (v - 1)
-        if vb & (xm | hidden) or not ne[v]:
-            continue
-        # Flood the component of dropped nodes containing v, collecting the
-        # kept nodes on its border; every border pair becomes an edge.
-        comp = vb
-        frontier = vb
-        border = 0
-        while frontier:
-            step = _union(ne, frontier)
-            border |= step & xm
-            frontier = step & ~xm & ~comp
-            comp |= frontier
-        hidden |= comp
+    todo = ((1 << n) - 1) & ~xm
+    while todo:
+        # The component of dropped nodes holding the lowest one left, with
+        # the kept nodes on its border; every border pair becomes an edge.
+        comp = _spread(ne, todo & -todo, xm)
+        todo &= ~comp
+        border = comp & xm
         for a in _bits(border):
             out[a] |= border & ~(1 << (a - 1))
     return out
@@ -346,18 +337,6 @@ def _moral_masks(g: MixedGraph, smask: int, criterion: int) -> tuple:
     return aug
 
 
-def _ug_reachable(adj, xm: int, ym: int, zm: int) -> bool:
-    frontier = xm
-    seen = xm
-    while frontier:
-        step = _union(adj, frontier)
-        if step & ym:
-            return True
-        frontier = step & ~seen & ~zm
-        seen |= frontier
-    return False
-
-
 # -- the four-way dispatcher --------------------------------------------------
 
 
@@ -375,7 +354,7 @@ def separated(g: MixedGraph, q: SeparationQuery, criterion: int = 2) -> bool:
         raise ValueError(f"criterion must be 1..4, got {criterion!r}")
     _reject_biarrows(g, f"criterion {criterion}")
     xm, ym, zm = _query_masks(g, q)
-    return not _ug_reachable(_moral_masks(g, xm | ym | zm, criterion), xm, ym, zm)
+    return not _spread(_moral_masks(g, xm | ym | zm, criterion), xm, zm, ym) & ym
 
 
 def separated_with_determinism(

@@ -23,6 +23,7 @@ from ampadmg import (
     parse_constraints,
     parse_derivation,
 )
+from ampadmg import cli
 from ampadmg.cli import main, run
 
 from conftest import DATA
@@ -127,6 +128,23 @@ def test_help_exits_0(capsys):
     assert "usage" in capsys.readouterr().out
 
 
+def test_one_parser_serves_every_call(capsys):
+    # The parser is built once per process; each call must print what it
+    # prints with a fresh parser, help and usage errors included.
+    sep = ["sep", "--graph", str(DATA / "double-edge.g"),
+           "--x", "A", "--y", "D", "--z", "B"]
+    argvs = (sep, ["sep", "--graph", str(DATA / "double-edge.g"), "--x", "A"],
+             ["sep", "--help"], sep)
+    alone = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        alone.append((main(argv), capsys.readouterr()))
+    cli._build_parser.cache_clear()
+    assert [(main(argv), capsys.readouterr()) for argv in argvs] == alone
+    assert [code for code, _ in alone] == [1, 2, 0, 1]
+    assert cli._build_parser() is cli._build_parser()
+
+
 # -- equiv-check -------------------------------------------------------------
 
 
@@ -214,6 +232,14 @@ def test_rule_answers_when_a_label_looks_like_an_indicator(tmp_path, capsys):
     code = main(["rule", "--graph", g, "--rule", "2", "--y", "B", "--z", "A"])
     assert code == 0
     assert capsys.readouterr().out == "applicable\n"
+
+
+def test_rule_overlap_names_the_lowest_shared_node(tmp_path, capsys):
+    g = graph_file(tmp_path, "nodes 8\narrow 1 2\nline 2 8\n")
+    code = main(["rule", "--graph", g, "--rule", "2",
+                 "--x", "1,8", "--y", "1,8", "--z", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: node 1 appears in two argument sets\n"
 
 
 def test_rule_single_step_requires_y(capsys):

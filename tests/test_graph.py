@@ -2,7 +2,7 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ampadmg import (
     Dialect,
@@ -27,6 +27,7 @@ from ampadmg import (
     set_members,
     with_regime_nodes,
 )
+from ampadmg.graph import _spread
 from conftest import random_graph
 
 
@@ -283,6 +284,48 @@ def test_derived_graphs_match_a_validated_rebuild():
         for d in derived:
             rebuilt = MixedGraph(d.n, d.arrows, d.lines, d.biarrows)
             assert d == rebuilt and d._adj == rebuilt._adj, (g, s, d)
+
+
+# -- the reachability kernel -------------------------------------------------
+
+
+def _search(step, seed, block):
+    """Every node a search over the successor sets ``step`` reaches from
+    ``seed``, leaving no node of ``block``."""
+    reached = set(seed)
+    todo = [v for v in seed if v not in block]
+    while todo:
+        for w in step[todo.pop()]:
+            if w not in reached:
+                reached.add(w)
+                if w not in block:
+                    todo.append(w)
+    return reached
+
+
+@st.composite
+def spread_cases(draw):
+    """``(n, step, seed, block, stop)``: per-node successor sets of at most
+    three nodes over n <= 8 nodes (index 0 unused), so that blocking a node
+    can cut a search short, and three node masks."""
+    n = draw(st.integers(0, 8))
+    succ = st.sets(st.integers(1, n), max_size=3) if n else st.just(set())
+    step = [set()] + [draw(succ) for _ in range(n)]
+    nodes = st.integers(0, (1 << n) - 1)
+    return n, step, draw(nodes), draw(nodes), draw(nodes)
+
+
+@settings(max_examples=300)
+@given(spread_cases())
+def test_spread_matches_a_set_based_search(case):
+    n, step, seed, block, stop = case
+    masks = [set_index(s) for s in step]
+    reached = set_index(_search(step, set_members(seed, n), set_members(block, n)))
+    assert _spread(masks, seed, block) == reached
+    # An early stop may leave the rest of the search undone.
+    got = _spread(masks, seed, block, stop)
+    assert seed & ~got == 0 and got & ~reached == 0
+    assert bool(got & stop) == bool(reached & stop)
 
 
 # -- orderings and chain graph check -----------------------------------------

@@ -293,6 +293,48 @@ def test_marginal_graph(mixed6):
     assert marginal_graph(skel, {3, 5, 6}).lines == {(3, 5), (3, 6), (5, 6)}
 
 
+def _marginal_reference(h, keep):
+    """Lines of ``h`` marginalised onto ``keep``, by the definition: kept
+    nodes a and b are joined iff they are adjacent in ``h`` or linked by a
+    path whose inner nodes are all dropped."""
+    nbrs = {v: set() for v in range(1, h.n + 1)}
+    for a, b in h.lines:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    lines = set()
+    for a in keep:
+        seen, todo = {a}, [a]
+        while todo:
+            for w in nbrs[todo.pop()] - seen:
+                seen.add(w)
+                if w in keep:
+                    lines.add((min(a, w), max(a, w)))
+                else:
+                    todo.append(w)
+    return lines
+
+
+def _undirected_graphs(n):
+    pairs = list(combinations(range(1, n + 1), 2))
+    for pick in range(1 << len(pairs)):
+        yield MixedGraph(n, lines={p for i, p in enumerate(pairs) if pick >> i & 1})
+
+
+def test_marginal_graph_matches_its_definition():
+    cases = [(h, keep) for n in range(5) for h in _undirected_graphs(n)
+             for keep in (set(c) for k in range(n + 1)
+                          for c in combinations(range(1, n + 1), k))]
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randint(5, 7)
+        h = random_graph(rng, n).undirected_skeleton()
+        cases.append((h, {v for v in range(1, n + 1) if rng.random() < 0.5}))
+    for h, keep in cases:
+        m = marginal_graph(h, keep)
+        assert m.n == h.n and not m.arrows and not m.biarrows
+        assert m.lines == _marginal_reference(h, keep), (h, keep)
+
+
 def test_marginal_rejects_directed_input(mixed6):
     with pytest.raises(ValueError):
         marginal_graph(mixed6, {1, 2})
