@@ -7,10 +7,14 @@ running entirely through x are joined directly, so the dependence carried
 by that path survives.  In the original dialect the biarrows touching x
 are simply removed.
 
-Rule premises are checked graphically: the graph is augmented with one
-regime indicator per node of the rule's z (an arrow from the indicator
-into its node), the intervention is applied, and the premise becomes a
-walk-separation query.
+Every intervened graph comes from :func:`_intervened`, memoised on the
+graph it cuts.  Rule premises are separation queries on it.  Rules 2 and
+3 add one indicator F with an arrow into every node of z, where the
+reference :func:`with_regime_nodes` adds one per node: a walk from F
+starts ``F -> v`` for some v in z, as a walk from v's own indicator does,
+and a walk that passes F again can be cut at its last visit without
+changing its inner colliders.  F may be added after the cut, because z
+and x are disjoint and F has no lines.
 """
 
 from __future__ import annotations
@@ -26,23 +30,29 @@ from .separation import SeparationQuery, _marginal_masks, connects_route
 
 
 def intervene(g: MixedGraph, x: Iterable[int]) -> MixedGraph:
-    """The graph after forcing the nodes in x from outside."""
-    return MixedGraph._from_masks(g.n, _intervene_masks(g._adj, g.n, g.node_mask(x)),
-                                  g.node_names)
+    """The graph after forcing the nodes in x from outside (memoised)."""
+    return _intervened(g, g.node_mask(x))
 
 
-def _intervene_masks(adj, n: int, xm: int):
+def _intervened(g: MixedGraph, xm: int) -> MixedGraph:
     # Cut the arrows into x, drop the biarrows at x and marginalise the
-    # lines onto the nodes outside x.
-    pa, ch, ne, bi = adj
-    keep = ((1 << n) - 1) & ~xm
-    pa_x = [0] * (n + 1)
-    bi_x = [0] * (n + 1)
-    for v in _bits(keep):
-        pa_x[v] = pa[v]
-        bi_x[v] = bi[v] & keep
-    ch_x = [m & keep for m in ch]
-    return pa_x, ch_x, _marginal_masks(ne, n, keep), bi_x
+    # lines onto the nodes outside x.  The memo never holds g itself: a
+    # cycle would keep every scored learner candidate alive until collected.
+    if not xm:
+        return g
+    cut = g._cut_cache.get(xm)
+    if cut is None:
+        n = g.n
+        pa, ch, ne, bi = g._adj
+        keep = ((1 << n) - 1) & ~xm
+        pa_x = [0] * (n + 1)
+        bi_x = [0] * (n + 1)
+        for v in _bits(keep):
+            pa_x[v] = pa[v]
+            bi_x[v] = bi[v] & keep
+        adj = pa_x, [m & keep for m in ch], _marginal_masks(ne, n, keep), bi_x
+        cut = g._cut_cache[xm] = MixedGraph._from_masks(n, adj, g.node_names)
+    return cut
 
 
 @dataclass(frozen=True)
@@ -106,6 +116,11 @@ def rule_applicable(g: MixedGraph, rule: int, x: Iterable[int], y: Iterable[int]
     Rule 1 licenses dropping z from the conditioning set of
     ``p(y | do(x), z, w)``; rule 2 exchanges conditioning on z with
     intervening on it; rule 3 removes an intervention on z entirely.
+
+    Each premise is a separation query on the graph with x forced: y
+    against z given x ∪ w (rule 1), or y against one indicator F into all
+    of z (see the module docstring) given x ∪ z ∪ w (rule 2) or x ∪ w
+    (rule 3).
     """
     if rule not in (1, 2, 3):
         raise ValueError(f"rule must be 1, 2 or 3, got {rule!r}")
@@ -121,14 +136,17 @@ def rule_applicable(g: MixedGraph, rule: int, x: Iterable[int], y: Iterable[int]
         seen |= m
     if not zm:
         return True  # empty z: the rewrite is the identity
+    cut = _intervened(g, xm)
     if rule == 1:
-        return not connects_route(intervene(g, x),
-                                  SeparationQuery._from_masks(ym, zm, xm | wm))
-    rg = with_regime_nodes(g, z)
-    cut = intervene(rg.graph, x)
+        return not connects_route(cut, SeparationQuery._from_masks(ym, zm, xm | wm))
+    pa, ch, ne, bi = cut._adj
+    f = 1 << g.n  # the indicator, node n + 1, added to copies of cut's masks
+    pa_f = pa + [0]
+    for v in _bits(zm):
+        pa_f[v] |= f
+    flagged = MixedGraph._from_masks(g.n + 1, (pa_f, ch + [zm], ne + [0], bi + [0]))
     cond = xm | wm | zm if rule == 2 else xm | wm
-    indicators = rg.graph.full_mask & ~g.full_mask  # the nodes above g's
-    return not connects_route(cut, SeparationQuery._from_masks(ym, indicators, cond))
+    return not connects_route(flagged, SeparationQuery._from_masks(ym, f, cond))
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,8 @@ class OverlappingSetsError(AmpAdmgError, ValueError):
 
 
 class ProblemTooLargeError(AmpAdmgError, ValueError):
-    """The learning problem exceeds the exhaustive-search size cap."""
+    """A problem exceeds a size cap (the learner's exhaustive search,
+    ``magnify``'s quadratic masks)."""
 
 
 class NoFeasibleModelError(AmpAdmgError, ValueError):

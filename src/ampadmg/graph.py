@@ -143,6 +143,20 @@ def _peel(pa, ch, n: int) -> list[int]:
     return order
 
 
+class _Memo:
+    """A memo dict made on a graph's first access: ``cached_property``
+    without its lock, which every scored learner candidate would pay."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, g, owner=None):
+        if g is None:
+            return self
+        memo = g.__dict__[self.name] = {}
+        return memo
+
+
 class MixedGraph:
     """An immutable mixed graph over the nodes ``1..n``, stored as its
     per-node adjacency masks ``(pa, ch, ne, bi)``: parents, children, line
@@ -268,14 +282,9 @@ class MixedGraph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    @cached_property
-    def _an_cache(self) -> dict:
-        return {}
-
-    @cached_property
-    def _moral_cache(self) -> dict:
-        # separation._moral_masks, keyed by (criterion, ancestor set).
-        return {}
+    _an_cache = _Memo()  # _an_mask, keyed by the seed mask
+    _moral_cache = _Memo()  # separation._moral_masks, keyed by (criterion, ancestor set)
+    _cut_cache = _Memo()  # docalc._intervened, keyed by the forced mask
 
     def node_mask(self, nodes: Iterable[int]) -> int:
         mask = 0

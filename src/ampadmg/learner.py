@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterator
 
-from .docalc import _intervene_masks, intervene
+from .docalc import _intervened, intervene
 from .errors import (
     NodeOutOfRangeError,
     NoFeasibleModelError,
@@ -124,14 +124,14 @@ class LearnProblem:
     @cached_property
     def _checks(self):
         # The highest node any constraint names, then the dep and the indep
-        # constraints as (regime, x, y, cond) masks plus weight.
+        # constraints as (regime mask, ((x, y, cond) masks plus weight, ...)).
         top = 0
-        split = {"dep": [], "indep": []}
+        split = {"dep": defaultdict(list), "indep": defaultdict(list)}
         for c in self.constraints:
             top = max(top, c.x, c.y, c.regime, *c.cond)
-            split[c.kind].append((c.regime, 1 << (c.x - 1), 1 << (c.y - 1),
-                                  set_index(c.cond), c.weight))
-        return top, tuple(split["dep"]), tuple(split["indep"])
+            split[c.kind][1 << (c.regime - 1) if c.regime else 0].append(
+                (1 << (c.x - 1), 1 << (c.y - 1), set_index(c.cond), c.weight))
+        return top, tuple(split["dep"].items()), tuple(split["indep"].items())
 
     def _norm_prior(self, prior):
         kind, a, b = prior
@@ -170,21 +170,17 @@ def score(g: MixedGraph, p: LearnProblem) -> int | None:
     top, deps, indeps = p._checks
     if top > g.n:
         raise NodeOutOfRangeError(f"constraint node {top} out of range 1..{g.n}")
-    seen = {0: g._adj}
-
-    def open_route(regime, xm, ym, zm):
-        adj = seen.get(regime)
-        if adj is None:
-            adj = seen[regime] = _intervene_masks(g._adj, g.n, 1 << (regime - 1))
-        return _route_connected(adj, xm, ym, zm)
-
-    for regime, xm, ym, zm, _w in deps:
-        if not open_route(regime, xm, ym, zm):
-            return None
+    for rm, checks in deps:
+        adj = _intervened(g, rm)._adj
+        for xm, ym, zm, _w in checks:
+            if not _route_connected(adj, xm, ym, zm):
+                return None
     total = _edge_penalty(g, p)
-    for regime, xm, ym, zm, weight in indeps:
-        if open_route(regime, xm, ym, zm):
-            total += weight
+    for rm, checks in indeps:
+        adj = _intervened(g, rm)._adj
+        for xm, ym, zm, weight in checks:
+            if _route_connected(adj, xm, ym, zm):
+                total += weight
     return total
 
 

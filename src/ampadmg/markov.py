@@ -252,16 +252,13 @@ def _pairwise(g, cm, ndm):
 
 def separation_oracle(g: MixedGraph, criterion: int = 2) -> Callable[[CiStatement], bool]:
     """Oracle that decides statements by graphical separation, applying the
-    statement's regime intervention first when one is set."""
+    statement's regime intervention first when one is set; every statement
+    of a regime is decided on the one graph ``intervene`` memoises for it."""
     from .docalc import intervene
     from .separation import separated
 
-    cache: dict[int, MixedGraph] = {OBSERVATIONAL: g}
-
     def oracle(stmt: CiStatement) -> bool:
-        gr = cache.get(stmt.regime)
-        if gr is None:
-            gr = cache[stmt.regime] = intervene(g, [stmt.regime])
+        gr = intervene(g, [stmt.regime]) if stmt.regime else g
         return separated(gr, stmt, criterion)
 
     return oracle

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     ErrorNodeInZError,
     NodeOutOfRangeError,
+    ProblemTooLargeError,
     SingularSubmatrixError,
     UnsupportedDialectError,
 )
@@ -27,6 +28,10 @@ from .graph import MixedGraph, _check_names
 
 PRECISION_ZERO_TOL = 1e-9
 CI_TOL = 1e-7
+
+MAX_MAGNIFY_NODES = 10_000
+"""The most nodes :func:`magnify` accepts: its 2n masks of up to 2n bits
+grow with n squared."""
 
 
 def magnify(g: MixedGraph) -> MixedGraph:
@@ -36,9 +41,11 @@ def magnify(g: MixedGraph) -> MixedGraph:
     kept, each noise node points into its variable, and every line ``a - b``
     moves to the noise pair ``(n+a) - (n+b)``.
     """
+    n = g.n
+    if n > MAX_MAGNIFY_NODES:
+        raise ProblemTooLargeError(f"n={n} exceeds the magnify cap of {MAX_MAGNIFY_NODES}")
     if g.biarrows:
         raise UnsupportedDialectError("magnification expects an alternative graph")
-    n = g.n
     pa, ch, ne, _bi = g._adj
     pa_m = [0] + [pa[i] | 1 << (n + i - 1) for i in range(1, n + 1)] + [0] * n
     ch_m = ch + [1 << (i - 1) for i in range(1, n + 1)]

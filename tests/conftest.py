@@ -1,4 +1,6 @@
+import importlib.util
 import random
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -8,6 +10,23 @@ from ampadmg import MixedGraph
 from ampadmg.separation import singleton_queries  # noqa: F401  (re-exported to the tests)
 
 DATA = Path(__file__).parent / "data"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(name: str):
+    """The module ``bench/<name>.py``, loaded by path as ``bench_<name>``.
+    It is registered in ``sys.modules`` before it runs, as ``dataclass``
+    needs to resolve postponed annotations."""
+    key = f"bench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, BENCH / f"{name}.py")
+        module = sys.modules[key] = importlib.util.module_from_spec(spec)
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[key]
+            raise
+    return sys.modules[key]
 
 
 @pytest.fixture

@@ -183,6 +183,15 @@ def test_magnify_label_clash_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_magnify_refuses_more_nodes_than_its_cap(tmp_path, capsys):
+    # One node over the cap is refused before any mask is built.
+    g = graph_file(tmp_path, "nodes 10001\n")
+    assert main(["magnify", "--graph", g]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "10000" in err
+
+
 # -- rule --------------------------------------------------------------------
 
 

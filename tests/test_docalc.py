@@ -2,16 +2,19 @@
 that applies the edit steps one at a time with plain set operations."""
 
 import random
+from itertools import product
 
 import pytest
 
 from ampadmg import (
+    Dialect,
     MalformedScriptError,
     MixedGraph,
     NodeOutOfRangeError,
     OverlappingSetsError,
     RuleApplication,
     check_derivation,
+    enumerate_graphs,
     intervene,
     magnify,
     marginal_graph,
@@ -19,7 +22,7 @@ from ampadmg import (
     rule_applicable,
     with_regime_nodes,
 )
-from conftest import DATA, random_graph
+from conftest import DATA, load_bench, random_graph
 
 
 def oracle_intervene(g, x):
@@ -115,6 +118,14 @@ def test_intervene_idempotent():
     assert intervene(g, range(1, g.n + 1)) == MixedGraph(g.n)
 
 
+def test_intervene_is_memoised_per_graph_and_set(mixed6):
+    assert intervene(mixed6, ()) is mixed6
+    cut = intervene(mixed6, [2, 3])
+    assert intervene(mixed6, [3, 2]) is cut
+    assert intervene(mixed6, [2]) is not cut
+    assert all(g is not mixed6 for g in mixed6._cut_cache.values())
+
+
 def test_intervene_agrees_with_magnified_marginal():
     # cutting lines at x then bridging equals marginalising the error-node
     # graph of the magnified view onto the surviving error nodes
@@ -165,6 +176,44 @@ def test_rule_argument_validation(ident_alt):
 
 
 # -- regime indicator nodes ----------------------------------------------------
+
+
+def _premise_shapes(n):
+    # Every disjoint (x, y, z, w) over nodes 1..n with y and z non-empty.
+    for roles in product("xyzw-", repeat=n):
+        if "y" in roles and "z" in roles:
+            yield tuple(frozenset(v + 1 for v, r in enumerate(roles) if r == role)
+                        for role in "xyzw")
+
+
+def _premises_agree_with_bench_oracle(graphs):
+    # bench/oracle.py has its own surgery, one indicator per node of z and
+    # networkx d-separation for graphs without lines.
+    oracle = load_bench("oracle")
+    checked = 0
+    for g in graphs:
+        og = oracle.Graph(g.n, g.arrows, g.lines, g.biarrows)
+        for shape in _premise_shapes(g.n):
+            for rule in (1, 2, 3):
+                assert (rule_applicable(g, rule, *shape)
+                        == oracle.rule_applicable(og, rule, *shape)), (g, rule, shape)
+                checked += 1
+    return checked
+
+
+def test_rule_premises_match_an_oracle_sharing_no_code_exhaustively():
+    graphs = [g for d in Dialect for n in (1, 2, 3) for g in enumerate_graphs(n, d)]
+    assert len(graphs) == 414
+    assert _premises_agree_with_bench_oracle(graphs) == 28_872
+
+
+def test_rule_premises_match_an_oracle_sharing_no_code_at_n4():
+    rng = random.Random(16)
+    graphs = []
+    for _ in range(10):
+        g = random_graph(rng, 4)
+        graphs += [g, MixedGraph(4, g.arrows, biarrows=g.lines)]
+    assert _premises_agree_with_bench_oracle(graphs) == 20 * 194 * 3
 
 
 def test_with_regime_nodes_structure(ident_alt):

@@ -5,7 +5,9 @@ when both dialects compete) are the module's golden values; the optimal
 score of 3 for each run was frozen from the first verified run.
 """
 
+import gc
 import random
+import weakref
 from dataclasses import replace
 from functools import cache
 from itertools import combinations, product
@@ -173,6 +175,24 @@ def test_score_checks_constraints_in_their_regime():
     assert score(g, cut_regime) is None
     kept_regime = LearnProblem(2, (Constraint("dep", 1, 2, regime=1),))
     assert score(g, kept_regime) == 1
+
+
+def test_scored_graph_holds_no_reference_cycle():
+    # A candidate is freed when its last reference goes, with the cyclic
+    # collector off: its memoised regime graph does not point back at it.
+    p = LearnProblem(3, (Constraint("dep", 1, 3, regime=2),
+                         Constraint("indep", 1, 3, {2}),
+                         Constraint("indep", 2, 3, regime=1)))
+    g = MixedGraph(3, arrows=[(1, 2), (2, 3)], lines=[(1, 3)])
+    gc.disable()
+    try:
+        assert score(g, p) == 5
+        assert len(g._cut_cache) == 2
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- enumeration -----------------------------------------------------------------

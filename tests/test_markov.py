@@ -248,6 +248,16 @@ def test_separation_oracle_uses_regime_graphs():
     assert intervene(g, [2]).arrows == frozenset()
 
 
+def test_separation_oracle_shares_one_graph_per_regime(mixed6):
+    oracle = separation_oracle(mixed6, 4)
+    for a in (1, 2, 3):
+        for b in (4, 5, 6):
+            oracle(CiStatement({a}, {b}, {2, 3} - {a}, regime=2))
+    cut = intervene(mixed6, [2])
+    assert list(mixed6._cut_cache.values()) == [cut]
+    assert cut._moral_cache and "_moral_cache" not in mixed6.__dict__
+
+
 def test_gaussian_oracle_matches_graph_oracle():
     rng = random.Random(43)
     for _ in range(30):

@@ -5,21 +5,11 @@ a target renamed or deleted in ``src/`` would break only the traced
 benchmark run, so the names are checked here, with the tier-1 tests.
 """
 
-import importlib.util
-from pathlib import Path
-
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_bench
 
 
 def test_every_traced_target_resolves_to_a_callable():
-    spans = _load_spans()
+    spans = load_bench("spans")
     assert spans.TARGETS
     for path, attr, _name in spans.TARGETS:
         owner = spans._resolve(path)
