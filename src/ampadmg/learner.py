@@ -23,7 +23,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from typing import Iterator
 
 from .docalc import _intervened, intervene
@@ -122,6 +122,11 @@ class LearnProblem:
             object.__setattr__(self, "ordering", order)
 
     @cached_property
+    def _arrow_sets(self):
+        # Built on first use by enumerate_graphs and shared by every dialect.
+        return _acyclic_arrow_sets(self)
+
+    @cached_property
     def _checks(self):
         # The highest node any constraint names, then the dep and the indep
         # constraints as (regime mask, ((x, y, cond) masks plus weight, ...)).
@@ -184,54 +189,34 @@ def score(g: MixedGraph, p: LearnProblem) -> int | None:
     return total
 
 
-def _pair_states(p: LearnProblem, dialect: Dialect, i: int, j: int):
-    # Allowed undirected-edge options and, independently, allowed arrow
-    # options for the pair i < j under the priors.
+def _und_options(p: LearnProblem, dialect: Dialect, i: int, j: int) -> list[bool]:
+    # Allowed undirected-edge options for the pair i < j under the priors.
     und_kind = "line" if dialect is Dialect.ALTERNATIVE else "biarrow"
     other_kind = "biarrow" if dialect is Dialect.ALTERNATIVE else "line"
     if (other_kind, i, j) in p.required:
-        return [], []  # the required edge kind does not exist in this dialect
-    und_options = [False, True]
-    if (und_kind, i, j) in p.forbidden:
-        und_options = [False]
+        return []  # the required edge kind does not exist in this dialect
     if (und_kind, i, j) in p.required:
-        und_options = [True]
-    arrow_options = [0, 1, -1]  # none, i -> j, j -> i
-    if p.ordering is not None:
-        pos = {v: k for k, v in enumerate(p.ordering)}
-        arrow_options = [a for a in arrow_options
-                         if a == 0 or (a == 1) == (pos[i] < pos[j])]
-    if ("arrow", i, j) in p.forbidden:
-        arrow_options = [a for a in arrow_options if a != 1]
-    if ("arrow", j, i) in p.forbidden:
-        arrow_options = [a for a in arrow_options if a != -1]
-    if ("arrow", i, j) in p.required:
-        arrow_options = [a for a in arrow_options if a == 1]
-    if ("arrow", j, i) in p.required:
-        arrow_options = [a for a in arrow_options if a == -1]
-    return und_options, arrow_options
+        return [True]
+    return [False] if (und_kind, i, j) in p.forbidden else [False, True]
 
 
-def enumerate_graphs(n: int, dialect: Dialect,
-                     p: LearnProblem | None = None) -> Iterator[MixedGraph]:
-    """Every valid graph of the dialect over n nodes, priors respected, in
-    non-decreasing order of edge penalty under ``p``'s penalties.
+def _arrow_options(p: LearnProblem, i: int, j: int) -> list[int]:
+    # Allowed arrow options for the pair i < j under the priors: none (0),
+    # i -> j (1), j -> i (-1).  They do not depend on the dialect.
+    def allowed(t, h):
+        return (("arrow", t, h) not in p.forbidden and ("arrow", h, t) not in p.required
+                and (p.ordering is None or p.ordering.index(t) < p.ordering.index(h)))
+    required = {("arrow", i, j), ("arrow", j, i)} & p.required
+    return [0] * (not required) + [1] * allowed(i, j) + [-1] * allowed(j, i)
 
-    The acyclic arrow sets and the undirected-edge sets are each built
-    once and grouped by edge count; a level is every pairing of an arrow
-    count k with an undirected count m of equal penalty, and each level's
-    graphs are built only when the consumer reaches it.  The order is
-    deterministic: levels by (penalty, k, m), then arrow sets and
-    undirected sets in the order the pair states are scanned.
-    """
-    if p is None:
-        p = LearnProblem(n)
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    options = [_pair_states(p, dialect, i, j) for i, j in pairs]
-    if any(not und or not arrows for und, arrows in options):
-        return
-    dags = defaultdict(list)  # arrow count -> [(pa, ch)]
-    for combo in product(*(arrows for _und, arrows in options)):
+
+def _acyclic_arrow_sets(p: LearnProblem) -> dict:
+    # Arrow count -> [(pa, ch)] for every acyclic arrow set the priors allow,
+    # in the order the pairs' arrow options are scanned.
+    n = p.n
+    pairs = list(combinations(range(1, n + 1), 2))
+    dags = defaultdict(list)
+    for combo in product(*(_arrow_options(p, i, j) for i, j in pairs)):
         pa = [0] * (n + 1)
         ch = [0] * (n + 1)
         for (i, j), a in zip(pairs, combo):
@@ -244,8 +229,35 @@ def enumerate_graphs(n: int, dialect: Dialect,
                 ch[j] |= ib
         if len(_peel(pa, ch, n)) == n:
             dags[len(combo) - combo.count(0)].append((pa, ch))
+    return dags
+
+
+def enumerate_graphs(n: int, dialect: Dialect,
+                     p: LearnProblem | None = None) -> Iterator[MixedGraph]:
+    """Every valid graph of the dialect over n nodes, priors respected, in
+    non-decreasing order of edge penalty under ``p``'s penalties; n must
+    be ``p.n``.
+
+    The acyclic arrow sets and the undirected-edge sets are each built
+    once and grouped by edge count; the arrow sets do not depend on the
+    dialect, so ``p`` keeps them for every dialect it is asked about.  A
+    level is every pairing of an arrow count k with an undirected count m
+    of equal penalty, and each level's graphs are built only when the
+    consumer reaches it.  The order is deterministic: levels by
+    (penalty, k, m), then arrow sets and undirected sets in the order the
+    pair states are scanned.
+    """
+    if p is None:
+        p = LearnProblem(n)
+    elif n != p.n:
+        raise ValueError(f"node count {n} differs from the problem's {p.n}")
+    pairs = list(combinations(range(1, n + 1), 2))
+    und_options = [_und_options(p, dialect, i, j) for i, j in pairs]
+    if not all(und_options):
+        return
+    dags = p._arrow_sets
     unds = defaultdict(list)  # undirected-edge count -> [masks]
-    for combo in product(*(und for und, _arrows in options)):
+    for combo in product(*und_options):
         und = [0] * (n + 1)
         for (i, j), u in zip(pairs, combo):
             if u:

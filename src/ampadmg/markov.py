@@ -1,12 +1,15 @@
 """Conditional-independence statement generators and verification.
 
-Three families of generators turn a graph into the finite statement set of
+Two families of generators turn a graph into the finite statement set of
 a Markov property:
 
 * ordered local / ordered pairwise, driven by a node ordering and the
   ancestral subsets it admits;
 * chain-graph properties (block-recursive, local, pairwise) for graphs
   with at most one edge per pair and no semidirected cycle.
+
+In both, each pairwise statement is a local one split one node at a time.
+Generators yield ``(x, y, z)`` masks; :func:`_finish` makes the statements.
 
 Statements can be verified against any oracle, graphical or Gaussian.
 """
@@ -18,12 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InconsistentOrderingError, NodeNotInSetError, NotAnAmpCgError
 from .graph import MixedGraph, _bits, _spread, _union
-from .separation import (
-    SeparationQuery,
-    _extended_masks,
-    _moral_masks,
-    _reject_biarrows,
-)
+from .separation import SeparationQuery, _blanket_mask, _extended_masks, _reject_biarrows
 
 OBSERVATIONAL = 0
 
@@ -42,13 +40,13 @@ class CiStatement(SeparationQuery):
         self.__dict__["regime"] = regime
 
     def canonical(self) -> "CiStatement":
-        """Swap x and y into a fixed order so symmetric duplicates collapse."""
-        x, y = self.sort_key()[:2]
-        if y >= x:
-            return self
-        if min(self.xm, self.ym, self.zm) < 0:  # a mask of -1: swap the sets
-            return CiStatement(self.y, self.x, self.z, self.regime)
-        return CiStatement._from_masks(self.ym, self.xm, self.zm, regime=self.regime)
+        """Swap x and y into a fixed order so symmetric duplicates collapse:
+        the side holding the lower node comes first."""
+        if min(self.xm, self.ym, self.zm) < 0:  # a mask of -1: compare the sets
+            x, y = self.sort_key()[:2]
+            return self if y >= x else CiStatement(self.y, self.x, self.z, self.regime)
+        xm, ym, zm = _canon(self.xm, self.ym, self.zm)
+        return self if xm == self.xm else CiStatement._from_masks(xm, ym, zm, regime=self.regime)
 
     def sort_key(self):
         masks = self.xm, self.ym, self.zm
@@ -57,8 +55,23 @@ class CiStatement(SeparationQuery):
         return (*(tuple(_bits(m)) for m in masks), self.regime)
 
 
-def _finish(stmts: Iterable[CiStatement]) -> tuple[CiStatement, ...]:
-    return tuple(sorted({s.canonical() for s in stmts}, key=CiStatement.sort_key))
+def _canon(xm: int, ym: int, zm: int) -> tuple[int, int, int]:
+    # x and y are disjoint, so the side holding the lower node comes first.
+    return (xm, ym, zm) if xm & -xm < ym & -ym else (ym, xm, zm)
+
+
+def _finish(triples: Iterable[tuple[int, int, int]]) -> tuple[CiStatement, ...]:
+    # Drops a triple with an empty side.
+    canon = {_canon(*t) for t in triples if t[0] and t[1]}
+    return tuple(sorted((CiStatement._from_masks(*t) for t in canon), key=CiStatement.sort_key))
+
+
+def _split(triples):
+    # x against each single node c of y, given z plus the rest of y.
+    for xm, ym, zm in triples:
+        for c in _bits(ym):
+            cb = 1 << (c - 1)
+            yield xm, cb, zm | (ym & ~cb)
 
 
 @dataclass(frozen=True)
@@ -107,59 +120,45 @@ def _ancestral_supersets(g: MixedGraph, ordering):
 
 def ordered_local_statements(ctx: OrderedContext) -> tuple[CiStatement, ...]:
     """Each member of each admissible ancestral set, screened off by its
-    blanket in the extended subgraph.
+    blanket in the extended subgraph.  A member whose blanket leaves the
+    set (through a chain of lines) is skipped: the outside nodes bring in
+    arrows the extended subgraph lacks.
 
-    A blanket can reach outside the set through a chain of undirected
-    edges; conditioning on such a node brings arrows into play that the
-    extended subgraph over the set does not contain, and the screened
-    statement need not be a separation.  Those members are skipped.
+    On a graph without biarrows (they are not read) every statement
+    emitted is a separation, but together they do not imply the global
+    property on every graph: on ``2 -> 4 -> 3``, ``1 - 4``, ``2 - 3`` with
+    ordering (1, 2, 4, 3), ``1 ⊥ 2 | ∅`` holds but both members of {1, 2}
+    are skipped (ROADMAP item 1).
     """
-    g = ctx.graph
-    out = []
-    for sm in _ancestral_supersets(g, ctx.ordering):
-        ext_adj = _extended_masks(g, sm)
-        for b in _bits(sm):
-            mb = _blanket_mask(ext_adj, b)
-            if mb & ~sm:
-                continue
-            ym = sm & ~mb & ~(1 << (b - 1))
-            if ym:
-                out.append(CiStatement._from_masks(1 << (b - 1), ym, mb))
-    return _finish(out)
-
-
-def _blanket_mask(adj3, b: int) -> int:
-    pa, ch, ne = adj3
-    bb = 1 << (b - 1)
-    chm = ch[b]
-    nem = _union(ne, bb | chm)
-    pam = _union(pa, bb | chm | nem)
-    return (chm | nem | pam) & ~bb
+    return _finish(_screened(ctx.graph, _ancestral_supersets(ctx.graph, ctx.ordering)))
 
 
 def ordered_pairwise_statements(ctx: OrderedContext) -> tuple[CiStatement, ...]:
-    """Each non-augmented-adjacent pair inside an admissible ancestral set,
-    given all other nodes of the extended subgraph.
+    """The ordered local statements split one node at a time, over the
+    admissible ancestral sets S that are also closed under connectivity
+    components.  No blanket leaves such an S, so the split gives
+    ``b ⊥ c | S - {b, c}`` for each pair not joined in the augmented graph.
 
-    Only sets that are also closed under connectivity components qualify:
-    for those the extended subgraph adds no outside nodes, so conditioning
-    on its remainder yields a separation.  A set that is not closed is
-    covered by its closure, which is itself ancestral and enumerated.
+    On a graph without biarrows (they are not read) every statement
+    emitted is a separation, but together they do not imply the global
+    property on every graph: on ``2 -> 3``, ``1 - 3`` with ordering
+    (1, 2, 3), ``1 ⊥ 2 | ∅`` holds but nothing is emitted, as the one
+    such S holding 1 and 2 also holds 3 (ROADMAP item 1).
     """
     g = ctx.graph
-    out = []
-    for sm in _ancestral_supersets(g, ctx.ordering):
-        if g._cc_mask(sm) != sm:
-            continue
-        aug = _moral_masks(g, sm, 3)
-        members = list(_bits(sm))
-        for i, b in enumerate(members):
-            for c in members[i + 1:]:
-                if (aug[b] >> (c - 1)) & 1:
-                    continue
-                zm = sm & ~(1 << (b - 1)) & ~(1 << (c - 1))
-                out.append(CiStatement._from_masks(1 << (b - 1), 1 << (c - 1), zm))
-    return _finish(out)
+    closed = (sm for sm in _ancestral_supersets(g, ctx.ordering) if g._cc_mask(sm) == sm)
+    return _finish(_split(_screened(g, closed)))
+
+
+def _screened(g: MixedGraph, sets):
+    # Each member b of each set S against the rest of S given its blanket
+    # in the extended subgraph over S, unless that blanket leaves S.
+    for sm in sets:
+        ext_adj = _extended_masks(g, sm)
+        for b in _bits(sm):
+            mb = _blanket_mask(ext_adj, b)
+            if not mb & ~sm:
+                yield 1 << (b - 1), sm & ~mb & ~(1 << (b - 1)), mb
 
 
 def _submasks(mask: int):
@@ -189,7 +188,9 @@ def amp_statements(g: MixedGraph, flavour: str) -> tuple[CiStatement, ...]:
         elif flavour == "local":
             out.extend(_local(g, cm, ndm))
         else:
-            out.extend(_pairwise(g, cm, ndm))
+            # A component's parents are among its non-semidescendants nd, so
+            # this gives b ⊥ c | (nd + cm) - {b, c} and b ⊥ c | s + nd - {c}.
+            out.extend(_split(_local(g, cm, ndm)))
     return _finish(out)
 
 
@@ -198,53 +199,30 @@ def _block_recursive(g, cm):
     # given its parents; plus every separation of the component's undirected
     # graph, shifted by the component's parents.
     for dm in _submasks(cm):
-        if not dm:
-            continue
         pam = _union(g._adj[0], dm)
-        ym = (g.full_mask & ~g._sde_mask(dm)) & ~pam
-        if ym:
-            yield CiStatement._from_masks(dm, ym, pam)
+        yield dm, g.full_mask & ~g._sde_mask(dm) & ~pam, pam
     pac = _union(g._adj[0], cm)
     ne = g._adj[2]  # no line leaves the component
     for xm in _submasks(cm):
         if not xm:
             continue
         rest = cm & ~xm
-        for ym in _submasks(rest):
-            if not ym or (ym & -ym) < (xm & -xm):
-                continue  # canonical: smallest node lives in x
+        for ym in _submasks(rest & -(xm & -xm)):  # y above x's lowest node
+            if not ym:
+                continue
             for zm in _submasks(rest & ~ym):
                 if not _spread(ne, xm, zm, ym) & ym:
-                    yield CiStatement._from_masks(xm, ym, zm | pac)
+                    yield xm, ym, zm | pac
 
 
 def _local(g, cm, ndm):
     ne = g._adj[2]
     for a in _bits(cm):
         ab = 1 << (a - 1)
-        nea = ne[a]
-        ym = cm & ~ab & ~nea
-        if ym:
-            yield CiStatement._from_masks(ab, ym, ndm | nea)
+        yield ab, cm & ~ab & ~ne[a], ndm | ne[a]
         for sm in _submasks(cm & ~ab):
             pam = _union(g._adj[0], ab | sm)
-            ym2 = ndm & ~pam
-            if ym2:
-                yield CiStatement._from_masks(ab, ym2, sm | pam)
-
-
-def _pairwise(g, cm, ndm):
-    ne = g._adj[2]
-    for a in _bits(cm):
-        ab = 1 << (a - 1)
-        for b in _bits(cm & ~ab & ~ne[a]):
-            zm = (ndm | cm) & ~ab & ~(1 << (b - 1))
-            yield CiStatement._from_masks(ab, 1 << (b - 1), zm)
-        for sm in _submasks(cm & ~ab):
-            pam = _union(g._adj[0], ab | sm)
-            for b in _bits(ndm & ~pam):
-                zm = sm | (ndm & ~(1 << (b - 1)))
-                yield CiStatement._from_masks(ab, 1 << (b - 1), zm)
+            yield ab, ndm & ~pam, sm | pam
 
 
 # -- verification -------------------------------------------------------------

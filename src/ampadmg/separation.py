@@ -35,7 +35,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .errors import MalformedQueryError, UnsupportedDialectError
-from .graph import MAX_GRAPH_NODES, Dialect, MixedGraph, _bits, _spread, set_index
+from .graph import MAX_GRAPH_NODES, Dialect, MixedGraph, _bits, _spread, _union, set_index
 
 # End marks: how a walk most recently arrived at a node.
 END_LINE, END_HEAD, END_TAIL = 0, 1, 2
@@ -260,8 +260,7 @@ def augmented_graph(g: MixedGraph) -> MixedGraph:
     two ends of a line (``A -> C - D <- B``).
     """
     _reject_biarrows(g, "augmented graph")
-    pa, ch, ne, _bi = g._adj
-    return _undirected(g, _augmented_masks(pa, ch, ne, g.n))
+    return _undirected(g, _augmented_masks(g._adj[:3], g.n))
 
 
 def _undirected(g: MixedGraph, ne) -> MixedGraph:
@@ -269,26 +268,24 @@ def _undirected(g: MixedGraph, ne) -> MixedGraph:
     return MixedGraph._from_masks(g.n, (zero, zero, ne, zero), g.node_names)
 
 
-def _augmented_masks(pa, ch, ne, n: int):
-    aug = [0] * (n + 1)
-    for v in range(1, n + 1):
-        vb = 1 << (v - 1)
-        aug[v] |= pa[v] | ch[v] | ne[v]
-        heads = pa[v]
-        if heads:
-            soft = pa[v] | ne[v]
-            for a in _bits(heads):
-                aug[a] |= soft & ~(1 << (a - 1))
-            for b in _bits(soft):
-                aug[b] |= heads & ~(1 << (b - 1))
-        for d in _bits(ne[v] & ~((vb << 1) - 1)):  # each line once, v < d
-            pc = pa[v] & ~(1 << (d - 1))
-            pd = pa[d] & ~vb
-            for a in _bits(pc):
-                aug[a] |= pd & ~(1 << (a - 1))
-            for b in _bits(pd):
-                aug[b] |= pc & ~(1 << (b - 1))
-    return aug
+def _augmented_masks(adj3, n: int):
+    # The blanket of every node, 0 for a node without an edge in adj3.
+    pa, ch, ne = adj3
+    return [0] + [_blanket_mask(adj3, v) if pa[v] | ch[v] | ne[v] else 0
+                  for v in range(1, n + 1)]
+
+
+def _blanket_mask(adj3, b: int) -> int:
+    """Node b's blanket, its row of the augmented graph: ch(b), ne(b + ch)
+    and pa(b + ch + ne(b + ch)), without b.  Adjacency gives pa, ch, ne;
+    ``A -> C <- B`` and ``A -> C - B`` give pa(ch), ne(ch), pa(ne); and
+    ``A -> C - D <- B`` gives pa(ne(ch))."""
+    pa, ch, ne = adj3
+    bb = 1 << (b - 1)
+    chm = ch[b]
+    nem = _union(ne, bb | chm)
+    pam = _union(pa, bb | chm | nem)
+    return (chm | nem | pam) & ~bb
 
 
 def marginal_graph(h: MixedGraph, nodes: Iterable[int]) -> MixedGraph:
@@ -333,7 +330,7 @@ def _moral_masks(g: MixedGraph, smask: int, criterion: int) -> tuple:
         pa_e, ch_e, ne_e = _extended_masks(g, anm)
         if criterion == 4:
             ne_e = _marginal_masks(ne_e, g.n, anm)
-        aug = cache[criterion, anm] = tuple(_augmented_masks(pa_e, ch_e, ne_e, g.n))
+        aug = cache[criterion, anm] = tuple(_augmented_masks((pa_e, ch_e, ne_e), g.n))
     return aug
 
 

@@ -212,6 +212,21 @@ def test_enumerate_is_deterministic():
     assert len(set(first)) == len(first)
 
 
+def test_learn_builds_the_arrow_sets_once_for_both_dialects(monkeypatch):
+    # The arrow options do not depend on the dialect, so the problem keeps
+    # its acyclic arrow sets: one _peel per arrow combination, 3 ** 10 at n=5.
+    calls = []
+    peel = learner._peel
+    monkeypatch.setattr(learner, "_peel", lambda *a: calls.append(1) or peel(*a))
+    learn(LearnProblem(5, dialects=(Dialect.ALTERNATIVE, Dialect.ORIGINAL)))
+    assert len(calls) == 3 ** 10
+
+
+def test_enumerate_rejects_a_node_count_other_than_the_problems():
+    with pytest.raises(ValueError, match="node count 4 differs"):
+        list(enumerate_graphs(4, Dialect.ALTERNATIVE, LearnProblem(3, ordering=(1, 2, 3))))
+
+
 def test_enumerate_respects_priors():
     p = LearnProblem(3, forbidden={("arrow", 1, 2)}, required={("line", 1, 3)})
     for g in enumerate_graphs(3, Dialect.ALTERNATIVE, p):

@@ -1,10 +1,13 @@
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ampadmg import (
     CiStatement,
+    Dialect,
     InconsistentOrderingError,
     MalformedQueryError,
     MixedGraph,
@@ -14,6 +17,7 @@ from ampadmg import (
     SeparationQuery,
     amp_statements,
     augmented_graph,
+    enumerate_graphs,
     extended_subgraph,
     gaussian_oracle,
     implied_covariance,
@@ -121,17 +125,45 @@ def test_blanket_requires_membership(double_edge3):
         markov_blanket(double_edge3, {1, 2}, 3)
 
 
+def _augmented_reference(g):
+    # The joining rules of augmented_graph, over edge sets: adjacency,
+    # A -> C <- B or A -> C - B, and A -> C - D <- B.
+    def arrow(a, c):
+        return (a, c) in g.arrows
+
+    def line(a, c):
+        return (min(a, c), max(a, c)) in g.lines
+
+    def joined(a, b):
+        nodes = range(1, g.n + 1)
+        return (arrow(a, b) or arrow(b, a) or line(a, b)
+                or any((arrow(a, c) or line(a, c)) and (arrow(b, c) or line(b, c))
+                       and (arrow(a, c) or arrow(b, c)) for c in nodes)
+                or any(arrow(a, c) and line(c, d) and arrow(b, d)
+                       for c in nodes for d in nodes))
+    return {(a, b) for a, b in combinations(range(1, g.n + 1), 2) if joined(a, b)}
+
+
 def test_blanket_covers_augmented_neighbours():
+    # The augmented graph of each extended subgraph, and each blanket, is
+    # exactly what the joining rules give on edge sets: every alternative
+    # graph with n <= 3 and every target set, then a seeded sample at n = 4..7.
     rng = random.Random(29)
-    for _ in range(60):
-        g = random_graph(rng, 5)
-        s = frozenset(rng.sample(range(1, 6), rng.randint(1, 5)))
-        b = rng.choice(sorted(s))
-        blanket = markov_blanket(g, s, b)
-        aug = augmented_graph(extended_subgraph(g, s))
-        neighbours = {v for pair in aug.lines if b in pair
-                      for v in pair if v != b}
-        assert neighbours <= blanket
+    cases = [(g, {v for v in range(1, n + 1) if m >> (v - 1) & 1})
+             for n in (1, 2, 3) for g in enumerate_graphs(n, Dialect.ALTERNATIVE)
+             for m in range(1, 1 << n)]
+    for n in (4, 5, 6, 7):
+        for _ in range(30):
+            g = random_graph(rng, n)
+            cases += [(g, set(rng.sample(range(1, n + 1), rng.randint(1, n))))
+                      for _ in range(8)]
+    for g, s in cases:
+        ext = extended_subgraph(g, s)
+        want = _augmented_reference(ext)
+        assert augmented_graph(ext).lines == want, (g, s)
+        for b in s:
+            assert markov_blanket(g, s, b) == {v for pair in want if b in pair
+                                               for v in pair if v != b}, (g, s, b)
 
 
 # -- ordered generators -----------------------------------------------------------
@@ -176,6 +208,57 @@ def test_ordered_statements_are_separations():
         for stmts in (ordered_local_statements(ctx),
                       ordered_pairwise_statements(ctx)):
             assert verify_statements(stmts, oracle) == ()
+
+
+# -- every generator at once ---------------------------------------------------------
+
+# The statement masks of all five generators over the inputs below; a
+# change to any generator's output must change this digest on purpose.
+GENERATORS_SHA256 = "a28c53c196216d5c4987e44a7b74b400fda03625fa02c8e36d726d590897e359"
+
+
+def _last_first_ordering(g):
+    # The ordering that places the largest node without a parent left first.
+    order, left = [], set(range(1, g.n + 1))
+    while left:
+        v = max(u for u in left if not g.parents({u}) & left)
+        order.append(v)
+        left.remove(v)
+    return tuple(order)
+
+
+def _generator_inputs():
+    # Every graph with n <= 3 in both dialects; then, at n = 4..6, sixteen
+    # seeded graphs of either dialect and the first eight seeded chain graphs.
+    for n in (1, 2, 3):
+        for dialect in Dialect:
+            yield from enumerate_graphs(n, dialect)
+    rng = random.Random(53)
+    for n in (4, 5, 6):
+        for _ in range(16):
+            yield random_graph(rng, n, biarrow_ok=True)
+        chains = 0
+        while chains < 8:
+            g = random_graph(rng, n)
+            if g.is_amp_cg():
+                chains += 1
+                yield g
+
+
+def test_generator_output_is_pinned():
+    digest, count = hashlib.sha256(), 0
+    for g in _generator_inputs():
+        families = []
+        for ordering in dict.fromkeys((g.consistent_ordering(), _last_first_ordering(g))):
+            ctx = OrderedContext(g, ordering)
+            families += [ordered_local_statements(ctx), ordered_pairwise_statements(ctx)]
+        if g.is_amp_cg():
+            families += [amp_statements(g, f) for f in ("block-recursive", "local", "pairwise")]
+        for stmts in families:
+            count += len(stmts)
+            digest.update(b"|" + ";".join(f"{s.xm},{s.ym},{s.zm}" for s in stmts).encode())
+    assert count > 3000
+    assert digest.hexdigest() == GENERATORS_SHA256, (count, digest.hexdigest())
 
 
 # -- chain graph generators --------------------------------------------------------
