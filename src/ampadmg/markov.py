@@ -3,8 +3,8 @@
 Two families of generators turn a graph into the finite statement set of
 a Markov property:
 
-* ordered local / ordered pairwise, driven by a node ordering and the
-  ancestral subsets it admits;
+* ordered local / ordered pairwise, over the ancestral node sets; the
+  node ordering is only checked against the arrows;
 * chain-graph properties (block-recursive, local, pairwise) for graphs
   with at most one edge per pair and no semidirected cycle.
 
@@ -19,6 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+# The oracles call through the modules, so a wrapper bound over
+# ``docalc.intervene``, ``separation.separated`` or ``sem.ci_test`` after
+# import (as bench/spans.py binds its spans) sees their calls too.
+from . import docalc, sem, separation
 from .errors import InconsistentOrderingError, NodeNotInSetError, NotAnAmpCgError
 from .graph import MixedGraph, _bits, _spread, _union
 from .separation import SeparationQuery, _blanket_mask, _extended_masks, _reject_biarrows
@@ -105,48 +109,46 @@ def markov_blanket(g: MixedGraph, s: Iterable[int], b: int) -> frozenset[int]:
     return g.mask_nodes(_blanket_mask(_extended_masks(g, g.node_mask(s)), b))
 
 
-def _ancestral_supersets(g: MixedGraph, ordering):
-    # Yields the mask of every ancestral S that is contained in some prefix
-    # of the ordering and contains the prefix's last node.
-    pre = 0
-    for a in ordering:
-        ab = 1 << (a - 1)
-        for sub in _submasks(pre):
-            sm = sub | ab
-            if g._an_mask(sm) == sm:
-                yield sm
-        pre |= ab
+def _ancestral_sets(g: MixedGraph):
+    # Every non-empty node set that holds the parents of its members.  Each
+    # has exactly one last node in any ordering no arrow contradicts, so
+    # these are the sets an ordered property admits, whatever the ordering.
+    pa = g._adj[0]
+    return (sm for sm in range(1, g.full_mask + 1) if not _union(pa, sm) & ~sm)
 
 
 def ordered_local_statements(ctx: OrderedContext) -> tuple[CiStatement, ...]:
-    """Each member of each admissible ancestral set, screened off by its
-    blanket in the extended subgraph.  A member whose blanket leaves the
-    set (through a chain of lines) is skipped: the outside nodes bring in
-    arrows the extended subgraph lacks.
+    """Each member of each ancestral set, screened off by its blanket in the
+    extended subgraph.  A member whose blanket leaves the set (through a
+    chain of lines) is skipped: the outside nodes bring in arrows the
+    extended subgraph lacks.  The statements do not depend on which
+    consistent ordering ``ctx`` holds; a graph with biarrows is refused.
 
-    On a graph without biarrows (they are not read) every statement
-    emitted is a separation, but together they do not imply the global
-    property on every graph: on ``2 -> 4 -> 3``, ``1 - 4``, ``2 - 3`` with
-    ordering (1, 2, 4, 3), ``1 ⊥ 2 | ∅`` holds but both members of {1, 2}
+    Every statement emitted is a separation, but together they do not
+    imply the global property on every graph: on ``2 -> 4 -> 3``,
+    ``1 - 4``, ``2 - 3``, ``1 ⊥ 2 | ∅`` holds but both members of {1, 2}
     are skipped (ROADMAP item 1).
     """
-    return _finish(_screened(ctx.graph, _ancestral_supersets(ctx.graph, ctx.ordering)))
+    _reject_biarrows(ctx.graph, "the ordered local property")
+    return _finish(_screened(ctx.graph, _ancestral_sets(ctx.graph)))
 
 
 def ordered_pairwise_statements(ctx: OrderedContext) -> tuple[CiStatement, ...]:
     """The ordered local statements split one node at a time, over the
-    admissible ancestral sets S that are also closed under connectivity
-    components.  No blanket leaves such an S, so the split gives
-    ``b ⊥ c | S - {b, c}`` for each pair not joined in the augmented graph.
+    ancestral sets S that are also closed under lines.  No blanket leaves
+    such an S, so the split gives ``b ⊥ c | S - {b, c}`` for each pair not
+    joined in the augmented graph.  The statements do not depend on which
+    consistent ordering ``ctx`` holds; a graph with biarrows is refused.
 
-    On a graph without biarrows (they are not read) every statement
-    emitted is a separation, but together they do not imply the global
-    property on every graph: on ``2 -> 3``, ``1 - 3`` with ordering
-    (1, 2, 3), ``1 ⊥ 2 | ∅`` holds but nothing is emitted, as the one
-    such S holding 1 and 2 also holds 3 (ROADMAP item 1).
+    Every statement emitted is a separation, but together they do not
+    imply the global property on every graph: on ``2 -> 3``, ``1 - 3``,
+    ``1 ⊥ 2 | ∅`` holds but nothing is emitted, as the one such S holding
+    1 and 2 also holds 3 (ROADMAP item 1).
     """
     g = ctx.graph
-    closed = (sm for sm in _ancestral_supersets(g, ctx.ordering) if g._cc_mask(sm) == sm)
+    _reject_biarrows(g, "the ordered pairwise property")
+    ne = g._adj[2]
+    closed = (sm for sm in _ancestral_sets(g) if not _union(ne, sm) & ~sm)
     return _finish(_split(_screened(g, closed)))
 
 
@@ -232,12 +234,10 @@ def separation_oracle(g: MixedGraph, criterion: int = 2) -> Callable[[CiStatemen
     """Oracle that decides statements by graphical separation, applying the
     statement's regime intervention first when one is set; every statement
     of a regime is decided on the one graph ``intervene`` memoises for it."""
-    from .docalc import intervene
-    from .separation import separated
 
     def oracle(stmt: CiStatement) -> bool:
-        gr = intervene(g, [stmt.regime]) if stmt.regime else g
-        return separated(gr, stmt, criterion)
+        gr = docalc.intervene(g, [stmt.regime]) if stmt.regime else g
+        return separation.separated(gr, stmt, criterion)
 
     return oracle
 
@@ -246,12 +246,11 @@ def gaussian_oracle(sigma, tol: float = 1e-7) -> Callable[[CiStatement], bool]:
     """Oracle that decides observational statements by vanishing partial
     correlations; for a Gaussian, a block is independent exactly when every
     cross pair is."""
-    from .sem import ci_test
 
     def oracle(stmt: CiStatement) -> bool:
         if stmt.regime != OBSERVATIONAL:
             raise ValueError("gaussian oracle only handles observational statements")
-        return all(ci_test(sigma, a, b, stmt.z, tol)
+        return all(sem.ci_test(sigma, a, b, stmt.z, tol)
                    for a in stmt.x for b in stmt.y)
 
     return oracle

@@ -22,9 +22,9 @@ from .errors import (
     NodeOutOfRangeError,
     ProblemTooLargeError,
     SingularSubmatrixError,
-    UnsupportedDialectError,
 )
 from .graph import MixedGraph, _check_names
+from .separation import _reject_biarrows
 
 PRECISION_ZERO_TOL = 1e-9
 CI_TOL = 1e-7
@@ -44,8 +44,7 @@ def magnify(g: MixedGraph) -> MixedGraph:
     n = g.n
     if n > MAX_MAGNIFY_NODES:
         raise ProblemTooLargeError(f"n={n} exceeds the magnify cap of {MAX_MAGNIFY_NODES}")
-    if g.biarrows:
-        raise UnsupportedDialectError("magnification expects an alternative graph")
+    _reject_biarrows(g, "magnification")
     pa, ch, ne, _bi = g._adj
     pa_m = [0] + [pa[i] | 1 << (n + i - 1) for i in range(1, n + 1)] + [0] * n
     ch_m = ch + [1 << (i - 1) for i in range(1, n + 1)]
@@ -111,8 +110,7 @@ class LinearSem:
 
     def __post_init__(self):
         g = self.graph
-        if g.biarrows:
-            raise UnsupportedDialectError("a SEM needs an alternative graph")
+        _reject_biarrows(g, "a linear SEM")
         beta = {(int(t), int(h)): float(v) for (t, h), v in dict(self.beta).items()}
         if set(beta) != set(g.arrows):
             raise ValueError("beta must assign a coefficient to every arrow")
@@ -154,10 +152,9 @@ def random_sem(g: MixedGraph, seed: int) -> LinearSem:
     Coefficients are uniform on ``[-1.0, -0.3] u [0.3, 1.0]``.  The noise
     precision gets uniform ``[-0.3, 0.3]`` entries on line pairs and a
     diagonally dominant diagonal, which keeps it positive definite and its
-    inverse exactly zero-patterned.
+    inverse exactly zero-patterned.  A graph with biarrows is refused by
+    the :class:`LinearSem` built for it.
     """
-    if g.biarrows:
-        raise UnsupportedDialectError("a SEM needs an alternative graph")
     rng = np.random.default_rng(seed)
     beta = {}
     for t, h in sorted(g.arrows):

@@ -94,6 +94,7 @@ def _query_masks(g: MixedGraph, q: SeparationQuery):
 
 
 def _reject_biarrows(g: MixedGraph, what: str):
+    # The one refusal of biarrows by operations defined only with lines.
     if g.dialect is Dialect.ORIGINAL:
         raise UnsupportedDialectError(f"{what} is not defined for bidirected edges")
 
@@ -171,45 +172,32 @@ def connects_path(g: MixedGraph, q: SeparationQuery) -> bool:
 
 def _path_connected(adj, xm: int, ym: int, dtm: int, anm: int) -> bool:
     # dtm: the effective conditioning mask; anm: its ancestral closure,
-    # which is where colliders are passable.
+    # which is where colliders are passable.  A start node has no end mark
+    # (None) and no collider status, so it may leave every way.
     pa, ch, ne, _bi = adj
-    stack = []
-
-    def start(s: int) -> bool:
-        sb = 1 << (s - 1)
-        for targets, mark in ((ne[s], END_LINE), (ch[s], END_HEAD), (pa[s], END_TAIL)):
-            if targets & ym:
-                return True
-            for w in _bits(targets & ~sb):
-                stack.append((w, mark, sb | (1 << (w - 1))))
-        return False
-
-    for s in _bits(xm):
-        if start(s):
-            return True
-
+    stack = [(s, None, 1 << (s - 1)) for s in _bits(xm)]
     while stack:
         v, mark, vis = stack.pop()
         vb = 1 << (v - 1)
         in_dt = dtm & vb
         passes_collider = anm & vb
         # line out of v
-        if (passes_collider if mark == END_HEAD
-                else (not in_dt or (mark == END_LINE and pa[v] & ~dtm))):
+        if mark is None or (passes_collider if mark == END_HEAD
+                            else (not in_dt or (mark == END_LINE and pa[v] & ~dtm))):
             targets = ne[v]
             if targets & ym:
                 return True
             for w in _bits(targets & ~vis):
                 stack.append((w, END_LINE, vis | (1 << (w - 1))))
         # arrow out of v
-        if not in_dt:
+        if mark is None or not in_dt:
             targets = ch[v]
             if targets & ym:
                 return True
             for w in _bits(targets & ~vis):
                 stack.append((w, END_HEAD, vis | (1 << (w - 1))))
         # against an arrow into v
-        if (not in_dt) if mark == END_TAIL else passes_collider:
+        if mark is None or ((not in_dt) if mark == END_TAIL else passes_collider):
             targets = pa[v]
             if targets & ym:
                 return True

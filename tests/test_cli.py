@@ -590,6 +590,36 @@ def test_stdout_is_pinned(argv, code, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# -- graphs with biarrows ------------------------------------------------------
+#
+# Criterion 2, intervene and the rule premises are defined for biarrows; every
+# command defined only with lines refuses them with exit 2 and an error line,
+# never with a FAIL line or a crash.
+
+BIARROW3 = "nodes 3\narrow 1 2\nbiarrow 2 3\n"
+_ANSWERED = (["sep", "--criterion", "2", "--x", "1", "--y", "3"],
+             ["intervene", "--x", "2"],
+             ["rule", "--rule", "1", "--x", "1", "--y", "3", "--z", "2"])
+_REFUSED = ([["sep", "--criterion", c, "--x", "1", "--y", "3"] for c in "134"]
+            + [["equiv-check"], ["magnify"], ["sem-check"]]
+            + [["markov-verify", "--property", p, "--oracle", o]
+               for p in ("ordered-local", "ordered-pairwise", "amp-block", "amp-local",
+                         "amp-pairwise")
+               for o in ("graph", "gaussian")])
+
+
+@pytest.mark.parametrize("argv,answered", [
+    pytest.param(argv, answered, id="-".join(a.lstrip("-") for a in argv))
+    for argvs, answered in ((_ANSWERED, True), (_REFUSED, False)) for argv in argvs])
+def test_biarrow_graph_is_answered_or_refused(argv, answered, tmp_path, capsys):
+    code = main(argv + ["--graph", graph_file(tmp_path, BIARROW3)])
+    out, err = capsys.readouterr()
+    if answered:
+        assert code in (0, 1) and out and "FAIL" not in out and not err, (code, out, err)
+    else:
+        assert code == 2 and not out and err.startswith("error: "), (code, out, err)
+
+
 # -- text input ----------------------------------------------------------------
 #
 # Graph files, constraint files, derivation scripts and command-line node

@@ -2,8 +2,10 @@
 that applies the edit steps one at a time with plain set operations."""
 
 import random
-from itertools import product
+from functools import cache, partial
+from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from ampadmg import (
@@ -13,16 +15,20 @@ from ampadmg import (
     NodeOutOfRangeError,
     OverlappingSetsError,
     RuleApplication,
+    SeparationQuery,
     check_derivation,
+    ci_test,
     enumerate_graphs,
     intervene,
     magnify,
     marginal_graph,
     parse_derivation,
+    random_sem,
     rule_applicable,
+    separated,
     with_regime_nodes,
 )
-from conftest import DATA, load_bench, random_graph
+from conftest import DATA, load_bench, random_graph, singleton_queries
 
 
 def oracle_intervene(g, x):
@@ -280,3 +286,92 @@ def test_check_derivation(ident_alt, ident_orig):
     assert report.first_failure == 1
 
     assert check_derivation(ident_alt, ()).ok
+
+
+# -- against structural-equation surgery ----------------------------------------
+#
+# do(D) on a linear SEM: D's equations lose their parents, D gets independent
+# unit noise, and every other node keeps the marginal of its noise covariance.
+# Each rule's premise must hold exactly when its Gaussian identity does, and a
+# separation of intervene(g, D) exactly when the partial correlation under
+# do(D) vanishes.  Only random_sem and ci_test come from the package.
+
+SURGERY_TOL = 1e-8
+
+
+def _surgery(sem, d):
+    # The covariance of the variables under do(d); node i is index i - 1.
+    n = sem.graph.n
+    b = np.zeros((n, n))
+    for (t, h), v in sem.beta.items():
+        if h not in d:
+            b[h - 1, t - 1] = v
+    keep = [i - 1 for i in range(1, n + 1) if i not in d]
+    noise = np.eye(n)
+    noise[np.ix_(keep, keep)] = sem.noise_cov[np.ix_(keep, keep)]
+    delta = np.linalg.inv(np.eye(n) - b)
+    return delta @ noise @ delta.T
+
+
+def _regression(sigma, y, s):
+    # The coefficients of y on the nodes s, in sorted order, then the
+    # residual variance.
+    s = [i - 1 for i in sorted(s)]
+    coef = np.linalg.solve(sigma[np.ix_(s, s)], sigma[s, y - 1]) if s else np.zeros(0)
+    return np.append(coef, sigma[y - 1, y - 1] - coef @ sigma[s, y - 1])
+
+
+def _rule_identity(cov, rule, x, y, z, w):
+    # y and z are nodes; cov(d) is the covariance under do(d), d a frozenset.
+    xz, xzw = x | {z}, x | {z} | w
+
+    def same(a, b):
+        return np.abs(a - b).max() < SURGERY_TOL
+
+    def z_coef(d):
+        return abs(_regression(cov(d), y, xzw)[sorted(xzw).index(z)])
+
+    if rule == 1:  # p(y | do(x), z, w) = p(y | do(x), w)
+        return z_coef(x) < SURGERY_TOL
+    if rule == 2:  # p(y | do(x), do(z), w) = p(y | do(x), z, w)
+        return same(_regression(cov(xz), y, xzw), _regression(cov(x), y, xzw))
+    # p(y | do(x), do(z), w) = p(y | do(x), w)
+    return (z_coef(xz) < SURGERY_TOL
+            and same(_regression(cov(xz), y, x | w), _regression(cov(x), y, x | w)))
+
+
+def _surgery_graphs():
+    # Every alternative graph with n = 3, then a seeded sample with n = 4;
+    # each with its random_sem, seeded by its position.
+    graphs = list(enumerate_graphs(3, Dialect.ALTERNATIVE))
+    rng = random.Random(61)
+    graphs += [random_graph(rng, 4) for _ in range(40)]
+    for seed, g in enumerate(graphs):
+        yield g, cache(partial(_surgery, random_sem(g, seed)))
+
+
+def test_rule_premises_match_sem_surgery():
+    held = broken = 0
+    for g, cov in _surgery_graphs():
+        nodes = range(1, g.n + 1)
+        for y, c in permutations(nodes, 2):
+            rest = [v for v in nodes if v not in (y, c)]
+            for roles in product("xw-", repeat=len(rest)):
+                x = frozenset(v for v, r in zip(rest, roles) if r == "x")
+                w = frozenset(v for v, r in zip(rest, roles) if r == "w")
+                for rule in (1, 2, 3):
+                    premise = rule_applicable(g, rule, x, {y}, {c}, w)
+                    assert premise == _rule_identity(cov, rule, x, y, c, w), (g, rule, x, y, c, w)
+                    held += premise
+                    broken += not premise
+    assert held > 1000 and broken > 1000
+
+
+def test_intervene_matches_sem_surgery():
+    for g, cov in _surgery_graphs():
+        for dm in range(1 << g.n):
+            d = frozenset(v for v in range(1, g.n + 1) if dm >> (v - 1) & 1)
+            cut, sigma = intervene(g, d), cov(d)
+            for a, b, z in singleton_queries(g.n):
+                assert separated(cut, SeparationQuery({a}, {b}, z)) == ci_test(sigma, a, b, z), \
+                    (g, d, a, b, z)

@@ -35,3 +35,28 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused
+
+
+def _raise_sites(tree, name: str) -> list:
+    # The innermost function around each `raise <name>(...)` in the tree.
+    sites = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == name:
+                    sites.append(func)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
+
+    visit(tree, None)
+    return sites
+
+
+def test_one_raise_site_refuses_biarrows():
+    # Operations defined only with lines refuse biarrows through one gate;
+    # marginal_graph raises the same class for another precondition, that its
+    # input is undirected.
+    sites = sorted(f"{path.name}:{func}" for path in SRC.glob("*.py")
+                   for func in _raise_sites(ast.parse(path.read_text()), "UnsupportedDialectError"))
+    assert sites == ["separation.py:_reject_biarrows", "separation.py:marginal_graph"]
