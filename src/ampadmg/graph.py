@@ -24,6 +24,8 @@ they are.
 
 :func:`_spread` is the one reachability function over the masks: the
 closures, criteria 3 and 4 and the marginalisation of lines all call it.
+The subset walk, row restriction and component walk the engines share
+live beside it, as does the lines-only graph.
 """
 
 from __future__ import annotations
@@ -102,6 +104,39 @@ def _spread(step, seed: int, block: int = 0, stop: int = 0) -> int:
         frontier = add & ~cur & ~block
         cur |= add
     return cur
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of ``mask`` in increasing order, 0 and ``mask`` included."""
+    s = 0
+    while True:
+        yield s
+        if s == mask:
+            return
+        s = (s - mask) & mask
+
+
+def _restrict(masks, keep: int) -> list[int]:
+    """The per-node masks cut to the rows and bits of the nodes in ``keep``."""
+    out = [0] * len(masks)
+    for v in _bits(keep):
+        out[v] = masks[v] & keep
+    return out
+
+
+def _components(step, todo: int, block: int = 0) -> Iterator[int]:
+    """Each component of ``todo`` in turn, a :func:`_spread` from its lowest
+    node left; it also holds the ``block`` nodes on its border."""
+    while todo:
+        comp = _spread(step, todo & -todo, block)
+        todo &= ~comp
+        yield comp
+
+
+def _undirected(g: "MixedGraph", ne) -> "MixedGraph":
+    """g's nodes and labels with the lines ``ne`` as the only edges."""
+    zero = [0] * (g.n + 1)
+    return MixedGraph._from_masks(g.n, (zero, zero, ne, zero), g.node_names)
 
 
 def _check_node(i, n: int) -> None:
@@ -349,32 +384,19 @@ class MixedGraph:
 
     def connectivity_components(self) -> tuple[frozenset[int], ...]:
         """Partition of the nodes into line-connected components."""
-        seen = 0
-        parts = []
-        for v in range(1, self.n + 1):
-            bit = 1 << (v - 1)
-            if seen & bit:
-                continue
-            comp = self._cc_mask(bit)
-            seen |= comp
-            parts.append(self.mask_nodes(comp))
-        return tuple(parts)
+        return tuple(self.mask_nodes(c) for c in _components(self._adj[2], self.full_mask))
 
     # -- derived graphs ----------------------------------------------------
 
     def induced_subgraph(self, nodes: Iterable[int]) -> "MixedGraph":
         """Keep exactly the edges with both endpoints in ``nodes``."""
         mask = self.node_mask(nodes)
-        adj = tuple([0] + [m & mask if (mask >> (v - 1)) & 1 else 0
-                           for v, m in enumerate(masks[1:], 1)]
-                    for masks in self._adj)
+        adj = tuple(_restrict(masks, mask) for masks in self._adj)
         return MixedGraph._from_masks(self.n, adj, self.node_names)
 
     def undirected_skeleton(self) -> "MixedGraph":
         """The graph restricted to its lines."""
-        zero = [0] * (self.n + 1)
-        return MixedGraph._from_masks(self.n, (zero, zero, self._adj[2], zero),
-                                      self.node_names)
+        return _undirected(self, self._adj[2])
 
     def consistent_ordering(self) -> tuple[int, ...]:
         """A node ordering that never places a strict ancestor later.

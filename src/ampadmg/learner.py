@@ -165,8 +165,10 @@ def regime_graph(g: MixedGraph, i: int) -> MixedGraph:
 
 def _edge_penalty(g: MixedGraph, p: LearnProblem) -> int:
     # An arrow sets one bit of pa; a line or biarrow one bit at each end.
-    pa, _ch, ne, bi = (sum(m.bit_count() for m in masks) for masks in g._adj)
-    return ne // 2 * p.line_penalty + pa * p.arrow_penalty + bi // 2 * p.biarrow_penalty
+    pa, _ch, ne, bi = g._adj
+    return (sum(map(int.bit_count, pa)) * p.arrow_penalty
+            + sum(map(int.bit_count, ne)) // 2 * p.line_penalty
+            + sum(map(int.bit_count, bi)) // 2 * p.biarrow_penalty)
 
 
 def score(g: MixedGraph, p: LearnProblem) -> int | None:

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 # import (as bench/spans.py binds its spans) sees their calls too.
 from . import docalc, sem, separation
 from .errors import InconsistentOrderingError, NodeNotInSetError, NotAnAmpCgError
-from .graph import MixedGraph, _bits, _spread, _union
+from .graph import MixedGraph, _bits, _components, _spread, _submasks, _union
 from .separation import SeparationQuery, _blanket_mask, _extended_masks, _reject_biarrows
 
 OBSERVATIONAL = 0
@@ -163,16 +163,6 @@ def _screened(g: MixedGraph, sets):
                 yield 1 << (b - 1), sm & ~mb & ~(1 << (b - 1)), mb
 
 
-def _submasks(mask: int):
-    # All submasks of `mask`, including 0 and mask itself.
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask
-
-
 def amp_statements(g: MixedGraph, flavour: str) -> tuple[CiStatement, ...]:
     """Chain-graph Markov statements of the requested flavour:
     ``block-recursive``, ``local`` or ``pairwise``."""
@@ -182,8 +172,7 @@ def amp_statements(g: MixedGraph, flavour: str) -> tuple[CiStatement, ...]:
         raise NotAnAmpCgError("graph has double edges, biarrows or a "
                               "semidirected cycle")
     out = []
-    for comp in g.connectivity_components():
-        cm = g.node_mask(comp)
+    for cm in _components(g._adj[2], g.full_mask):
         ndm = g.full_mask & ~g._sde_mask(cm)
         if flavour == "block-recursive":
             out.extend(_block_recursive(g, cm))

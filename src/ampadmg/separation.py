@@ -35,7 +35,8 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .errors import MalformedQueryError, UnsupportedDialectError
-from .graph import MAX_GRAPH_NODES, Dialect, MixedGraph, _bits, _spread, _union, set_index
+from .graph import (MAX_GRAPH_NODES, Dialect, MixedGraph, _bits, _components, _restrict,
+                    _spread, _submasks, _undirected, _union, set_index)
 
 # End marks: how a walk most recently arrived at a node.
 END_LINE, END_HEAD, END_TAIL = 0, 1, 2
@@ -78,10 +79,10 @@ class SeparationQuery:
 def singleton_queries(n: int) -> Iterator[tuple[int, int, frozenset]]:
     """Every unordered singleton pair ``x < y`` over nodes 1..n with every
     conditioning set drawn from the remaining nodes."""
+    full = (1 << n) - 1
     for x, y in combinations(range(1, n + 1), 2):
-        rest = [v for v in range(1, n + 1) if v != x and v != y]
-        for pick in range(1 << len(rest)):
-            yield x, y, frozenset(rest[i] for i in range(len(rest)) if pick >> i & 1)
+        for zm in _submasks(full & ~(1 << (x - 1)) & ~(1 << (y - 1))):
+            yield x, y, frozenset(_bits(zm))
 
 
 def _query_masks(g: MixedGraph, q: SeparationQuery):
@@ -227,16 +228,7 @@ def extended_subgraph(g: MixedGraph, nodes: Iterable[int]) -> MixedGraph:
 def _extended_masks(g: MixedGraph, smask: int):
     pa, ch, ne, _bi = g._adj
     anm = g._an_mask(smask)
-    ccm = g._cc_mask(anm)
-    pa_e = [0] * (g.n + 1)
-    ch_e = [0] * (g.n + 1)
-    ne_e = [0] * (g.n + 1)
-    for v in _bits(anm):
-        pa_e[v] = pa[v] & anm
-        ch_e[v] = ch[v] & anm
-    for v in _bits(ccm):
-        ne_e[v] = ne[v] & ccm
-    return pa_e, ch_e, ne_e
+    return _restrict(pa, anm), _restrict(ch, anm), _restrict(ne, g._cc_mask(anm))
 
 
 def augmented_graph(g: MixedGraph) -> MixedGraph:
@@ -249,11 +241,6 @@ def augmented_graph(g: MixedGraph) -> MixedGraph:
     """
     _reject_biarrows(g, "augmented graph")
     return _undirected(g, _augmented_masks(g._adj[:3], g.n))
-
-
-def _undirected(g: MixedGraph, ne) -> MixedGraph:
-    zero = [0] * (g.n + 1)
-    return MixedGraph._from_masks(g.n, (zero, zero, ne, zero), g.node_names)
 
 
 def _augmented_masks(adj3, n: int):
@@ -288,15 +275,10 @@ def marginal_graph(h: MixedGraph, nodes: Iterable[int]) -> MixedGraph:
 
 
 def _marginal_masks(ne, n: int, xm: int):
-    out = [0] * (n + 1)
-    for v in _bits(xm):
-        out[v] = ne[v] & xm
-    todo = ((1 << n) - 1) & ~xm
-    while todo:
-        # The component of dropped nodes holding the lowest one left, with
-        # the kept nodes on its border; every border pair becomes an edge.
-        comp = _spread(ne, todo & -todo, xm)
-        todo &= ~comp
+    out = _restrict(ne, xm)
+    # Each component of dropped nodes, with the kept nodes on its border;
+    # every border pair becomes an edge.
+    for comp in _components(ne, ((1 << n) - 1) & ~xm, xm):
         border = comp & xm
         for a in _bits(border):
             out[a] |= border & ~(1 << (a - 1))

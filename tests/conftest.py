@@ -4,6 +4,7 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ampadmg import MixedGraph
@@ -84,3 +85,20 @@ def random_graph(rng: random.Random, n: int, biarrow_ok: bool = False) -> MixedG
         if rng.random() < 0.3:
             arrows.add((a, b) if rank[a] < rank[b] else (b, a))
     return MixedGraph(n, arrows, lines, biarrows)
+
+
+def surgery(sem, d):
+    """The covariance of a linear SEM's variables under do(d), computed
+    here, not by the package: d's rows of the coefficient matrix are
+    zeroed, d gets independent unit noise, and the other nodes keep their
+    marginal noise covariance.  Node i is index i - 1."""
+    n = sem.graph.n
+    b = np.zeros((n, n))
+    for (t, h), v in sem.beta.items():
+        if h not in d:
+            b[h - 1, t - 1] = v
+    keep = [i - 1 for i in range(1, n + 1) if i not in d]
+    noise = np.eye(n)
+    noise[np.ix_(keep, keep)] = sem.noise_cov[np.ix_(keep, keep)]
+    delta = np.linalg.inv(np.eye(n) - b)
+    return delta @ noise @ delta.T

@@ -28,7 +28,7 @@ from ampadmg import (
     separated,
     with_regime_nodes,
 )
-from conftest import DATA, load_bench, random_graph, singleton_queries
+from conftest import DATA, load_bench, random_graph, singleton_queries, surgery
 
 
 def oracle_intervene(g, x):
@@ -294,23 +294,10 @@ def test_check_derivation(ident_alt, ident_orig):
 # unit noise, and every other node keeps the marginal of its noise covariance.
 # Each rule's premise must hold exactly when its Gaussian identity does, and a
 # separation of intervene(g, D) exactly when the partial correlation under
-# do(D) vanishes.  Only random_sem and ci_test come from the package.
+# do(D) vanishes.  Only random_sem and ci_test come from the package; the
+# surgery is conftest.surgery.
 
 SURGERY_TOL = 1e-8
-
-
-def _surgery(sem, d):
-    # The covariance of the variables under do(d); node i is index i - 1.
-    n = sem.graph.n
-    b = np.zeros((n, n))
-    for (t, h), v in sem.beta.items():
-        if h not in d:
-            b[h - 1, t - 1] = v
-    keep = [i - 1 for i in range(1, n + 1) if i not in d]
-    noise = np.eye(n)
-    noise[np.ix_(keep, keep)] = sem.noise_cov[np.ix_(keep, keep)]
-    delta = np.linalg.inv(np.eye(n) - b)
-    return delta @ noise @ delta.T
 
 
 def _regression(sigma, y, s):
@@ -347,7 +334,7 @@ def _surgery_graphs():
     rng = random.Random(61)
     graphs += [random_graph(rng, 4) for _ in range(40)]
     for seed, g in enumerate(graphs):
-        yield g, cache(partial(_surgery, random_sem(g, seed)))
+        yield g, cache(partial(surgery, random_sem(g, seed)))
 
 
 def test_rule_premises_match_sem_surgery():

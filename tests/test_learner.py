@@ -27,18 +27,20 @@ from ampadmg import (
     ProblemTooLargeError,
     SeparationQuery,
     atom_line,
+    ci_test,
     enumerate_graphs,
     export_asp,
     intervene,
     learn,
     parse_atom_line,
     parse_constraints,
+    random_sem,
     regime_graph,
     score,
     separated,
 )
 from ampadmg import learner
-from conftest import DATA, random_graph
+from conftest import DATA, random_graph, singleton_queries, surgery
 
 OBS = parse_constraints((DATA / "indeps-obs.txt").read_text())
 FULL = parse_constraints((DATA / "indeps-full.txt").read_text())
@@ -492,6 +494,47 @@ def test_learn_matches_brute_force():
         if any(c.regime for c in p.constraints):
             seen.add("regimes")
     assert len(seen) == 7, seen
+
+
+# -- learning from exact covariances ---------------------------------------------
+#
+# The constraints come from data the learner did not write: the covariance of
+# a seeded SEM under each single-node intervention (conftest.surgery), one
+# weight-1 constraint per singleton query per regime.  A model may beat the
+# truth by dropping an edge and breaking one indep, so only a model that breaks
+# nothing must have the truth's separations.
+
+
+def _covariance_problem(truth, seed):
+    sem = random_sem(truth, seed)
+    constraints = [Constraint("indep" if ci_test(surgery(sem, {r} - {0}), x, y, z) else "dep",
+                              x, y, z, regime=r)
+                   for r in range(truth.n + 1) for x, y, z in singleton_queries(truth.n)]
+    return LearnProblem(truth.n, constraints)
+
+
+def _regime_separations(g):
+    return [[separated(intervene(g, {r} - {0}), SeparationQuery({x}, {y}, z))
+             for x, y, z in singleton_queries(g.n)] for r in range(g.n + 1)]
+
+
+def test_learn_from_exact_covariances():
+    kinds = set()
+    for n, draws in ((3, 30), (4, 10)):
+        rng = random.Random(100 + n)
+        for s in range(draws):
+            truth = random_graph(rng, n)
+            p = _covariance_problem(truth, s)
+            assert score(truth, p) == edge_penalty(truth, p), (truth, s)
+            result = learn(p)
+            assert result.optimal_score <= edge_penalty(truth, p), (truth, s)
+            for m in result.models:
+                breaks_nothing = edge_penalty(m, p) == result.optimal_score
+                kinds.add(breaks_nothing)
+                if breaks_nothing:
+                    assert _regime_separations(m) == _regime_separations(truth), (truth, s, m)
+    # Both kinds of optimal model occur (n = 4, s = 7 gives six that break an indep).
+    assert kinds == {True, False}
 
 
 # -- atom lines ------------------------------------------------------------------

@@ -156,6 +156,18 @@ def test_query_validation():
         SeparationQuery({1}, {2}, {2, 3})
 
 
+def test_singleton_queries_order_is_pinned():
+    # equiv-check and sem-check walk the queries in this order, and print
+    # per-query lines in it when something fails.
+    for n in range(8):
+        expected = []
+        for x, y in combinations(range(1, n + 1), 2):
+            rest = [v for v in range(1, n + 1) if v != x and v != y]
+            for pick in range(1 << len(rest)):
+                expected.append((x, y, frozenset(r for i, r in enumerate(rest) if pick >> i & 1)))
+        assert list(singleton_queries(n)) == expected, n
+
+
 # -- route engine -------------------------------------------------------------
 
 

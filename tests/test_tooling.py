@@ -60,3 +60,17 @@ def test_one_raise_site_refuses_biarrows():
     sites = sorted(f"{path.name}:{func}" for path in SRC.glob("*.py")
                    for func in _raise_sites(ast.parse(path.read_text()), "UnsupportedDialectError"))
     assert sites == ["separation.py:_reject_biarrows", "separation.py:marginal_graph"]
+
+
+KERNEL_HELPERS = ("_bits", "_union", "_spread", "_submasks", "_restrict", "_components",
+                  "_undirected")
+
+
+def test_each_kernel_helper_has_one_definition_in_graph():
+    # The bitmask helpers the engines share are written once, in graph.py.
+    defined = {name: [] for name in KERNEL_HELPERS}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in defined:
+                defined[node.name].append(path.name)
+    assert defined == {name: ["graph.py"] for name in KERNEL_HELPERS}
