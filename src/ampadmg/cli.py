@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from dataclasses import replace
@@ -41,16 +42,18 @@ def _node_set(g: MixedGraph, raw: str | None) -> frozenset:
     return _node_list(raw, g.n, _label_index(g.node_names))
 
 
-def _non_negative(what: str):
-    """An argparse type for an integer >= 0: numpy's generators take only
-    such seeds, and the learner only such penalties."""
-    def parse_value(text: str) -> int:
+def _non_negative(what: str, kind=int):
+    """An argparse type for a finite number >= 0: numpy's generators take
+    only such seeds and the learner only such penalties, and a negative, NaN
+    or infinite tolerance would fail or pass every Gaussian check."""
+    def parse_value(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"{what} must be non-negative, got {value}")
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be non-negative and finite, got {value}")
         return value
     return parse_value
 
@@ -60,10 +63,7 @@ def _names(g: MixedGraph, nodes: Iterable[int]) -> str:
 
 
 def _fmt_stmt(g: MixedGraph, s: CiStatement) -> str:
-    body = f"{{{_names(g, s.x)}}} _||_ {{{_names(g, s.y)}}} | {{{_names(g, s.z)}}}"
-    if s.regime:
-        body += f" regime={g.node_label(s.regime)}"
-    return body
+    return f"{{{_names(g, s.x)}}} _||_ {{{_names(g, s.y)}}} | {{{_names(g, s.z)}}}"
 
 
 # -- subcommands -----------------------------------------------------------
@@ -280,14 +280,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=("graph", "gaussian"), default="graph")
     p.add_argument("--criterion", type=int, choices=(1, 2, 3, 4), default=2)
     p.add_argument("--seed", type=_non_negative("seed"), default=0)
-    p.add_argument("--tol", type=float, default=CI_TOL)
+    p.add_argument("--tol", type=_non_negative("tolerance", float), default=CI_TOL)
 
     p = graph_command("sem-check", _cmd_sem_check,
                       "check separations against a random Gaussian model's "
                       "partial correlations")
     p.add_argument("--criterion", type=int, choices=(1, 2, 3, 4), default=2)
     p.add_argument("--seed", type=_non_negative("seed"), default=0)
-    p.add_argument("--tol", type=float, default=CI_TOL)
+    p.add_argument("--tol", type=_non_negative("tolerance", float), default=CI_TOL)
 
     p = command("learn", _cmd_learn,
                 "list all penalty-minimal graphs satisfying weighted constraints")

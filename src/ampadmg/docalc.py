@@ -7,14 +7,14 @@ running entirely through x are joined directly, so the dependence carried
 by that path survives.  In the original dialect the biarrows touching x
 are simply removed.
 
-Every intervened graph comes from :func:`_intervened`, memoised on the
-graph it cuts.  Rule premises are separation queries on it.  Rules 2 and
-3 add one indicator F with an arrow into every node of z, where the
-reference :func:`with_regime_nodes` adds one per node: a walk from F
-starts ``F -> v`` for some v in z, as a walk from v's own indicator does,
-and a walk that passes F again can be cut at its last visit without
-changing its inner colliders.  F may be added after the cut, because z
-and x are disjoint and F has no lines.
+Every intervened graph is built from the masks :func:`_cut` returns,
+which nothing memoises.  Rule premises are separation queries on them.
+Rules 2 and 3 add one indicator F with an arrow into every node of z,
+where the reference :func:`with_regime_nodes` adds one per node: a walk
+from F starts ``F -> v`` for some v in z, as a walk from v's own
+indicator does, and a walk that passes F again can be cut at its last
+visit without changing its inner colliders.  F may be added after the cut,
+because z and x are disjoint and F has no lines.
 """
 
 from __future__ import annotations
@@ -30,29 +30,26 @@ from .separation import SeparationQuery, _marginal_masks, connects_route
 
 
 def intervene(g: MixedGraph, x: Iterable[int]) -> MixedGraph:
-    """The graph after forcing the nodes in x from outside (memoised)."""
-    return _intervened(g, g.node_mask(x))
+    """The graph after forcing the nodes in x from outside; g for an empty x."""
+    xm = g.node_mask(x)
+    return MixedGraph._from_masks(g.n, _cut(g, xm), g.node_names) if xm else g
 
 
-def _intervened(g: MixedGraph, xm: int) -> MixedGraph:
-    # Cut the arrows into x, drop the biarrows at x and marginalise the
-    # lines onto the nodes outside x.  The memo never holds g itself: a
-    # cycle would keep every scored learner candidate alive until collected.
+def _cut(g: MixedGraph, xm: int) -> tuple:
+    # g's (pa, ch, ne, bi) masks with the arrows into x cut, the biarrows at
+    # x dropped and the lines marginalised onto the nodes outside x.  For an
+    # empty x they are g's own masks: a caller copies before it extends them.
     if not xm:
-        return g
-    cut = g._cut_cache.get(xm)
-    if cut is None:
-        n = g.n
-        pa, ch, ne, bi = g._adj
-        keep = ((1 << n) - 1) & ~xm
-        pa_x = [0] * (n + 1)
-        bi_x = [0] * (n + 1)
-        for v in _bits(keep):
-            pa_x[v] = pa[v]
-            bi_x[v] = bi[v] & keep
-        adj = pa_x, [m & keep for m in ch], _marginal_masks(ne, n, keep), bi_x
-        cut = g._cut_cache[xm] = MixedGraph._from_masks(n, adj, g.node_names)
-    return cut
+        return g._adj
+    n = g.n
+    pa, ch, ne, bi = g._adj
+    keep = ((1 << n) - 1) & ~xm
+    pa_x = [0] * (n + 1)
+    bi_x = [0] * (n + 1)
+    for v in _bits(keep):
+        pa_x[v] = pa[v]
+        bi_x[v] = bi[v] & keep
+    return pa_x, [m & keep for m in ch], _marginal_masks(ne, n, keep), bi_x
 
 
 @dataclass(frozen=True)
@@ -136,11 +133,11 @@ def rule_applicable(g: MixedGraph, rule: int, x: Iterable[int], y: Iterable[int]
         seen |= m
     if not zm:
         return True  # empty z: the rewrite is the identity
-    cut = _intervened(g, xm)
+    pa, ch, ne, bi = cut = _cut(g, xm)
     if rule == 1:
-        return not connects_route(cut, SeparationQuery._from_masks(ym, zm, xm | wm))
-    pa, ch, ne, bi = cut._adj
-    f = 1 << g.n  # the indicator, node n + 1, added to copies of cut's masks
+        return not connects_route(MixedGraph._from_masks(g.n, cut),
+                                  SeparationQuery._from_masks(ym, zm, xm | wm))
+    f = 1 << g.n  # the indicator, node n + 1, added to copies of the cut masks
     pa_f = pa + [0]
     for v in _bits(zm):
         pa_f[v] |= f

@@ -178,20 +178,6 @@ def _peel(pa, ch, n: int) -> list[int]:
     return order
 
 
-class _Memo:
-    """A memo dict made on a graph's first access: ``cached_property``
-    without its lock, which every scored learner candidate would pay."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, g, owner=None):
-        if g is None:
-            return self
-        memo = g.__dict__[self.name] = {}
-        return memo
-
-
 class MixedGraph:
     """An immutable mixed graph over the nodes ``1..n``, stored as its
     per-node adjacency masks ``(pa, ch, ne, bi)``: parents, children, line
@@ -317,9 +303,8 @@ class MixedGraph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    _an_cache = _Memo()  # _an_mask, keyed by the seed mask
-    _moral_cache = _Memo()  # separation._moral_masks, keyed by (criterion, ancestor set)
-    _cut_cache = _Memo()  # docalc._intervened, keyed by the forced mask
+    _an_cache = cached_property(lambda g: {})  # _an_mask, keyed by the seed mask
+    _moral_cache = cached_property(lambda g: {})  # _moral_masks, by (criterion, An set)
 
     def node_mask(self, nodes: Iterable[int]) -> int:
         mask = 0

@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Iterator
 
-from .docalc import _intervened, intervene
+from .docalc import _cut, intervene
 from .errors import (
     NodeOutOfRangeError,
     NoFeasibleModelError,
@@ -130,13 +130,15 @@ class LearnProblem:
     def _checks(self):
         # The highest node any constraint names, then the dep and the indep
         # constraints as (regime mask, ((x, y, cond) masks plus weight, ...)).
+        # Deps by rising, indeps by falling regime: score cuts a shared top one once.
         top = 0
         split = {"dep": defaultdict(list), "indep": defaultdict(list)}
         for c in self.constraints:
             top = max(top, c.x, c.y, c.regime, *c.cond)
             split[c.kind][1 << (c.regime - 1) if c.regime else 0].append(
                 (1 << (c.x - 1), 1 << (c.y - 1), set_index(c.cond), c.weight))
-        return top, tuple(split["dep"].items()), tuple(split["indep"].items())
+        return (top, tuple(sorted(split["dep"].items())),
+                tuple(sorted(split["indep"].items(), reverse=True)))
 
     def _norm_prior(self, prior):
         kind, a, b = prior
@@ -177,14 +179,16 @@ def score(g: MixedGraph, p: LearnProblem) -> int | None:
     top, deps, indeps = p._checks
     if top > g.n:
         raise NodeOutOfRangeError(f"constraint node {top} out of range 1..{g.n}")
-    for rm, checks in deps:
-        adj = _intervened(g, rm)._adj
+    cut_rm = None
+    for cut_rm, checks in deps:
+        adj = _cut(g, cut_rm)
         for xm, ym, zm, _w in checks:
             if not _route_connected(adj, xm, ym, zm):
                 return None
     total = _edge_penalty(g, p)
     for rm, checks in indeps:
-        adj = _intervened(g, rm)._adj
+        if rm != cut_rm:
+            cut_rm, adj = rm, _cut(g, rm)
         for xm, ym, zm, weight in checks:
             if _route_connected(adj, xm, ym, zm):
                 total += weight

@@ -221,11 +221,15 @@ def _local(g, cm, ndm):
 
 def separation_oracle(g: MixedGraph, criterion: int = 2) -> Callable[[CiStatement], bool]:
     """Oracle that decides statements by graphical separation, applying the
-    statement's regime intervention first when one is set; every statement
-    of a regime is decided on the one graph ``intervene`` memoises for it."""
+    statement's regime intervention first when one is set.  The oracle cuts
+    each regime once and keeps the cut graph, so every statement of a regime
+    is decided on one graph and criteria 3 and 4 share its moral memo."""
+    cuts = {OBSERVATIONAL: g}
 
     def oracle(stmt: CiStatement) -> bool:
-        gr = docalc.intervene(g, [stmt.regime]) if stmt.regime else g
+        gr = cuts.get(stmt.regime)
+        if gr is None:
+            gr = cuts[stmt.regime] = docalc.intervene(g, [stmt.regime])
         return separation.separated(gr, stmt, criterion)
 
     return oracle

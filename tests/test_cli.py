@@ -157,6 +157,20 @@ def test_equiv_check_reports_query_count(capsys):
     assert capsys.readouterr().out == "240 queries, criteria 1-4 agree\n"
 
 
+def test_equiv_check_reports_a_disagreement_and_exits_3(capsys, monkeypatch):
+    real = cli.separated
+
+    def criterion_4_flips_one(g, q, criterion=2):
+        verdict = real(g, q, criterion)
+        flip = criterion == 4 and (q.x, q.y, q.z) == ({1}, {3}, {2})
+        return not verdict if flip else verdict
+
+    monkeypatch.setattr(cli, "separated", criterion_4_flips_one)
+    assert main(["equiv-check", "--graph", str(DATA / "double-edge.g")]) == 3
+    assert capsys.readouterr().out == (
+        "disagreement: x=A y=D z={B}  1:connected 2:connected 3:connected 4:separated\n")
+
+
 # -- magnify / intervene -----------------------------------------------------
 
 
@@ -314,6 +328,27 @@ def test_negative_penalty_is_usage_error(capsys):
             assert f"{kind} penalty must be non-negative" in captured.err
 
 
+def test_non_integer_seed_is_usage_error(capsys):
+    assert main(["sem-check", "--graph", str(DATA / "mixed6.g"), "--seed", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid seed 'x'" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_tolerance_that_is_negative_or_not_finite_is_usage_error(tol, capsys):
+    # Such a tolerance would report every separation as a violation (nan,
+    # -1) or pass every one (inf).
+    for argv in (["sem-check", "--graph", str(DATA / "mixed6.g")],
+                 ["markov-verify", "--graph", str(DATA / "mixed6.g"),
+                  "--property", "ordered-pairwise", "--oracle", "gaussian"]):
+        assert main(argv + ["--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage:")
+        assert "tolerance must be non-negative and finite" in captured.err
+
+
 # -- sem-check ---------------------------------------------------------------
 
 
@@ -387,6 +422,20 @@ def test_learn_bad_constraint_file_is_usage_error(tmp_path, capsys):
     code = main(["learn", "--constraints", str(cfile)])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("forbid arrow 1", "line 2: forbid needs an edge kind and two nodes"),
+    ("forbid arrow 1 1", "prior edge endpoints must differ"),
+    ("dep 1 1 {} 0 1", "line 2: constraint endpoints must differ"),
+])
+def test_malformed_constraint_line_is_usage_error(line, message, tmp_path, capsys):
+    cfile = tmp_path / "c.txt"
+    cfile.write_text(f"nodes 3\n{line}\n")
+    assert main(["learn", "--constraints", str(cfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_negative_node_count_is_usage_error(tmp_path, capsys):

@@ -33,6 +33,7 @@ from ampadmg import (
     set_index,
     verify_statements,
 )
+from ampadmg import docalc
 from conftest import DATA, random_graph, singleton_queries
 
 
@@ -447,14 +448,22 @@ def test_separation_oracle_uses_regime_graphs():
     assert intervene(g, [2]).arrows == frozenset()
 
 
-def test_separation_oracle_shares_one_graph_per_regime(mixed6):
+def test_separation_oracle_shares_one_graph_per_regime(mixed6, monkeypatch):
+    cuts = []
+
+    def counted(g, x):
+        cuts.append(intervene(g, x))
+        return cuts[-1]
+
+    monkeypatch.setattr(docalc, "intervene", counted)
     oracle = separation_oracle(mixed6, 4)
-    for a in (1, 2, 3):
-        for b in (4, 5, 6):
-            oracle(CiStatement({a}, {b}, {2, 3} - {a}, regime=2))
-    cut = intervene(mixed6, [2])
-    assert list(mixed6._cut_cache.values()) == [cut]
-    assert cut._moral_cache and "_moral_cache" not in mixed6.__dict__
+    for regime in (2, 5):
+        for a in (1, 2, 3):
+            for b in (4, 5, 6):
+                oracle(CiStatement({a}, {b}, {2, 3} - {a}, regime=regime))
+    assert cuts == [intervene(mixed6, [2]), intervene(mixed6, [5])]
+    assert all(cut._moral_cache for cut in cuts)
+    assert "_moral_cache" not in mixed6.__dict__
 
 
 def test_gaussian_oracle_matches_graph_oracle():

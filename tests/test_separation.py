@@ -25,7 +25,7 @@ from ampadmg import (
 )
 from ampadmg.graph import MAX_GRAPH_NODES
 from ampadmg.separation import _moral_masks
-from conftest import DATA, random_graph, singleton_queries
+from conftest import DATA, load_bench, random_graph, singleton_queries
 
 
 # -- brute-force oracles ------------------------------------------------------
@@ -195,6 +195,28 @@ def test_route_matches_walk_oracle_random_n4():
             q = SeparationQuery({x}, {y}, z)
             assert connects_route(g, q) == oracle_route_connected(
                 g, {x}, {y}, z), (g, x, y, z)
+
+
+def test_criterion_2_matches_networkx_on_line_free_graphs():
+    # bench/oracle.py runs networkx's is_d_separator, each biarrow replaced
+    # by a latent common parent: every arrows-only graph with n <= 4, every
+    # original-dialect graph with n <= 3 and seeded biarrow graphs to n = 8.
+    oracle = load_bench("oracle")
+    graphs = [g for n in (1, 2, 3) for g in enumerate_graphs(n, Dialect.ORIGINAL)]
+    graphs += [g for g in enumerate_graphs(4, Dialect.ORIGINAL) if not g.biarrows]
+    assert len(graphs) == 207 + 543
+    rng = random.Random(47)
+    for n in (5, 5, 6, 6, 7, 7, 8, 8):
+        g = random_graph(rng, n)
+        graphs.append(MixedGraph(n, g.arrows, biarrows=g.lines))
+    checked = 0
+    for g in graphs:
+        og = oracle.Graph(g.n, g.arrows, biarrows=g.biarrows)
+        for x, y, z in singleton_queries(g.n):
+            assert (separated(g, SeparationQuery({x}, {y}, z))
+                    == oracle.separated(og, {x}, {y}, z)), (g, x, y, z)
+            checked += 1
+    assert checked == 19_806
 
 
 def _random_sets(rng, n):
