@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .docalc import check_derivation, intervene, parse_derivation, rule_applicable
 from .errors import AmpAdmgError, NoFeasibleModelError, ParseError
-from .graph import Dialect, MixedGraph, _label_index, _node_list, parse, serialize, set_index
+from .graph import Dialect, MixedGraph, _bits, _label_index, _node_list, parse, serialize
 from .learner import (MAX_NODES_DEFAULT, atom_line, export_asp, learn,
                       parse_constraints)
 from .markov import (CiStatement, OrderedContext, amp_statements,
@@ -28,7 +28,7 @@ from .markov import (CiStatement, OrderedContext, amp_statements,
                      ordered_pairwise_statements, separation_oracle,
                      verify_statements)
 from .sem import CI_TOL, ci_test, implied_covariance, magnify, random_sem
-from .separation import SeparationQuery, separated, singleton_queries
+from .separation import SeparationQuery, _singleton_masks, separated
 
 
 def _load_graph(path: str) -> MixedGraph:
@@ -84,16 +84,16 @@ def _cmd_sep(args: argparse.Namespace) -> int:
 def _cmd_equiv_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     checked = 0
-    for x, y, z in singleton_queries(g.n):
-        q = SeparationQuery._from_masks(1 << (x - 1), 1 << (y - 1), set_index(z))
+    for masks in _singleton_masks(g.n):
+        q = SeparationQuery._from_masks(*masks)
         verdicts = [separated(g, q, criterion=c) for c in (1, 2, 3, 4)]
         checked += 1
         if len(set(verdicts)) != 1:
             detail = " ".join(
                 f"{c}:{'separated' if v else 'connected'}"
                 for c, v in zip((1, 2, 3, 4), verdicts))
-            print(f"disagreement: x={_names(g, [x])} y={_names(g, [y])} "
-                  f"z={{{_names(g, z)}}}  {detail}")
+            print(f"disagreement: x={_names(g, q.x)} y={_names(g, q.y)} "
+                  f"z={{{_names(g, q.z)}}}  {detail}")
             return 3
     print(f"{checked} queries, criteria 1-4 agree")
     return 0
@@ -163,14 +163,15 @@ def _cmd_markov_verify(args: argparse.Namespace) -> int:
 
 def _cmd_sem_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
+    queries = _singleton_masks(g.n)  # refuses a graph over the cap before sigma is built
     sigma = implied_covariance(random_sem(g, seed=args.seed))
     seps = violations = 0
-    for x, y, z in singleton_queries(g.n):
-        s = CiStatement._from_masks(1 << (x - 1), 1 << (y - 1), set_index(z))
+    for xm, ym, zm in queries:
+        s = CiStatement._from_masks(xm, ym, zm)
         if not separated(g, s, criterion=args.criterion):
             continue
         seps += 1
-        if not ci_test(sigma, x, y, z, tol=args.tol):
+        if not ci_test(sigma, xm.bit_length(), ym.bit_length(), _bits(zm), tol=args.tol):
             violations += 1
             print(f"VIOLATION {_fmt_stmt(g, s)}")
     print(f"seed {args.seed}, tol {args.tol:g}: "

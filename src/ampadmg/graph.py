@@ -87,8 +87,10 @@ def _bits(mask: int) -> Iterator[int]:
 def _union(step, mask: int) -> int:
     """OR of ``step[v]`` over the nodes v in ``mask``."""
     out = 0
-    for v in _bits(mask):
-        out |= step[v]
+    while mask:
+        low = mask & -mask
+        out |= step[low.bit_length()]
+        mask ^= low
     return out
 
 

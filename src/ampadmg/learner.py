@@ -396,6 +396,8 @@ def parse_constraints(text: str) -> LearnProblem:
             if len(tokens) != 4 or tokens[1] not in EDGE_KINDS:
                 raise ParseError(f"{kw} needs an edge kind and two nodes", line_no)
             a, b = (_node(t, n, {}, line_no) for t in tokens[2:])
+            if a == b:
+                raise ParseError("prior edge endpoints must differ", line_no)
             (forbidden if kw == "forbid" else required).add((tokens[1], a, b))
         else:
             raise ParseError(f"unrecognised line {line!r}", line_no)

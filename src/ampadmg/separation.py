@@ -34,7 +34,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .errors import MalformedQueryError, UnsupportedDialectError
+from .errors import MalformedQueryError, ProblemTooLargeError, UnsupportedDialectError
 from .graph import (MAX_GRAPH_NODES, Dialect, MixedGraph, _bits, _components, _restrict,
                     _spread, _submasks, _undirected, _union, set_index)
 
@@ -76,13 +76,28 @@ class SeparationQuery:
     z = cached_property(lambda q: frozenset(_bits(q.zm)))
 
 
-def singleton_queries(n: int) -> Iterator[tuple[int, int, frozenset]]:
-    """Every unordered singleton pair ``x < y`` over nodes 1..n with every
-    conditioning set drawn from the remaining nodes."""
+MAX_SWEEP_NODES = 16
+"""The most nodes a singleton sweep accepts: it asks n(n-1)/2 * 2^(n-2)
+questions, about 2 M at n = 16."""
+
+
+def _singleton_masks(n: int) -> Iterator[tuple[int, int, int]]:
+    """The masks ``(xm, ym, zm)`` of every unordered singleton pair ``x < y``
+    over nodes 1..n with every conditioning set drawn from the remaining
+    nodes: x, y in lexicographic order, then z in increasing mask order.
+    An n above ``MAX_SWEEP_NODES`` is refused at the call, before any query."""
+    if n > MAX_SWEEP_NODES:
+        raise ProblemTooLargeError(f"n={n} exceeds the singleton sweep cap of "
+                                   f"{MAX_SWEEP_NODES}")
     full = (1 << n) - 1
-    for x, y in combinations(range(1, n + 1), 2):
-        for zm in _submasks(full & ~(1 << (x - 1)) & ~(1 << (y - 1))):
-            yield x, y, frozenset(_bits(zm))
+    return ((xm, ym, zm) for xm, ym in combinations([1 << i for i in range(n)], 2)
+            for zm in _submasks(full & ~xm & ~ym))
+
+
+def singleton_queries(n: int) -> Iterator[tuple[int, int, frozenset]]:
+    """The queries of :func:`_singleton_masks` as ``(x, y, z)`` node sets."""
+    for xm, ym, zm in _singleton_masks(n):
+        yield xm.bit_length(), ym.bit_length(), frozenset(_bits(zm))
 
 
 def _query_masks(g: MixedGraph, q: SeparationQuery):
@@ -125,8 +140,11 @@ def _route_connected(adj, xm: int, ym: int, zm: int) -> bool:
     while True:
         # The nodes first reached with each end mark: line, head, tail.
         fl = fh = ft = 0
-        for v in _bits(by_line | by_arrow | by_pa):  # by_bi lies in by_line
-            vb = 1 << (v - 1)
+        todo = by_line | by_arrow | by_pa  # by_bi lies in by_line
+        while todo:
+            vb = todo & -todo
+            todo ^= vb
+            v = vb.bit_length()
             if by_line & vb:
                 fl |= ne[v]
             if by_arrow & vb:
@@ -188,22 +206,31 @@ def _path_connected(adj, xm: int, ym: int, dtm: int, anm: int) -> bool:
             targets = ne[v]
             if targets & ym:
                 return True
-            for w in _bits(targets & ~vis):
-                stack.append((w, END_LINE, vis | (1 << (w - 1))))
+            rest = targets & ~vis
+            while rest:
+                wb = rest & -rest
+                rest ^= wb
+                stack.append((wb.bit_length(), END_LINE, vis | wb))
         # arrow out of v
         if mark is None or not in_dt:
             targets = ch[v]
             if targets & ym:
                 return True
-            for w in _bits(targets & ~vis):
-                stack.append((w, END_HEAD, vis | (1 << (w - 1))))
+            rest = targets & ~vis
+            while rest:
+                wb = rest & -rest
+                rest ^= wb
+                stack.append((wb.bit_length(), END_HEAD, vis | wb))
         # against an arrow into v
         if mark is None or ((not in_dt) if mark == END_TAIL else passes_collider):
             targets = pa[v]
             if targets & ym:
                 return True
-            for w in _bits(targets & ~vis):
-                stack.append((w, END_TAIL, vis | (1 << (w - 1))))
+            rest = targets & ~vis
+            while rest:
+                wb = rest & -rest
+                rest ^= wb
+                stack.append((wb.bit_length(), END_TAIL, vis | wb))
     return False
 
 

@@ -9,6 +9,7 @@ import contextlib
 import hashlib
 import io
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from ampadmg import (
 )
 from ampadmg import cli
 from ampadmg.cli import main, run
+from ampadmg.separation import MAX_SWEEP_NODES
 
 from conftest import DATA
 
@@ -169,6 +171,41 @@ def test_equiv_check_reports_a_disagreement_and_exits_3(capsys, monkeypatch):
     assert main(["equiv-check", "--graph", str(DATA / "double-edge.g")]) == 3
     assert capsys.readouterr().out == (
         "disagreement: x=A y=D z={B}  1:connected 2:connected 3:connected 4:separated\n")
+
+
+def test_sweep_commands_ask_through_the_cli_names(capsys, monkeypatch):
+    # bench/spans.py counts the sweeps' questions by wrapping these names.
+    asked = Counter()
+    real_separated, real_ci_test = cli.separated, cli.ci_test
+
+    def counting_separated(g, q, criterion=2):
+        asked[criterion] += 1
+        return real_separated(g, q, criterion=criterion)
+
+    def counting_ci_test(*args, **kwargs):
+        asked["ci_test"] += 1
+        return real_ci_test(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "separated", counting_separated)
+    monkeypatch.setattr(cli, "ci_test", counting_ci_test)
+    assert main(["equiv-check", "--graph", str(DATA / "mixed6.g")]) == 0
+    assert capsys.readouterr().out == "240 queries, criteria 1-4 agree\n"
+    assert asked == {1: 240, 2: 240, 3: 240, 4: 240}
+    asked.clear()
+    assert main(["sem-check", "--graph", str(DATA / "mixed6.g")]) == 0
+    assert capsys.readouterr().out == "seed 0, tol 1e-07: 25 separations checked, 0 violations\n"
+    assert asked == {2: 240, "ci_test": 25}
+
+
+@pytest.mark.parametrize("command", ["equiv-check", "sem-check"])
+def test_singleton_sweep_refuses_more_nodes_than_its_cap(command, tmp_path, capsys):
+    # One node over the cap is refused before the first query.
+    g = graph_file(tmp_path, f"nodes {MAX_SWEEP_NODES + 1}\n")
+    assert main([command, "--graph", g]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: n={MAX_SWEEP_NODES + 1} exceeds the singleton "
+                            f"sweep cap of {MAX_SWEEP_NODES}\n")
 
 
 # -- magnify / intervene -----------------------------------------------------
@@ -426,7 +463,8 @@ def test_learn_bad_constraint_file_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("line,message", [
     ("forbid arrow 1", "line 2: forbid needs an edge kind and two nodes"),
-    ("forbid arrow 1 1", "prior edge endpoints must differ"),
+    ("forbid arrow 1 1", "line 2: prior edge endpoints must differ"),
+    ("require line 3 3", "line 2: prior edge endpoints must differ"),
     ("dep 1 1 {} 0 1", "line 2: constraint endpoints must differ"),
 ])
 def test_malformed_constraint_line_is_usage_error(line, message, tmp_path, capsys):

@@ -203,6 +203,22 @@ def test_ci_test_chain_blocks():
     assert not ci_test(sigma, 1, 3, frozenset())
 
 
+def test_ci_test_partial_correlation_is_bit_exact():
+    # The reference |pcorr| is the plain numpy formula.  ci_test must
+    # reproduce it to the last bit: False at tol = |pcorr|, True one ulp above.
+    rng = random.Random(31)
+    for n in (5, 6, 7):
+        for _ in range(3):
+            g = random_graph(rng, n)
+            sigma = implied_covariance(random_sem(g, rng.randint(0, 10**6)))
+            for x, y, z in singleton_queries(n):
+                idx = [x - 1, y - 1] + [i - 1 for i in sorted(z)]
+                prec = np.linalg.inv(sigma[np.ix_(idx, idx)])
+                ref = float(abs(-prec[0, 1] / np.sqrt(prec[0, 0] * prec[1, 1])))
+                assert not ci_test(sigma, x, y, z, tol=ref), (g, x, y, z)
+                assert ci_test(sigma, x, y, z, tol=np.nextafter(ref, np.inf)), (g, x, y, z)
+
+
 def test_ci_test_validation():
     sigma = np.eye(3)
     with pytest.raises(ValueError):

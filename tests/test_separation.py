@@ -9,6 +9,7 @@ from ampadmg import (
     MalformedQueryError,
     MixedGraph,
     NodeOutOfRangeError,
+    ProblemTooLargeError,
     SeparationQuery,
     UnsupportedDialectError,
     augmented_graph,
@@ -24,7 +25,7 @@ from ampadmg import (
     separated_with_determinism,
 )
 from ampadmg.graph import MAX_GRAPH_NODES
-from ampadmg.separation import _moral_masks
+from ampadmg.separation import MAX_SWEEP_NODES, _moral_masks, _singleton_masks
 from conftest import DATA, load_bench, random_graph, singleton_queries
 
 
@@ -166,6 +167,12 @@ def test_singleton_queries_order_is_pinned():
             for pick in range(1 << len(rest)):
                 expected.append((x, y, frozenset(r for i, r in enumerate(rest) if pick >> i & 1)))
         assert list(singleton_queries(n)) == expected, n
+
+
+def test_singleton_sweep_is_refused_above_its_cap_at_the_call():
+    # Refused before a single mask is walked; nothing at the cap is run.
+    with pytest.raises(ProblemTooLargeError, match=f"cap of {MAX_SWEEP_NODES}$"):
+        _singleton_masks(MAX_SWEEP_NODES + 1)
 
 
 # -- route engine -------------------------------------------------------------
