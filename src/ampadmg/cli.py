@@ -20,7 +20,8 @@ from typing import Iterable, Sequence
 
 from .docalc import check_derivation, intervene, parse_derivation, rule_applicable
 from .errors import AmpAdmgError, NoFeasibleModelError, ParseError
-from .graph import Dialect, MixedGraph, _bits, _label_index, _node_list, parse, serialize
+from .graph import (Dialect, MixedGraph, _bits, _label_index, _node_list, _submasks, parse,
+                    serialize)
 from .learner import (MAX_NODES_DEFAULT, atom_line, export_asp, learn,
                       parse_constraints)
 from .markov import (CiStatement, OrderedContext, amp_statements,
@@ -28,7 +29,8 @@ from .markov import (CiStatement, OrderedContext, amp_statements,
                      ordered_pairwise_statements, separation_oracle,
                      verify_statements)
 from .sem import CI_TOL, ci_test, implied_covariance, magnify, random_sem
-from .separation import SeparationQuery, _singleton_masks, separated
+from .separation import (SeparationQuery, _refuse_past_sweep_cap, _route_lanes,
+                         _singleton_pairs, separated)
 
 
 def _load_graph(path: str) -> MixedGraph:
@@ -84,17 +86,22 @@ def _cmd_sep(args: argparse.Namespace) -> int:
 def _cmd_equiv_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     checked = 0
-    for masks in _singleton_masks(g.n):
-        q = SeparationQuery._from_masks(*masks)
-        verdicts = [separated(g, q, criterion=c) for c in (1, 2, 3, 4)]
-        checked += 1
-        if len(set(verdicts)) != 1:
-            detail = " ".join(
-                f"{c}:{'separated' if v else 'connected'}"
-                for c, v in zip((1, 2, 3, 4), verdicts))
-            print(f"disagreement: x={_names(g, q.x)} y={_names(g, q.y)} "
-                  f"z={{{_names(g, q.z)}}}  {detail}")
-            return 3
+    for xm, ym, rest in _singleton_pairs(g.n):
+        # Criterion 2 for every z of the pair at once, one lane per z.
+        lanes = _route_lanes(g._adj, xm, ym, rest)
+        for zm in _submasks(rest):
+            q = SeparationQuery._from_masks(xm, ym, zm)
+            verdicts = [separated(g, q, criterion=1), not lanes & 1,
+                        separated(g, q, criterion=3), separated(g, q, criterion=4)]
+            lanes >>= 1
+            checked += 1
+            if len(set(verdicts)) != 1:
+                detail = " ".join(
+                    f"{c}:{'separated' if v else 'connected'}"
+                    for c, v in zip((1, 2, 3, 4), verdicts))
+                print(f"disagreement: x={_names(g, q.x)} y={_names(g, q.y)} "
+                      f"z={{{_names(g, q.z)}}}  {detail}")
+                return 3
     print(f"{checked} queries, criteria 1-4 agree")
     return 0
 
@@ -148,6 +155,7 @@ def _statements_for(g: MixedGraph, prop: str) -> tuple[CiStatement, ...]:
 
 def _cmd_markov_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
+    _refuse_past_sweep_cap(g.n, "markov-verify")  # before any generator runs
     stmts = _statements_for(g, args.property)
     if args.oracle == "graph":
         oracle = separation_oracle(g, criterion=args.criterion)
@@ -163,17 +171,24 @@ def _cmd_markov_verify(args: argparse.Namespace) -> int:
 
 def _cmd_sem_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    queries = _singleton_masks(g.n)  # refuses a graph over the cap before sigma is built
+    pairs = _singleton_pairs(g.n)  # refuses a graph over the cap before sigma is built
     sigma = implied_covariance(random_sem(g, seed=args.seed))
     seps = violations = 0
-    for xm, ym, zm in queries:
-        s = CiStatement._from_masks(xm, ym, zm)
-        if not separated(g, s, criterion=args.criterion):
-            continue
-        seps += 1
-        if not ci_test(sigma, xm.bit_length(), ym.bit_length(), _bits(zm), tol=args.tol):
-            violations += 1
-            print(f"VIOLATION {_fmt_stmt(g, s)}")
+    for xm, ym, rest in pairs:
+        # Criterion 2 for every z of the pair at once, one lane per z.
+        lanes = _route_lanes(g._adj, xm, ym, rest) if args.criterion == 2 else None
+        for zm in _submasks(rest):
+            if lanes is None:
+                sep = separated(g, CiStatement._from_masks(xm, ym, zm), criterion=args.criterion)
+            else:
+                sep = not lanes & 1
+                lanes >>= 1
+            if not sep:
+                continue
+            seps += 1
+            if not ci_test(sigma, xm.bit_length(), ym.bit_length(), _bits(zm), tol=args.tol):
+                violations += 1
+                print(f"VIOLATION {_fmt_stmt(g, CiStatement._from_masks(xm, ym, zm))}")
     print(f"seed {args.seed}, tol {args.tol:g}: "
           f"{seps} separations checked, {violations} violations")
     return 0 if violations == 0 else 1

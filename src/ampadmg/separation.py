@@ -13,7 +13,10 @@ The four decision procedures:
 2. walks that may revisit nodes; colliders must be in Z, non-colliders
    must avoid Z, no exceptions -- decided by a frontier fixpoint over
    three node masks, the nodes a walk reaches with each end mark (line,
-   head, tail), in the style of the closures on the graph's masks;
+   head, tail), in the style of the closures on the graph's masks.  Its
+   lane form, ``_route_lanes``, runs the same fixpoint for every
+   conditioning set of one (x, y) pair at once, one bit per set; the
+   singleton sweeps take criterion 2 from it;
 3. reachability in the augmented graph of the extended subgraph over
    x + y + z;
 4. as 3 but with the undirected part marginalised onto the ancestor set.
@@ -78,20 +81,30 @@ class SeparationQuery:
 
 MAX_SWEEP_NODES = 16
 """The most nodes a singleton sweep accepts: it asks n(n-1)/2 * 2^(n-2)
-questions, about 2 M at n = 16."""
+questions, about 2 M at n = 16.  ``markov-verify``, whose generators walk up
+to every subset of the nodes, shares the cap."""
+
+
+def _refuse_past_sweep_cap(n: int, what: str):
+    if n > MAX_SWEEP_NODES:
+        raise ProblemTooLargeError(f"n={n} exceeds the {what} cap of {MAX_SWEEP_NODES}")
+
+
+def _singleton_pairs(n: int) -> Iterator[tuple[int, int, int]]:
+    """The masks ``(xm, ym, rest)`` of every unordered singleton pair ``x < y``
+    over nodes 1..n in lexicographic order, with ``rest`` the other nodes.
+    An n above ``MAX_SWEEP_NODES`` is refused at the call, before any query."""
+    _refuse_past_sweep_cap(n, "singleton sweep")
+    full = (1 << n) - 1
+    return ((xm, ym, full & ~xm & ~ym)
+            for xm, ym in combinations([1 << i for i in range(n)], 2))
 
 
 def _singleton_masks(n: int) -> Iterator[tuple[int, int, int]]:
-    """The masks ``(xm, ym, zm)`` of every unordered singleton pair ``x < y``
-    over nodes 1..n with every conditioning set drawn from the remaining
-    nodes: x, y in lexicographic order, then z in increasing mask order.
-    An n above ``MAX_SWEEP_NODES`` is refused at the call, before any query."""
-    if n > MAX_SWEEP_NODES:
-        raise ProblemTooLargeError(f"n={n} exceeds the singleton sweep cap of "
-                                   f"{MAX_SWEEP_NODES}")
-    full = (1 << n) - 1
-    return ((xm, ym, zm) for xm, ym in combinations([1 << i for i in range(n)], 2)
-            for zm in _submasks(full & ~xm & ~ym))
+    """The masks ``(xm, ym, zm)`` of every singleton query: the pairs of
+    :func:`_singleton_pairs`, each with every z inside its ``rest`` in
+    increasing mask order.  Refused at the call as that is."""
+    return ((xm, ym, zm) for xm, ym, rest in _singleton_pairs(n) for zm in _submasks(rest))
 
 
 def singleton_queries(n: int) -> Iterator[tuple[int, int, frozenset]]:
@@ -109,10 +122,11 @@ def _query_masks(g: MixedGraph, q: SeparationQuery):
     return q.xm, q.ym, q.zm
 
 
-def _reject_biarrows(g: MixedGraph, what: str):
-    # The one refusal of biarrows by operations defined only with lines.
+def _reject_biarrows(g: MixedGraph, what: str, *args):
+    # The one refusal of biarrows by operations defined only with lines.  The
+    # name of the operation is ``what % args``, formatted only on refusal.
     if g.dialect is Dialect.ORIGINAL:
-        raise UnsupportedDialectError(f"{what} is not defined for bidirected edges")
+        raise UnsupportedDialectError(f"{what % args} is not defined for bidirected edges")
 
 
 # -- criterion 2: the walk automaton ----------------------------------------
@@ -172,6 +186,81 @@ def _route_connected(adj, xm: int, ym: int, zm: int) -> bool:
         by_arrow = (fl | fh | ft) & ~zm
         by_pa = ((fl | fh) & zm) | (ft & ~zm)
         by_bi = (fh & zm) | (ft & ~zm)
+
+
+def _route_lanes(adj, xm: int, ym: int, rest: int) -> int:
+    """Criterion 2 for every conditioning set inside ``rest`` at once.
+
+    Bit k of the result is set iff x and y are connected given the k-th
+    submask of ``rest`` in ``_submasks`` (increasing) order.  This is
+    ``_route_connected`` with each node's reached and leave masks widened
+    to one lane int per node, one bit per conditioning set.  If v is the
+    j-th bit of ``rest``, the lanes whose set holds v are the periodic
+    pattern of bit j of the lane number, so no lane is set up one by one.
+    """
+    pa, ch, ne, bi = adj
+    size = len(pa)
+    full = (1 << (1 << rest.bit_count())) - 1
+    in_z = [0] * size
+    width = 1
+    while rest:
+        vb = rest & -rest
+        rest ^= vb
+        in_z[vb.bit_length()] = full // ((1 << 2 * width) - 1) * (((1 << width) - 1) << width)
+        width <<= 1
+    reached_line, reached_head, reached_tail = [0] * size, [0] * size, [0] * size
+    into_line, into_head, into_tail = [0] * size, [0] * size, [0] * size
+    by_line, by_arrow, by_pa, by_bi = [0] * size, [0] * size, [0] * size, [0] * size
+    for v in _bits(xm):
+        by_line[v] = by_arrow[v] = by_pa[v] = by_bi[v] = full
+    connected = 0
+    active = xm
+    while active:
+        # Every node with lanes to leave passes them on; hit collects the
+        # nodes they arrive at.
+        hit = 0
+        while active:
+            vb = active & -active
+            active ^= vb
+            v = vb.bit_length()
+            for lanes, targets, into in ((by_line[v], ne[v], into_line),
+                                         (by_arrow[v], ch[v], into_head),
+                                         (by_bi[v], bi[v], into_head),
+                                         (by_pa[v], pa[v], into_tail)):
+                if lanes and targets:
+                    hit |= targets
+                    while targets:
+                        wb = targets & -targets
+                        targets ^= wb
+                        into[wb.bit_length()] |= lanes
+            by_line[v] = by_arrow[v] = by_pa[v] = by_bi[v] = 0
+        while hit:
+            vb = hit & -hit
+            hit ^= vb
+            v = vb.bit_length()
+            fl = into_line[v] & ~reached_line[v]
+            fh = into_head[v] & ~reached_head[v]
+            ft = into_tail[v] & ~reached_tail[v]
+            into_line[v] = into_head[v] = into_tail[v] = 0
+            if not fl | fh | ft:
+                continue
+            reached_line[v] |= fl
+            reached_head[v] |= fh
+            reached_tail[v] |= ft
+            if vb & ym:
+                # A walk that reaches y has connected its lanes; it goes no further.
+                connected |= fl | fh | ft
+                if connected == full:
+                    return full
+                continue
+            # The collider rules of _route_connected, lane by lane.
+            zl = in_z[v]
+            by_line[v] = (fh & zl) | ((fl | ft) & ~zl)
+            by_arrow[v] = (fl | fh | ft) & ~zl
+            by_pa[v] = ((fl | fh) & zl) | (ft & ~zl)
+            by_bi[v] = (fh & zl) | (ft & ~zl)
+            active |= vb
+    return connected
 
 
 # -- criterion 1: simple paths ----------------------------------------------
@@ -346,7 +435,7 @@ def separated(g: MixedGraph, q: SeparationQuery, criterion: int = 2) -> bool:
         return not connects_path(g, q)
     if criterion not in (3, 4):
         raise ValueError(f"criterion must be 1..4, got {criterion!r}")
-    _reject_biarrows(g, f"criterion {criterion}")
+    _reject_biarrows(g, "criterion %d", criterion)
     xm, ym, zm = _query_masks(g, q)
     return not _spread(_moral_masks(g, xm | ym | zm, criterion), xm, zm, ym) & ym
 

@@ -173,10 +173,25 @@ def test_equiv_check_reports_a_disagreement_and_exits_3(capsys, monkeypatch):
         "disagreement: x=A y=D z={B}  1:connected 2:connected 3:connected 4:separated\n")
 
 
+def test_equiv_check_reports_a_lane_disagreement_and_exits_3(capsys, monkeypatch):
+    # Criterion 2 comes from the lane kernel, one lane per z of the pair.
+    real = cli._route_lanes
+
+    def lane_of_b_flips(adj, xm, ym, rest):
+        lanes = real(adj, xm, ym, rest)
+        return lanes ^ 0b10 if (xm, ym) == (0b001, 0b100) else lanes
+
+    monkeypatch.setattr(cli, "_route_lanes", lane_of_b_flips)
+    assert main(["equiv-check", "--graph", str(DATA / "double-edge.g")]) == 3
+    assert capsys.readouterr().out == (
+        "disagreement: x=A y=D z={B}  1:connected 2:separated 3:connected 4:connected\n")
+
+
 def test_sweep_commands_ask_through_the_cli_names(capsys, monkeypatch):
-    # bench/spans.py counts the sweeps' questions by wrapping these names.
+    # bench/spans.py counts the sweeps' questions by wrapping cli.separated
+    # and cli.ci_test; criterion 2 is one lane-kernel call per pair.
     asked = Counter()
-    real_separated, real_ci_test = cli.separated, cli.ci_test
+    real_separated, real_ci_test, real_lanes = cli.separated, cli.ci_test, cli._route_lanes
 
     def counting_separated(g, q, criterion=2):
         asked[criterion] += 1
@@ -186,15 +201,24 @@ def test_sweep_commands_ask_through_the_cli_names(capsys, monkeypatch):
         asked["ci_test"] += 1
         return real_ci_test(*args, **kwargs)
 
+    def counting_lanes(*args):
+        asked["lanes"] += 1
+        return real_lanes(*args)
+
     monkeypatch.setattr(cli, "separated", counting_separated)
     monkeypatch.setattr(cli, "ci_test", counting_ci_test)
+    monkeypatch.setattr(cli, "_route_lanes", counting_lanes)
     assert main(["equiv-check", "--graph", str(DATA / "mixed6.g")]) == 0
     assert capsys.readouterr().out == "240 queries, criteria 1-4 agree\n"
-    assert asked == {1: 240, 2: 240, 3: 240, 4: 240}
+    assert asked == {1: 240, 3: 240, 4: 240, "lanes": 15}
     asked.clear()
     assert main(["sem-check", "--graph", str(DATA / "mixed6.g")]) == 0
     assert capsys.readouterr().out == "seed 0, tol 1e-07: 25 separations checked, 0 violations\n"
-    assert asked == {2: 240, "ci_test": 25}
+    assert asked == {"lanes": 15, "ci_test": 25}
+    asked.clear()
+    assert main(["sem-check", "--graph", str(DATA / "mixed6.g"), "--criterion", "3"]) == 0
+    assert capsys.readouterr().out == "seed 0, tol 1e-07: 25 separations checked, 0 violations\n"
+    assert asked == {3: 240, "ci_test": 25}
 
 
 @pytest.mark.parametrize("command", ["equiv-check", "sem-check"])
@@ -343,6 +367,22 @@ def test_markov_verify_amp_rejects_non_chain_graph(capsys):
                  "--property", "amp-local"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_markov_verify_refuses_more_nodes_than_its_cap(tmp_path, capsys, monkeypatch):
+    # Refused before any generator runs.
+    def no_generator(*args):
+        raise AssertionError("a generator ran")
+
+    for name in ("amp_statements", "ordered_local_statements", "ordered_pairwise_statements"):
+        monkeypatch.setattr(cli, name, no_generator)
+    g = graph_file(tmp_path, f"nodes {MAX_SWEEP_NODES + 1}\n")
+    for prop in ("ordered-local", "ordered-pairwise", "amp-block", "amp-local", "amp-pairwise"):
+        assert main(["markov-verify", "--graph", g, "--property", prop]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: n={MAX_SWEEP_NODES + 1} exceeds the markov-verify "
+                                f"cap of {MAX_SWEEP_NODES}\n")
 
 
 def test_negative_seed_is_usage_error(capsys):

@@ -24,8 +24,9 @@ from ampadmg import (
     separated,
     separated_with_determinism,
 )
-from ampadmg.graph import MAX_GRAPH_NODES
-from ampadmg.separation import MAX_SWEEP_NODES, _moral_masks, _singleton_masks
+from ampadmg.graph import MAX_GRAPH_NODES, _submasks
+from ampadmg.separation import (MAX_SWEEP_NODES, _moral_masks, _route_connected, _route_lanes,
+                                 _singleton_masks, _singleton_pairs)
 from conftest import DATA, load_bench, random_graph, singleton_queries
 
 
@@ -171,8 +172,9 @@ def test_singleton_queries_order_is_pinned():
 
 def test_singleton_sweep_is_refused_above_its_cap_at_the_call():
     # Refused before a single mask is walked; nothing at the cap is run.
-    with pytest.raises(ProblemTooLargeError, match=f"cap of {MAX_SWEEP_NODES}$"):
-        _singleton_masks(MAX_SWEEP_NODES + 1)
+    for sweep in (_singleton_masks, _singleton_pairs):
+        with pytest.raises(ProblemTooLargeError, match=f"cap of {MAX_SWEEP_NODES}$"):
+            sweep(MAX_SWEEP_NODES + 1)
 
 
 # -- route engine -------------------------------------------------------------
@@ -224,6 +226,41 @@ def test_criterion_2_matches_networkx_on_line_free_graphs():
                     == oracle.separated(og, {x}, {y}, z)), (g, x, y, z)
             checked += 1
     assert checked == 19_806
+
+
+def _lanes_match_queries(g, xm, ym, rest):
+    # Lane k of the lane kernel against one per-query fixpoint for the k-th z.
+    lanes = _route_lanes(g._adj, xm, ym, rest)
+    count = 0
+    for k, zm in enumerate(_submasks(rest)):
+        assert bool(lanes >> k & 1) == _route_connected(g._adj, xm, ym, zm), (g, xm, ym, zm)
+        count += 1
+    assert lanes >> count == 0, (g, xm, ym, rest)
+    return count
+
+
+def test_route_lanes_match_the_per_query_route():
+    # Every graph with n <= 3 and every 9th with n = 4, both dialects; then
+    # seeded line and biarrow graphs with n = 5..9.  Each pair is asked with
+    # every other node in rest, with a seeded part of it, and with rest = 0
+    # (one lane); the seeded graphs also with x and y of several nodes.
+    rng = random.Random(53)
+    graphs = [g for dialect in (Dialect.ALTERNATIVE, Dialect.ORIGINAL)
+              for n in (1, 2, 3, 4) for i, g in enumerate(enumerate_graphs(n, dialect))
+              if n < 4 or i % 9 == 0]
+    graphs += [random_graph(rng, n, biarrow_ok=True) for n in (5, 6, 7, 8, 9) for _ in range(4)]
+    checked = 0
+    for g in graphs:
+        full = (1 << g.n) - 1
+        for xm, ym, rest in _singleton_pairs(g.n):
+            for r in (rest, rest & rng.getrandbits(g.n), 0):
+                checked += _lanes_match_queries(g, xm, ym, r)
+        if g.n >= 5:
+            for _ in range(5):
+                x, y, _z = _random_sets(rng, g.n)
+                xm, ym = g.node_mask(x), g.node_mask(y)
+                checked += _lanes_match_queries(g, xm, ym, full & ~xm & ~ym)
+    assert checked == 377_055
 
 
 def _random_sets(rng, n):
