@@ -11,7 +11,6 @@ from .errors import (
     DoubleEdgeError,
     ErrorNodeInZError,
     GraphValidationError,
-    InconsistentOrderingError,
     LineBiarrowMixError,
     MalformedQueryError,
     MalformedScriptError,
@@ -40,7 +39,6 @@ from .separation import (
 )
 from .markov import (
     CiStatement,
-    OrderedContext,
     amp_statements,
     gaussian_oracle,
     markov_blanket,

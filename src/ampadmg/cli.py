@@ -24,10 +24,9 @@ from .graph import (Dialect, MixedGraph, _bits, _label_index, _node_list, _subma
                     serialize)
 from .learner import (MAX_NODES_DEFAULT, atom_line, export_asp, learn,
                       parse_constraints)
-from .markov import (CiStatement, OrderedContext, amp_statements,
-                     gaussian_oracle, ordered_local_statements,
-                     ordered_pairwise_statements, separation_oracle,
-                     verify_statements)
+from .markov import (CiStatement, amp_statements, gaussian_oracle,
+                     ordered_local_statements, ordered_pairwise_statements,
+                     separation_oracle, verify_statements)
 from .sem import CI_TOL, ci_test, implied_covariance, magnify, random_sem
 from .separation import (SeparationQuery, _refuse_past_sweep_cap, _route_lanes,
                          _singleton_pairs, separated)
@@ -147,9 +146,9 @@ _FLAVOUR_OF = {"amp-block": "block-recursive", "amp-local": "local",
 
 def _statements_for(g: MixedGraph, prop: str) -> tuple[CiStatement, ...]:
     if prop == "ordered-local":
-        return ordered_local_statements(OrderedContext(g, g.consistent_ordering()))
+        return ordered_local_statements(g)
     if prop == "ordered-pairwise":
-        return ordered_pairwise_statements(OrderedContext(g, g.consistent_ordering()))
+        return ordered_pairwise_statements(g)
     return amp_statements(g, _FLAVOUR_OF[prop])
 
 

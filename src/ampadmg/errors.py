@@ -49,10 +49,6 @@ class NodeNotInSetError(AmpAdmgError, ValueError):
     """The target node is not a member of the given set."""
 
 
-class InconsistentOrderingError(AmpAdmgError, ValueError):
-    """The node ordering contradicts the directed part of the graph."""
-
-
 class NotAnAmpCgError(AmpAdmgError, ValueError):
     """The graph is not a chain graph (single edges, no semidirected cycle)."""
 

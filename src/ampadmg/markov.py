@@ -3,8 +3,8 @@
 Two families of generators turn a graph into the finite statement set of
 a Markov property:
 
-* ordered local / ordered pairwise, over the ancestral node sets; the
-  node ordering is only checked against the arrows;
+* ordered local / ordered pairwise, which take the graph and range over
+  its ancestral node sets, so they cover every consistent ordering at once;
 * chain-graph properties (block-recursive, local, pairwise) for graphs
   with at most one edge per pair and no semidirected cycle.
 
@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 # ``docalc.intervene``, ``separation.separated`` or ``sem.ci_test`` after
 # import (as bench/spans.py binds its spans) sees their calls too.
 from . import docalc, sem, separation
-from .errors import InconsistentOrderingError, NodeNotInSetError, NotAnAmpCgError
+from .errors import NodeNotInSetError, NotAnAmpCgError
 from .graph import MixedGraph, _bits, _components, _spread, _submasks, _union
 from .separation import SeparationQuery, _blanket_mask, _extended_masks, _reject_biarrows
 
@@ -78,26 +78,6 @@ def _split(triples):
             yield xm, cb, zm | (ym & ~cb)
 
 
-@dataclass(frozen=True)
-class OrderedContext:
-    """A graph together with a node ordering no arrow contradicts."""
-
-    graph: MixedGraph
-    ordering: tuple
-
-    def __post_init__(self):
-        g = self.graph
-        order = tuple(int(i) for i in self.ordering)
-        object.__setattr__(self, "ordering", order)
-        if sorted(order) != list(range(1, g.n + 1)):
-            raise InconsistentOrderingError("ordering must list each node once")
-        pos = {v: k for k, v in enumerate(order)}
-        for t, h in g.arrows:
-            if pos[t] > pos[h]:
-                raise InconsistentOrderingError(
-                    f"arrow {t} -> {h} contradicts the ordering")
-
-
 def markov_blanket(g: MixedGraph, s: Iterable[int], b: int) -> frozenset[int]:
     """The blanket of b inside the extended subgraph over s: children,
     neighbours of b and its children, and parents of all of those."""
@@ -117,35 +97,35 @@ def _ancestral_sets(g: MixedGraph):
     return (sm for sm in range(1, g.full_mask + 1) if not _union(pa, sm) & ~sm)
 
 
-def ordered_local_statements(ctx: OrderedContext) -> tuple[CiStatement, ...]:
-    """Each member of each ancestral set, screened off by its blanket in the
-    extended subgraph.  A member whose blanket leaves the set (through a
-    chain of lines) is skipped: the outside nodes bring in arrows the
-    extended subgraph lacks.  The statements do not depend on which
-    consistent ordering ``ctx`` holds; a graph with biarrows is refused.
+def ordered_local_statements(g: MixedGraph) -> tuple[CiStatement, ...]:
+    """Each member of each ancestral set of g, screened off by its blanket
+    in the extended subgraph.  A member whose blanket leaves the set
+    (through a chain of lines) is skipped: the outside nodes bring in arrows
+    the extended subgraph lacks.  The ancestral sets are exactly the
+    prefixes of the consistent orderings, so one call covers every ordering
+    and none is taken; a graph with biarrows is refused.
 
     Every statement emitted is a separation, but together they do not
     imply the global property on every graph: on ``2 -> 4 -> 3``,
     ``1 - 4``, ``2 - 3``, ``1 ⊥ 2 | ∅`` holds but both members of {1, 2}
     are skipped (ROADMAP item 1).
     """
-    _reject_biarrows(ctx.graph, "the ordered local property")
-    return _finish(_screened(ctx.graph, _ancestral_sets(ctx.graph)))
+    _reject_biarrows(g, "the ordered local property")
+    return _finish(_screened(g, _ancestral_sets(g)))
 
 
-def ordered_pairwise_statements(ctx: OrderedContext) -> tuple[CiStatement, ...]:
-    """The ordered local statements split one node at a time, over the
+def ordered_pairwise_statements(g: MixedGraph) -> tuple[CiStatement, ...]:
+    """The ordered local statements of g split one node at a time, over the
     ancestral sets S that are also closed under lines.  No blanket leaves
     such an S, so the split gives ``b ⊥ c | S - {b, c}`` for each pair not
-    joined in the augmented graph.  The statements do not depend on which
-    consistent ordering ``ctx`` holds; a graph with biarrows is refused.
+    joined in the augmented graph.  Like the local family it covers every
+    consistent ordering at once; a graph with biarrows is refused.
 
     Every statement emitted is a separation, but together they do not
     imply the global property on every graph: on ``2 -> 3``, ``1 - 3``,
     ``1 ⊥ 2 | ∅`` holds but nothing is emitted, as the one such S holding
     1 and 2 also holds 3 (ROADMAP item 1).
     """
-    g = ctx.graph
     _reject_biarrows(g, "the ordered pairwise property")
     ne = g._adj[2]
     closed = (sm for sm in _ancestral_sets(g) if not _union(ne, sm) & ~sm)
@@ -235,7 +215,7 @@ def separation_oracle(g: MixedGraph, criterion: int = 2) -> Callable[[CiStatemen
     return oracle
 
 
-def gaussian_oracle(sigma, tol: float = 1e-7) -> Callable[[CiStatement], bool]:
+def gaussian_oracle(sigma, tol: float = sem.CI_TOL) -> Callable[[CiStatement], bool]:
     """Oracle that decides observational statements by vanishing partial
     correlations; for a Gaussian, a block is independent exactly when every
     cross pair is."""

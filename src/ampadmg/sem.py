@@ -62,8 +62,9 @@ def _magnified_half(gp: MixedGraph) -> int:
     if n % 2:
         raise ValueError("not a magnified graph: odd node count")
     m = n // 2
+    pa = gp._adj[0]
     for i in range(1, m + 1):
-        if (m + i, i) not in gp.arrows:
+        if not pa[i] >> (m + i - 1) & 1:
             raise ValueError(f"not a magnified graph: missing noise arrow into {i}")
     return m
 

@@ -38,8 +38,8 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .errors import MalformedQueryError, ProblemTooLargeError, UnsupportedDialectError
-from .graph import (MAX_GRAPH_NODES, Dialect, MixedGraph, _bits, _components, _restrict,
-                    _spread, _submasks, _undirected, _union, set_index)
+from .graph import (MAX_GRAPH_NODES, Dialect, MixedGraph, _bits, _check_node, _components,
+                    _restrict, _spread, _submasks, _undirected, _union, set_index)
 
 # End marks: how a walk most recently arrived at a node.
 END_LINE, END_HEAD, END_TAIL = 0, 1, 2
@@ -114,11 +114,11 @@ def singleton_queries(n: int) -> Iterator[tuple[int, int, frozenset]]:
 
 
 def _query_masks(g: MixedGraph, q: SeparationQuery):
-    """The query's masks, range-checked against g by one shift.  Only when
-    that fails are they rebuilt node by node through ``g.node_mask``, which
-    raises the ``NodeOutOfRangeError`` naming the node."""
+    """The query's masks, range-checked against g by one shift.  When that
+    fails, some node of x, y or z lies outside ``1..n``, and the
+    ``NodeOutOfRangeError`` names the lowest such node."""
     if (q.xm | q.ym | q.zm) >> g.n:
-        return g.node_mask(q.x), g.node_mask(q.y), g.node_mask(q.z)
+        _check_node(min(v for v in q.x | q.y | q.z if not 1 <= v <= g.n), g.n)
     return q.xm, q.ym, q.zm
 
 

@@ -12,7 +12,6 @@ from dataclasses import replace
 from ampadmg import (
     Dialect,
     MixedGraph,
-    OrderedContext,
     SeparationQuery,
     amp_statements,
     atom_line,
@@ -95,8 +94,7 @@ def test_markov_statement_generators_emit_only_separations():
     checked = gaussian_checked = 0
     for n in (2, 3, 4):
         for i, g in enumerate(enumerate_graphs(n, Dialect.ALTERNATIVE)):
-            ctx = OrderedContext(g, g.consistent_ordering())
-            stmts = ordered_local_statements(ctx) + ordered_pairwise_statements(ctx)
+            stmts = ordered_local_statements(g) + ordered_pairwise_statements(g)
             if g.is_amp_cg():
                 for flavour in ("block-recursive", "local", "pairwise"):
                     stmts += amp_statements(g, flavour)

@@ -187,9 +187,16 @@ def test_equiv_check_reports_a_lane_disagreement_and_exits_3(capsys, monkeypatch
         "disagreement: x=A y=D z={B}  1:connected 2:separated 3:connected 4:connected\n")
 
 
+MARKOV_GENERATORS = {"ordered-local": "ordered_local_statements",
+                     "ordered-pairwise": "ordered_pairwise_statements",
+                     "amp-block": "amp_statements", "amp-local": "amp_statements",
+                     "amp-pairwise": "amp_statements"}
+
+
 def test_sweep_commands_ask_through_the_cli_names(capsys, monkeypatch):
     # bench/spans.py counts the sweeps' questions by wrapping cli.separated
-    # and cli.ci_test; criterion 2 is one lane-kernel call per pair.
+    # and cli.ci_test, and traces the Markov generators by their cli names;
+    # criterion 2 is one lane-kernel call per pair.
     asked = Counter()
     real_separated, real_ci_test, real_lanes = cli.separated, cli.ci_test, cli._route_lanes
 
@@ -205,6 +212,12 @@ def test_sweep_commands_ask_through_the_cli_names(capsys, monkeypatch):
         asked["lanes"] += 1
         return real_lanes(*args)
 
+    def counting_generator(name, real):
+        def generate(g, *args):
+            asked[name] += 1
+            return real(g, *args)
+        return generate
+
     monkeypatch.setattr(cli, "separated", counting_separated)
     monkeypatch.setattr(cli, "ci_test", counting_ci_test)
     monkeypatch.setattr(cli, "_route_lanes", counting_lanes)
@@ -219,6 +232,15 @@ def test_sweep_commands_ask_through_the_cli_names(capsys, monkeypatch):
     assert main(["sem-check", "--graph", str(DATA / "mixed6.g"), "--criterion", "3"]) == 0
     assert capsys.readouterr().out == "seed 0, tol 1e-07: 25 separations checked, 0 violations\n"
     assert asked == {3: 240, "ci_test": 25}
+    # markov-verify looks its generator up by the cli name at call time, once.
+    for name in set(MARKOV_GENERATORS.values()):
+        monkeypatch.setattr(cli, name, counting_generator(name, getattr(cli, name)))
+    for prop, name in MARKOV_GENERATORS.items():
+        asked.clear()
+        assert main(["markov-verify", "--graph", str(DATA / "amp-chain.g"),
+                     "--property", prop]) == 0
+        assert capsys.readouterr().out.startswith(f"{prop}: ")
+        assert asked == {name: 1}, prop
 
 
 @pytest.mark.parametrize("command", ["equiv-check", "sem-check"])

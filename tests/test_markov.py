@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 from ampadmg import (
     CiStatement,
     Dialect,
-    InconsistentOrderingError,
     MalformedQueryError,
     MixedGraph,
     NodeNotInSetError,
     NotAnAmpCgError,
-    OrderedContext,
     SeparationQuery,
     UnsupportedDialectError,
     amp_statements,
@@ -95,8 +93,7 @@ def test_verified_statements_build_no_node_set_views():
     # Generators, _finish and the separation oracle work on masks only, so
     # no statement may have built its x, y or z frozenset.
     for name, generate in (
-            ("mixed6.g", lambda g: ordered_local_statements(
-                OrderedContext(g, g.consistent_ordering()))),
+            ("mixed6.g", ordered_local_statements),
             ("amp-chain.g", lambda g: amp_statements(g, "block-recursive")
              + amp_statements(g, "local") + amp_statements(g, "pairwise"))):
         g = parse((DATA / name).read_text())
@@ -174,49 +171,41 @@ def test_blanket_covers_augmented_neighbours():
 
 def test_ordered_local_single_arrow():
     g = MixedGraph(2, arrows={(1, 2)})
-    assert ordered_local_statements(OrderedContext(g, (1, 2))) == ()
+    assert ordered_local_statements(g) == ()
 
 
 def test_ordered_local_edgeless_pair():
     g = MixedGraph(2)
-    stmts = ordered_local_statements(OrderedContext(g, (1, 2)))
+    stmts = ordered_local_statements(g)
     assert stmts == (CiStatement({1}, {2}, frozenset()),)
 
 
 def test_ordered_pairwise_edgeless_pair():
     g = MixedGraph(2)
-    stmts = ordered_pairwise_statements(OrderedContext(g, (1, 2)))
+    stmts = ordered_pairwise_statements(g)
     assert stmts == (CiStatement({1}, {2}, frozenset()),)
 
 
 def test_ordered_pairwise_collider():
     g = MixedGraph(3, arrows={(1, 3), (2, 3)})
-    stmts = ordered_pairwise_statements(OrderedContext(g, (1, 2, 3)))
+    stmts = ordered_pairwise_statements(g)
     assert stmts == (CiStatement({1}, {2}, frozenset()),)
 
 
 def test_ordered_generators_refuse_biarrows():
-    ctx = OrderedContext(MixedGraph(2, biarrows={(1, 2)}), (1, 2))
+    g = MixedGraph(2, biarrows={(1, 2)})
     for generate in (ordered_local_statements, ordered_pairwise_statements):
         with pytest.raises(UnsupportedDialectError):
-            generate(ctx)
-
-
-def test_ordering_must_be_consistent(double_edge3):
-    with pytest.raises(InconsistentOrderingError):
-        OrderedContext(double_edge3, (2, 1, 3))
-    with pytest.raises(InconsistentOrderingError):
-        OrderedContext(double_edge3, (1, 2))
+            generate(g)
 
 
 def test_ordered_statements_are_separations():
     rng = random.Random(31)
     for _ in range(80):
         g = random_graph(rng, 4)
-        ctx = OrderedContext(g, g.consistent_ordering())
         oracle = separation_oracle(g)
-        for stmts in (ordered_local_statements(ctx),
-                      ordered_pairwise_statements(ctx)):
+        for stmts in (ordered_local_statements(g),
+                      ordered_pairwise_statements(g)):
             assert verify_statements(stmts, oracle) == ()
 
 
@@ -225,17 +214,7 @@ def test_ordered_statements_are_separations():
 # The statement masks of all five generators over the inputs below (the
 # ordered families on the alternative ones only); a change to any
 # generator's output must change this digest on purpose.
-GENERATORS_SHA256 = "fbda40c610b71fbb615e6cbd8435f59b68e0e82a317577bf19cee1d17bcb33d7"
-
-
-def _last_first_ordering(g):
-    # The ordering that places the largest node without a parent left first.
-    order, left = [], set(range(1, g.n + 1))
-    while left:
-        v = max(u for u in left if not g.parents({u}) & left)
-        order.append(v)
-        left.remove(v)
-    return tuple(order)
+GENERATORS_SHA256 = "94458a994de2776d58ee1bcbf6b279e6fe2bde60290f4fba44232658bee3fa14"
 
 
 def _generator_inputs():
@@ -261,9 +240,7 @@ def test_generator_output_is_pinned():
     for g in _generator_inputs():
         families = []
         if g.dialect is Dialect.ALTERNATIVE:  # the ordered families refuse biarrows
-            for ordering in dict.fromkeys((g.consistent_ordering(), _last_first_ordering(g))):
-                ctx = OrderedContext(g, ordering)
-                families += [ordered_local_statements(ctx), ordered_pairwise_statements(ctx)]
+            families += [ordered_local_statements(g), ordered_pairwise_statements(g)]
         if g.is_amp_cg():
             families += [amp_statements(g, f) for f in ("block-recursive", "local", "pairwise")]
         for stmts in families:
@@ -473,8 +450,7 @@ def test_gaussian_oracle_matches_graph_oracle():
         sigma = implied_covariance(random_sem(g, rng.randint(0, 10**6)))
         gauss = gaussian_oracle(sigma)
         graph = separation_oracle(g)
-        ctx = OrderedContext(g, g.consistent_ordering())
-        for s in ordered_local_statements(ctx):
+        for s in ordered_local_statements(g):
             assert graph(s)
             assert gauss(s)
 

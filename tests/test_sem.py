@@ -87,8 +87,10 @@ def test_closure_rejects_noise_nodes_in_z():
 
 
 def test_closure_rejects_non_magnified_graph():
-    with pytest.raises(ValueError):
-        determined_closure(MixedGraph(2, arrows={(1, 2)}), {1})
+    for g, why in ((MixedGraph(2, arrows={(1, 2)}), "missing noise arrow into 1"),
+                   (MixedGraph(3, arrows={(2, 1)}), "odd node count")):
+        with pytest.raises(ValueError, match=f"^not a magnified graph: {why}$"):
+            determined_closure(g, {1})
 
 
 def test_magnified_graph_represents_same_separations():

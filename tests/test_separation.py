@@ -522,7 +522,15 @@ def test_query_reused_across_graphs_keeps_range_errors():
     reused = {SeparationQuery({8}, {1}, {2}): "node 8 out of range 1..6",
               SeparationQuery({2}, {1}, {3, 9}): "node 9 out of range 1..6"}
     zero = SeparationQuery({3}, {1}, {0})
+    # Of several nodes out of range the lowest is named, whatever the order
+    # of the sets or of a set's hash slots ({9, 16} iterates as 16, 9).
+    lowest = {SeparationQuery({9, 16}, {2}): "node 9 out of range 1..7",
+              SeparationQuery({12}, {1}, {3, 8}): "node 8 out of range 1..7"}
     for c in (1, 2, 3, 4):
+        for q, message in lowest.items():
+            with pytest.raises(NodeOutOfRangeError) as exc:
+                separated(MixedGraph(7), q, criterion=c)
+            assert str(exc.value) == message
         for _ in range(2):
             for q, message in reused.items():
                 want = separated(MixedGraph(9, big.arrows, big.lines),

@@ -62,6 +62,16 @@ def test_one_raise_site_refuses_biarrows():
     assert sites == ["separation.py:_reject_biarrows", "separation.py:marginal_graph"]
 
 
+def test_every_error_class_is_raised_somewhere():
+    # A class nothing raises is dead public API; the base class is only caught.
+    errors = ast.parse((SRC / "errors.py").read_text())
+    classes = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    unraised = [name for name in classes if name != "AmpAdmgError"
+                and not any(_raise_sites(tree, name) for tree in trees)]
+    assert classes and not unraised
+
+
 KERNEL_HELPERS = ("_bits", "_union", "_spread", "_submasks", "_restrict", "_components",
                   "_undirected")
 
