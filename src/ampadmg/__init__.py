@@ -13,7 +13,6 @@ from .errors import (
     GraphValidationError,
     LineBiarrowMixError,
     MalformedQueryError,
-    MalformedScriptError,
     NoFeasibleModelError,
     NodeNotInSetError,
     NodeOutOfRangeError,

@@ -81,8 +81,7 @@ def with_regime_nodes(g: MixedGraph, targets: Iterable[int]) -> RegimeGraph:
     A labelled graph names the indicator of ``v`` ``F_<label of v>``,
     primed until it clashes with no other label.
     """
-    targets = sorted(set(targets))
-    g.node_mask(targets)  # range check
+    targets = list(_bits(g.node_mask(targets)))
     n = g.n
     pairs = tuple((v, n + k + 1) for k, v in enumerate(targets))
     pa, ch, ne, bi = g._adj
@@ -121,10 +120,9 @@ def rule_applicable(g: MixedGraph, rule: int, x: Iterable[int], y: Iterable[int]
     """
     if rule not in (1, 2, 3):
         raise ValueError(f"rule must be 1, 2 or 3, got {rule!r}")
-    x, y, z, w = (frozenset(int(i) for i in s) for s in (x, y, z, w))
-    if not y:
+    xm, ym, zm, wm = masks = [g.node_mask(s) for s in (x, y, z, w)]
+    if not ym:
         raise MalformedQueryError("y must be non-empty")
-    xm, ym, zm, wm = masks = [g.node_mask(s) for s in (x, y, z, w)]  # range check
     seen = 0
     for m in masks:
         if m & seen:

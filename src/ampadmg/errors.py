@@ -84,6 +84,3 @@ class ParseError(AmpAdmgError, ValueError):
             message = f"line {line_no}: {message}"
         super().__init__(message)
 
-
-# A bad derivation script is a bad text input like any other.
-MalformedScriptError = ParseError

@@ -6,10 +6,15 @@ edges (biarrows).  Lines and biarrows never occur together.  The directed
 part is always acyclic and antisymmetric, and a pair of nodes carries at
 most two edges (an arrow plus a line or biarrow).
 
-Node sets are plain ``frozenset`` objects at the API surface.  The canonical
-integer encoding (node ``i`` occupies bit ``i - 1``) used by the constraint
-formats is exposed through :func:`set_index` and :func:`set_members`.  Queries
-and statements store their node sets in it; ``x``, ``y`` and ``z`` are views.
+Node sets are plain ``frozenset`` objects at the API surface.  Every node a
+caller hands the package is read by one rule: :func:`_node_index` takes
+``operator.index(i)`` (ints and numpy integers pass, floats and strings are
+refused) and :func:`_node_mask` checks a set against ``1..n`` before it
+builds the mask, naming the lowest bad node; both raise
+:class:`NodeOutOfRangeError`.  Text inputs read node tokens by :func:`_node`.
+The canonical integer encoding (node ``i`` occupies bit ``i - 1``) used by
+the constraint formats is exposed through :func:`set_index` and
+:func:`set_members`; queries and statements store their sets in it.
 
 Invariants are checked once, where input enters the package: the public
 constructor ``MixedGraph(...)``, :func:`parse` and the learner's
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import operator
 import unicodedata
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -59,10 +65,37 @@ class Dialect(enum.Enum):
     ORIGINAL = "original"        # arrows + biarrows
 
 
+def _node_index(i, n: int | None = None) -> int:
+    """``operator.index(i)``, checked against ``1..n`` when n is given."""
+    try:
+        v = operator.index(i)
+    except TypeError:
+        raise NodeOutOfRangeError(f"node {i!r} is not an integer") from None
+    if n is not None and not 1 <= v <= n:
+        raise NodeOutOfRangeError(f"node {v} out of range 1..{n}")
+    return v
+
+
+def _node_mask(nodes: Iterable, n: int) -> int:
+    """The mask of a node set over ``1..n``.  Of several nodes outside the
+    range the lowest is named, whatever order the set iterates in."""
+    mask, bad = 0, None
+    for i in nodes:
+        v = _node_index(i)
+        if 1 <= v <= n:
+            mask |= 1 << (v - 1)
+        elif bad is None or v < bad:
+            bad = v
+    if bad is not None:
+        _node_index(bad, n)
+    return mask
+
+
 def set_index(members: Iterable[int]) -> int:
     """Canonical integer index of a node set (node i occupies bit i - 1)."""
     index = 0
     for i in members:
+        i = _node_index(i)
         if i < 1:
             raise NodeOutOfRangeError(f"node {i} out of range")
         index |= 1 << (i - 1)
@@ -71,6 +104,7 @@ def set_index(members: Iterable[int]) -> int:
 
 def set_members(index: int, n: int) -> frozenset[int]:
     """Inverse of :func:`set_index` for sets over nodes 1..n."""
+    index = _node_index(index)
     if index < 0 or index >> n:
         raise NodeOutOfRangeError(f"set index {index} out of range for n={n}")
     return frozenset(_bits(index))
@@ -141,11 +175,6 @@ def _undirected(g: "MixedGraph", ne) -> "MixedGraph":
     return MixedGraph._from_masks(g.n, (zero, zero, ne, zero), g.node_names)
 
 
-def _check_node(i, n: int) -> None:
-    if not isinstance(i, int) or not 1 <= i <= n:
-        raise NodeOutOfRangeError(f"node {i!r} out of range 1..{n}")
-
-
 def _check_names(names, n: int) -> tuple:
     names = tuple(str(s) for s in names)
     if len(names) != n or len(set(names)) != n:
@@ -213,9 +242,7 @@ class MixedGraph:
         for kind, pairs, out, into in (("arrow", arrows, ch, pa), ("line", lines, ne, ne),
                                        ("biarrow", biarrows, bi, bi)):
             for a, b in pairs:
-                a, b = int(a), int(b)
-                _check_node(a, n)
-                _check_node(b, n)
+                a, b = _node_index(a, n), _node_index(b, n)
                 if a == b:
                     raise SelfEdgeError(f"{kind} {a} {'->' if kind == 'arrow' else '-'} {b}")
                 out[a] |= 1 << (b - 1)
@@ -309,11 +336,7 @@ class MixedGraph:
     _moral_cache = cached_property(lambda g: {})  # _moral_masks, by (criterion, An set)
 
     def node_mask(self, nodes: Iterable[int]) -> int:
-        mask = 0
-        for i in nodes:
-            _check_node(i, self.n)
-            mask |= 1 << (i - 1)
-        return mask
+        return _node_mask(nodes, self.n)
 
     def mask_nodes(self, mask: int) -> frozenset[int]:
         return frozenset(_bits(mask))
@@ -408,7 +431,7 @@ class MixedGraph:
     # -- presentation ------------------------------------------------------
 
     def node_label(self, i: int) -> str:
-        _check_node(i, self.n)
+        i = _node_index(i, self.n)
         return self.node_names[i - 1] if self.node_names else str(i)
 
     def __repr__(self):

@@ -33,8 +33,8 @@ from .errors import (
     ParseError,
     ProblemTooLargeError,
 )
-from .graph import (Dialect, MixedGraph, _check_node, _check_node_count, _integer, _lines,
-                    _node, _node_list, _peel, set_index)
+from .graph import (Dialect, MixedGraph, _check_node_count, _integer, _lines, _node,
+                    _node_index, _node_list, _node_mask, _peel, set_index)
 from .separation import _route_connected
 
 EDGE_KINDS = ("arrow", "line", "biarrow")
@@ -60,10 +60,10 @@ class Constraint:
     def __post_init__(self):
         if self.kind not in ("dep", "indep"):
             raise ValueError(f"kind must be 'dep' or 'indep', got {self.kind!r}")
-        object.__setattr__(self, "x", int(self.x))
-        object.__setattr__(self, "y", int(self.y))
-        object.__setattr__(self, "cond", frozenset(int(i) for i in self.cond))
-        object.__setattr__(self, "regime", int(self.regime))
+        object.__setattr__(self, "x", _node_index(self.x))
+        object.__setattr__(self, "y", _node_index(self.y))
+        object.__setattr__(self, "cond", frozenset(map(_node_index, self.cond)))
+        object.__setattr__(self, "regime", _node_index(self.regime))
         if self.x == self.y:
             raise ValueError("constraint endpoints must differ")
         if self.x in self.cond or self.y in self.cond:
@@ -104,8 +104,7 @@ class LearnProblem:
             if not isinstance(p, int) or p < 0:
                 raise ValueError("edge penalties must be non-negative integers")
         for c in self.constraints:
-            for i in (c.x, c.y, *c.cond):
-                _check_node(i, self.n)
+            _node_mask((c.x, c.y, *c.cond), self.n)
             if c.regime and not 1 <= c.regime <= self.n:
                 raise NodeOutOfRangeError(f"regime {c.regime} out of range")
         norm = frozenset(self._norm_prior(p) for p in self.forbidden)
@@ -116,7 +115,7 @@ class LearnProblem:
         if clash:
             raise ValueError(f"edge both forbidden and required: {sorted(clash)[0]}")
         if self.ordering is not None:
-            order = tuple(int(i) for i in self.ordering)
+            order = tuple(map(_node_index, self.ordering))
             if sorted(order) != list(range(1, self.n + 1)):
                 raise ValueError("ordering must list each node exactly once")
             object.__setattr__(self, "ordering", order)
@@ -144,9 +143,7 @@ class LearnProblem:
         kind, a, b = prior
         if kind not in EDGE_KINDS:
             raise ValueError(f"unknown edge kind {kind!r}")
-        a, b = int(a), int(b)
-        _check_node(a, self.n)
-        _check_node(b, self.n)
+        a, b = _node_index(a, self.n), _node_index(b, self.n)
         if a == b:
             raise ValueError("prior edge endpoints must differ")
         if kind != "arrow" and a > b:

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 # import (as bench/spans.py binds its spans) sees their calls too.
 from . import docalc, sem, separation
 from .errors import NodeNotInSetError, NotAnAmpCgError
-from .graph import MixedGraph, _bits, _components, _spread, _submasks, _union
+from .graph import MixedGraph, _bits, _components, _node_index, _spread, _submasks, _union
 from .separation import SeparationQuery, _blanket_mask, _extended_masks, _reject_biarrows
 
 OBSERVATIONAL = 0
@@ -41,7 +41,7 @@ class CiStatement(SeparationQuery):
 
     def __init__(self, x, y, z=frozenset(), regime: int = OBSERVATIONAL):
         super().__init__(x, y, z)
-        self.__dict__["regime"] = regime
+        self.__dict__["regime"] = _node_index(regime)
 
     def canonical(self) -> "CiStatement":
         """Swap x and y into a fixed order so symmetric duplicates collapse:
@@ -81,12 +81,12 @@ def _split(triples):
 def markov_blanket(g: MixedGraph, s: Iterable[int], b: int) -> frozenset[int]:
     """The blanket of b inside the extended subgraph over s: children,
     neighbours of b and its children, and parents of all of those."""
-    s = frozenset(int(i) for i in s)
-    b = int(b)
-    if b not in s:
+    sm = g.node_mask(s)
+    b = _node_index(b, g.n)
+    if not sm >> (b - 1) & 1:
         raise NodeNotInSetError(f"node {b} is not in the target set")
     _reject_biarrows(g, "extended subgraph")
-    return g.mask_nodes(_blanket_mask(_extended_masks(g, g.node_mask(s)), b))
+    return g.mask_nodes(_blanket_mask(_extended_masks(g, sm), b))
 
 
 def _ancestral_sets(g: MixedGraph):

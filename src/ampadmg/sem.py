@@ -18,13 +18,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import (
-    ErrorNodeInZError,
-    NodeOutOfRangeError,
-    ProblemTooLargeError,
-    SingularSubmatrixError,
-)
-from .graph import MixedGraph, _check_names
+from .errors import ErrorNodeInZError, ProblemTooLargeError, SingularSubmatrixError
+from .graph import MixedGraph, _bits, _check_names, _node_index, _node_mask
 from .separation import _reject_biarrows
 
 PRECISION_ZERO_TOL = 1e-9
@@ -113,7 +108,7 @@ class LinearSem:
     def __post_init__(self):
         g = self.graph
         _reject_biarrows(g, "a linear SEM")
-        beta = {(int(t), int(h)): float(v) for (t, h), v in dict(self.beta).items()}
+        beta = {tuple(map(_node_index, e)): float(v) for e, v in dict(self.beta).items()}
         if set(beta) != set(g.arrows):
             raise ValueError("beta must assign a coefficient to every arrow")
         object.__setattr__(self, "beta", beta)
@@ -177,10 +172,8 @@ def ci_test(sigma: np.ndarray, x: int, y: int, z: Iterable[int],
     of x and y given z below ``tol`` in magnitude?"""
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.shape[0]
-    zs = sorted(int(i) for i in z)
-    for i in (x, y, *zs):
-        if not 1 <= i <= n:
-            raise NodeOutOfRangeError(f"node {i} out of range 1..{n}")
+    x, y = _node_index(x, n), _node_index(y, n)
+    zs = list(_bits(_node_mask(z, n)))
     if x == y or x in zs or y in zs:
         raise ValueError("x, y and z must be distinct")
     idx = [x - 1, y - 1] + [i - 1 for i in zs]

@@ -38,7 +38,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from .errors import MalformedQueryError, ProblemTooLargeError, UnsupportedDialectError
-from .graph import (MAX_GRAPH_NODES, Dialect, MixedGraph, _bits, _check_node, _components,
+from .graph import (MAX_GRAPH_NODES, Dialect, MixedGraph, _bits, _components, _node_index,
                     _restrict, _spread, _submasks, _undirected, _union, set_index)
 
 # End marks: how a walk most recently arrived at a node.
@@ -50,15 +50,16 @@ class SeparationQuery:
     """Disjoint node sets x, y (non-empty) and a conditioning set z, held as
     masks ``xm``, ``ym``, ``zm`` (node i is bit i - 1) that equality and
     hashing compare; the sets are checked once and are views built on first
-    access.  A set naming a node outside ``1..MAX_GRAPH_NODES`` gets the
-    mask -1, which every graph refuses."""
+    access.  A node that is not an integer is refused here; a set naming a
+    node outside ``1..MAX_GRAPH_NODES`` gets the mask -1, and a graph asked
+    about it reads the set itself."""
 
     xm: int
     ym: int
     zm: int
 
     def __init__(self, x, y, z=frozenset()):
-        x, y, z = sets = [frozenset(int(i) for i in s) for s in (x, y, z)]
+        x, y, z = sets = [frozenset(map(_node_index, s)) for s in (x, y, z)]
         if not x or not y:
             raise MalformedQueryError("x and y must be non-empty")
         if x & y or x & z or y & z:
@@ -115,10 +116,12 @@ def singleton_queries(n: int) -> Iterator[tuple[int, int, frozenset]]:
 
 def _query_masks(g: MixedGraph, q: SeparationQuery):
     """The query's masks, range-checked against g by one shift.  When that
-    fails, some node of x, y or z lies outside ``1..n``, and the
-    ``NodeOutOfRangeError`` names the lowest such node."""
+    fails, ``node_mask`` names the lowest node of x, y or z outside ``1..n``;
+    if there is none, g has more than ``MAX_GRAPH_NODES`` nodes and a mask
+    of -1 is built again from its set."""
     if (q.xm | q.ym | q.zm) >> g.n:
-        _check_node(min(v for v in q.x | q.y | q.z if not 1 <= v <= g.n), g.n)
+        g.node_mask(q.x | q.y | q.z)
+        return g.node_mask(q.x), g.node_mask(q.y), g.node_mask(q.z)
     return q.xm, q.ym, q.zm
 
 

@@ -10,10 +10,10 @@ import pytest
 
 from ampadmg import (
     Dialect,
-    MalformedScriptError,
     MixedGraph,
     NodeOutOfRangeError,
     OverlappingSetsError,
+    ParseError,
     RuleApplication,
     SeparationQuery,
     check_derivation,
@@ -280,18 +280,18 @@ def test_parse_derivation_numeric():
 
 
 def test_parse_derivation_errors(ident_alt):
-    with pytest.raises(MalformedScriptError, match="line 1"):
+    with pytest.raises(ParseError, match="line 1"):
         parse_derivation("rule 1 x=Q y=2 z= w=", ident_alt)
-    with pytest.raises(MalformedScriptError, match="line 2"):
+    with pytest.raises(ParseError, match="line 2"):
         parse_derivation("rule 1 x= y=1 z= w=\nrule one x= y=1 z= w=")
-    with pytest.raises(MalformedScriptError, match="line 1"):
+    with pytest.raises(ParseError, match="line 1"):
         parse_derivation("rule 7 x= y=1 z= w=")
 
 
 def test_parse_derivation_checks_range_only_against_a_graph(ident_alt):
     steps = parse_derivation("rule 1 x=0 y=4 z= w=")
     assert (steps[0].x, steps[0].y) == ({0}, {4})
-    with pytest.raises(MalformedScriptError, match="line 2: node 4 out of range"):
+    with pytest.raises(ParseError, match="line 2: node 4 out of range"):
         parse_derivation("rule 1 x= y=A z= w=\nrule 1 x= y=4 z= w=", ident_alt)
 
 

@@ -1,27 +1,40 @@
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ampadmg import (
+    CiStatement,
+    Constraint,
     Dialect,
     GraphValidationError,
     DirectedCycleError,
     DoubleArrowError,
     DoubleEdgeError,
+    LearnProblem,
     LineBiarrowMixError,
+    LinearSem,
     MixedGraph,
     NodeOutOfRangeError,
     ParseError,
     SelfEdgeError,
+    SeparationQuery,
     augmented_graph,
+    ci_test,
+    determined_closure,
     extended_subgraph,
+    implied_covariance,
     intervene,
     magnify,
     marginal_graph,
+    markov_blanket,
     parse,
+    random_sem,
     relation,
+    rule_applicable,
+    separated,
     serialize,
     set_index,
     set_members,
@@ -414,3 +427,59 @@ def test_parse_caps_the_declared_node_count():
 def test_parse_serialize_round_trip(seed, n):
     g = random_graph(random.Random(seed), n, biarrow_ok=True)
     assert parse(serialize(g)) == g
+
+
+# -- the node rule ------------------------------------------------------------
+
+_G = MixedGraph(3, arrows={(1, 2)}, lines={(2, 3)})
+_SIGMA = implied_covariance(random_sem(_G, 0))
+
+# Each entry point of the package that reads nodes from its caller, called
+# with the node k in one place; k = 1 is a valid node everywhere.
+NODE_ENTRY_POINTS = {
+    "MixedGraph": lambda k: MixedGraph(3, arrows={(k, 2)}),
+    "node_label": lambda k: _G.node_label(k),
+    "node_mask": lambda k: _G.parents([k, 2]),
+    "relation": lambda k: relation(_G, "An", [k]),
+    "set_index": lambda k: set_index([k, 3]),
+    "set_members": lambda k: set_members(k, 3),
+    "SeparationQuery": lambda k: separated(_G, SeparationQuery({k}, {3}, {2})),
+    "CiStatement.regime": lambda k: CiStatement({2}, {3}, regime=k),
+    "markov_blanket": lambda k: markov_blanket(_G, {k, 2}, k),
+    "intervene": lambda k: intervene(_G, [k]),
+    "rule_applicable": lambda k: rule_applicable(_G, 1, [], [3], [k], [2]),
+    "with_regime_nodes": lambda k: with_regime_nodes(_G, [k, 3]),
+    "Constraint.x": lambda k: Constraint("indep", k, 3),
+    "Constraint.cond": lambda k: Constraint("indep", 2, 3, {k}),
+    "Constraint.regime": lambda k: Constraint("indep", 2, 3, regime=k),
+    "LearnProblem.ordering": lambda k: LearnProblem(3, ordering=(k, 2, 3)),
+    "LearnProblem.prior": lambda k: LearnProblem(3, forbidden={("arrow", k, 3)}),
+    "LinearSem": lambda k: LinearSem(_G, {(k, 2): 0.5}, np.eye(3)).beta,
+    "ci_test": lambda k: ci_test(_SIGMA, k, 3, [2]),
+    "ci_test.z": lambda k: ci_test(_SIGMA, 3, 2, [k]),
+    "determined_closure": lambda k: determined_closure(magnify(_G), [k]),
+}
+
+
+@pytest.mark.parametrize("call", NODE_ENTRY_POINTS.values(), ids=NODE_ENTRY_POINTS)
+def test_every_entry_point_reads_nodes_by_one_rule(call):
+    # A node is whatever operator.index accepts: numpy integers are the
+    # ints they hold, while floats (even 2.0) and strings are refused.
+    assert call(np.int64(1)) == call(1)
+    for bad in (1.5, 2.0, "1"):
+        with pytest.raises(NodeOutOfRangeError, match="is not an integer"):
+            call(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: intervene(g, {9, 16}),
+    lambda g: g.parents({9, 16}),
+    lambda g: markov_blanket(g, {1, 9, 16}, 1),
+    lambda g: determined_closure(magnify(g), {9, 16}),
+    lambda g: rule_applicable(g, 1, [], [1], {9, 16}, []),
+    lambda g: LearnProblem(3, (Constraint("indep", 1, 2, {9, 16}),)),
+])
+def test_of_several_bad_nodes_the_lowest_is_named(call):
+    # {9, 16} iterates as 16, 9: the name must not follow hash-slot order.
+    with pytest.raises(NodeOutOfRangeError, match=r"^node 9 out of range"):
+        call(MixedGraph(3))

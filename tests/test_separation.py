@@ -557,6 +557,20 @@ def test_query_naming_a_node_no_graph_has_builds_no_mask():
             assert str(exc.value) == f"node {bad} out of range 1..5"
 
 
+def test_query_on_a_graph_past_the_file_cap_is_answered():
+    # The library builds graphs of any size; past MAX_GRAPH_NODES a query
+    # holds the mask -1 for a set that is in range, and is answered from
+    # its sets.  Criterion 4 is left out: it takes seconds at this size.
+    big = MAX_GRAPH_NODES + 1
+    g = MixedGraph(big, arrows={(1, big)}, lines={(2, big)})
+    for q, want in ((SeparationQuery({big}, {1}), False),
+                    (SeparationQuery({big}, {3}), True),
+                    (SeparationQuery({1}, {2}, {big}), False)):
+        assert q.xm == -1 or q.zm == -1
+        for c in (1, 2, 3):
+            assert separated(g, q, criterion=c) is want
+
+
 # -- separation under determinism ----------------------------------------------
 
 

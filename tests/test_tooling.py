@@ -37,20 +37,29 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not unused
 
 
-def _raise_sites(tree, name: str) -> list:
-    # The innermost function around each `raise <name>(...)` in the tree.
+def _sites(tree, hit) -> list:
+    # The innermost function around each node of the tree that `hit` accepts.
     sites = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if isinstance(exc, ast.Name) and exc.id == name:
-                    sites.append(func)
+            if hit(child):
+                sites.append(func)
             visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
 
     visit(tree, None)
     return sites
+
+
+def _raise_sites(tree, name: str) -> list:
+    # The innermost function around each `raise <name>(...)` in the tree.
+    def hit(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == name
+
+    return _sites(tree, hit)
 
 
 def test_one_raise_site_refuses_biarrows():
@@ -73,14 +82,28 @@ def test_every_error_class_is_raised_somewhere():
 
 
 KERNEL_HELPERS = ("_bits", "_union", "_spread", "_submasks", "_restrict", "_components",
-                  "_undirected")
+                  "_undirected", "_node_index", "_node_mask")
 
 
 def test_each_kernel_helper_has_one_definition_in_graph():
-    # The bitmask helpers the engines share are written once, in graph.py.
+    # The bitmask helpers the engines share, and the node rule every entry
+    # point reads its nodes through, are written once, in graph.py.
     defined = {name: [] for name in KERNEL_HELPERS}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef) and node.name in defined:
                 defined[node.name].append(path.name)
     assert defined == {name: ["graph.py"] for name in KERNEL_HELPERS}
+
+
+def test_only_the_token_reader_calls_int():
+    # int() truncates floats and parses strings, so a node read through it
+    # escapes the node rule (graph._node_index); only the text rule may
+    # turn a token into an integer.
+    def hit(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "int")
+
+    sites = sorted(f"{path.name}:{func}" for path in SRC.glob("*.py")
+                   for func in _sites(ast.parse(path.read_text()), hit))
+    assert sites == ["graph.py:_int_token"]
