@@ -49,7 +49,7 @@ def _cut(g: MixedGraph, xm: int) -> tuple:
     for v in _bits(keep):
         pa_x[v] = pa[v]
         bi_x[v] = bi[v] & keep
-    return pa_x, [m & keep for m in ch], _marginal_masks(ne, n, keep), bi_x
+    return pa_x, [m & keep for m in ch], _marginal_masks(ne, keep, xm), bi_x
 
 
 @dataclass(frozen=True)

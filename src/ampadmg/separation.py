@@ -9,14 +9,17 @@ The four decision procedures:
 
 1. simple paths; colliders must be ancestors of Z, non-colliders must
    avoid Z except that a line-line non-collider with a parent outside Z
-   may be conditioned on;
+   may be conditioned on -- a depth-first search that refuses to run past
+   ``MAX_PATH_STEPS`` stack pops;
 2. walks that may revisit nodes; colliders must be in Z, non-colliders
    must avoid Z, no exceptions -- decided by a frontier fixpoint over
    three node masks, the nodes a walk reaches with each end mark (line,
    head, tail), in the style of the closures on the graph's masks.  Its
-   lane form, ``_route_lanes``, runs the same fixpoint for every
-   conditioning set of one (x, y) pair at once, one bit per set; the
-   singleton sweeps take criterion 2 from it;
+   lane form, ``_route_lanes``, answers every conditioning set of one
+   (x, y) pair at once, one bit (lane) per set: each node holds three
+   lane ints, the lanes in which a walk has reached it with each end
+   mark, and x is seeded as a tail arrival in every lane.  The singleton
+   sweeps take criterion 2 from it;
 3. reachability in the augmented graph of the extended subgraph over
    x + y + z;
 4. as 3 but with the undirected part marginalised onto the ancestor set.
@@ -195,11 +198,12 @@ def _route_lanes(adj, xm: int, ym: int, rest: int) -> int:
     """Criterion 2 for every conditioning set inside ``rest`` at once.
 
     Bit k of the result is set iff x and y are connected given the k-th
-    submask of ``rest`` in ``_submasks`` (increasing) order.  This is
-    ``_route_connected`` with each node's reached and leave masks widened
-    to one lane int per node, one bit per conditioning set.  If v is the
-    j-th bit of ``rest``, the lanes whose set holds v are the periodic
-    pattern of bit j of the lane number, so no lane is set up one by one.
+    submask of ``rest`` in ``_submasks`` (increasing) order: lane k.  Each
+    node holds three lane ints, ``line[v]``, ``head[v]`` and ``tail[v]``,
+    the lanes in which a walk has reached v with that end mark.  x is seeded
+    as a tail arrival in every lane: outside z that may leave every way, an
+    endpoint's freedom.  If v is the j-th bit of ``rest``, the lanes whose
+    set holds v are the periodic pattern of bit j of the lane number.
     """
     pa, ch, ne, bi = adj
     size = len(pa)
@@ -211,58 +215,39 @@ def _route_lanes(adj, xm: int, ym: int, rest: int) -> int:
         rest ^= vb
         in_z[vb.bit_length()] = full // ((1 << 2 * width) - 1) * (((1 << width) - 1) << width)
         width <<= 1
-    reached_line, reached_head, reached_tail = [0] * size, [0] * size, [0] * size
-    into_line, into_head, into_tail = [0] * size, [0] * size, [0] * size
-    by_line, by_arrow, by_pa, by_bi = [0] * size, [0] * size, [0] * size, [0] * size
+    line, head, tail = [0] * size, [0] * size, [0] * size
     for v in _bits(xm):
-        by_line[v] = by_arrow[v] = by_pa[v] = by_bi[v] = full
+        tail[v] = full
     connected = 0
-    active = xm
-    while active:
-        # Every node with lanes to leave passes them on; hit collects the
-        # nodes they arrive at.
-        hit = 0
-        while active:
-            vb = active & -active
-            active ^= vb
+    hit = xm
+    while hit:
+        # Each node that gained lanes sends all its lanes on; a target keeps
+        # the new ones and joins hit, the nodes to run next round.
+        todo, hit = hit, 0
+        while todo:
+            vb = todo & -todo
+            todo ^= vb
             v = vb.bit_length()
-            for lanes, targets, into in ((by_line[v], ne[v], into_line),
-                                         (by_arrow[v], ch[v], into_head),
-                                         (by_bi[v], bi[v], into_head),
-                                         (by_pa[v], pa[v], into_tail)):
-                if lanes and targets:
-                    hit |= targets
-                    while targets:
-                        wb = targets & -targets
-                        targets ^= wb
-                        into[wb.bit_length()] |= lanes
-            by_line[v] = by_arrow[v] = by_pa[v] = by_bi[v] = 0
-        while hit:
-            vb = hit & -hit
-            hit ^= vb
-            v = vb.bit_length()
-            fl = into_line[v] & ~reached_line[v]
-            fh = into_head[v] & ~reached_head[v]
-            ft = into_tail[v] & ~reached_tail[v]
-            into_line[v] = into_head[v] = into_tail[v] = 0
-            if not fl | fh | ft:
-                continue
-            reached_line[v] |= fl
-            reached_head[v] |= fh
-            reached_tail[v] |= ft
-            if vb & ym:
-                # A walk that reaches y has connected its lanes; it goes no further.
-                connected |= fl | fh | ft
-                if connected == full:
-                    return full
-                continue
+            zl, fl, fh, ft = in_z[v], line[v], head[v], tail[v]
             # The collider rules of _route_connected, lane by lane.
-            zl = in_z[v]
-            by_line[v] = (fh & zl) | ((fl | ft) & ~zl)
-            by_arrow[v] = (fl | fh | ft) & ~zl
-            by_pa[v] = ((fl | fh) & zl) | (ft & ~zl)
-            by_bi[v] = (fh & zl) | (ft & ~zl)
-            active |= vb
+            for lanes, targets, reached in (((fh & zl) | ((fl | ft) & ~zl), ne[v], line),
+                                            ((fl | fh | ft) & ~zl, ch[v], head),
+                                            ((fh & zl) | (ft & ~zl), bi[v], head),
+                                            (((fl | fh) & zl) | (ft & ~zl), pa[v], tail)):
+                while lanes and targets:
+                    wb = targets & -targets
+                    targets ^= wb
+                    w = wb.bit_length()
+                    new = lanes & ~reached[w]
+                    if new:
+                        reached[w] |= new
+                        if wb & ym:
+                            # A walk that reaches y has connected its lanes; it stops there.
+                            connected |= new
+                            if connected == full:
+                                return full
+                        else:
+                            hit |= wb
     return connected
 
 
@@ -281,13 +266,22 @@ def connects_path(g: MixedGraph, q: SeparationQuery) -> bool:
     return _path_connected(g._adj, xm, ym, zm, g._an_mask(zm))
 
 
+MAX_PATH_STEPS = 1 << 20
+"""The most stack pops criterion 1 may take.  On a dense line component it
+tries every simple path, about 10x more per added node, so it refuses."""
+
+
 def _path_connected(adj, xm: int, ym: int, dtm: int, anm: int) -> bool:
     # dtm: the effective conditioning mask; anm: its ancestral closure,
     # which is where colliders are passable.  A start node has no end mark
     # (None) and no collider status, so it may leave every way.
     pa, ch, ne, _bi = adj
     stack = [(s, None, 1 << (s - 1)) for s in _bits(xm)]
+    budget = MAX_PATH_STEPS
     while stack:
+        budget -= 1
+        if budget < 0:
+            raise ProblemTooLargeError(f"criterion 1 ran past its {MAX_PATH_STEPS}-step budget")
         v, mark, vis = stack.pop()
         vb = 1 << (v - 1)
         in_dt = dtm & vb
@@ -390,15 +384,18 @@ def marginal_graph(h: MixedGraph, nodes: Iterable[int]) -> MixedGraph:
     """
     if any(h._adj[0]) or any(h._adj[3]):
         raise UnsupportedDialectError("marginal graph expects an undirected graph")
-    return _undirected(h, _marginal_masks(h._adj[2], h.n, h.node_mask(nodes)))
+    ne, keep = h._adj[2], h.node_mask(nodes)
+    return _undirected(h, _marginal_masks(ne, keep, _union(ne, keep) & ~keep))
 
 
-def _marginal_masks(ne, n: int, xm: int):
-    out = _restrict(ne, xm)
+def _marginal_masks(ne, keep: int, drop: int):
+    # drop: the dropped nodes the component walk starts from; a dropped
+    # component that misses them has no kept border, so it adds no edge.
+    out = _restrict(ne, keep)
     # Each component of dropped nodes, with the kept nodes on its border;
     # every border pair becomes an edge.
-    for comp in _components(ne, ((1 << n) - 1) & ~xm, xm):
-        border = comp & xm
+    for comp in _components(ne, drop, keep):
+        border = comp & keep
         for a in _bits(border):
             out[a] |= border & ~(1 << (a - 1))
     return out
@@ -418,7 +415,7 @@ def _moral_masks(g: MixedGraph, smask: int, criterion: int) -> tuple:
     if aug is None:
         pa_e, ch_e, ne_e = _extended_masks(g, anm)
         if criterion == 4:
-            ne_e = _marginal_masks(ne_e, g.n, anm)
+            ne_e = _marginal_masks(ne_e, anm, _union(ne_e, anm) & ~anm)
         aug = cache[criterion, anm] = tuple(_augmented_masks((pa_e, ch_e, ne_e), g.n))
     return aug
 

@@ -102,3 +102,64 @@ def surgery(sem, d):
     noise[np.ix_(keep, keep)] = sem.noise_cov[np.ix_(keep, keep)]
     delta = np.linalg.inv(np.eye(n) - b)
     return delta @ noise @ delta.T
+
+
+# -- an exact Gaussian oracle over GF(p) ---------------------------------------
+#
+# A linear SEM X = B X + e on g, its parameters drawn uniformly from GF(p) and
+# seeded, shares no code with the package.  Separation makes the minor
+# det Sigma[{x} + z, {y} + z] vanish identically; for a connected query it is
+# a nonzero low-degree polynomial in the parameters, which vanishes at a
+# random point with probability about deg / p (Schwartz-Zippel).
+
+GF_P = (1 << 61) - 1
+
+
+def gf_inverse(m):
+    """The inverse of the square matrix m over GF(GF_P) by Gauss-Jordan
+    elimination; None when m is singular."""
+    k = len(m)
+    rows = [list(r) + [int(i == j) for j in range(k)] for i, r in enumerate(m)]
+    for c in range(k):
+        piv = next((r for r in range(c, k) if rows[r][c]), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = pow(rows[c][c], -1, GF_P)
+        rows[c] = [v * inv % GF_P for v in rows[c]]
+        for r in range(k):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [(v - f * w) % GF_P for v, w in zip(rows[r], rows[c])]
+    return [r[k:] for r in rows]
+
+
+def _gf_mul(a, b):
+    return [[sum(u * v for u, v in zip(row, col)) % GF_P for col in zip(*b)] for row in a]
+
+
+def gf_sigma(g, rng: random.Random):
+    """Sigma = (I - B)^-1 N (I - B)^-T over GF(GF_P), built from g's edge
+    sets: B has the arrows' pattern, the biarrows pattern the noise
+    covariance N, and the lines pattern its inverse, the noise precision.
+    Node i is index i - 1."""
+    n, draw = g.n, rng.randrange
+    i_b = [[int(i == j) for j in range(n)] for i in range(n)]
+    precision = [[draw(1, GF_P) if i == j else 0 for j in range(n)] for i in range(n)]
+    for t, h in g.arrows:
+        i_b[h - 1][t - 1] = GF_P - draw(1, GF_P)
+    for a, b in g.lines:
+        precision[a - 1][b - 1] = precision[b - 1][a - 1] = draw(1, GF_P)
+    noise = gf_inverse(precision)
+    for a, b in g.biarrows:
+        noise[a - 1][b - 1] = noise[b - 1][a - 1] = draw(1, GF_P)
+    a = gf_inverse(i_b)
+    return _gf_mul(_gf_mul(a, noise), list(zip(*a)))
+
+
+def gf_separated(sigma, x: int, y: int, z) -> bool:
+    """x _||_ y | z read off Sigma: its minor over rows {x} + z and columns
+    {y} + z is singular."""
+    z = [v - 1 for v in z]
+    rows, cols = [x - 1] + z, [y - 1] + z
+    return gf_inverse([[sigma[r][c] for c in cols] for r in rows]) is None

@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from ampadmg import (
     parse_constraints,
     parse_derivation,
 )
-from ampadmg import cli
+from ampadmg import cli, separation
 from ampadmg.cli import main, run
 from ampadmg.separation import MAX_SWEEP_NODES
 
@@ -252,6 +253,27 @@ def test_singleton_sweep_refuses_more_nodes_than_its_cap(command, tmp_path, caps
     assert captured.out == ""
     assert captured.err == (f"error: n={MAX_SWEEP_NODES + 1} exceeds the singleton "
                             f"sweep cap of {MAX_SWEEP_NODES}\n")
+
+
+def _line_clique_file(tmp_path, n):
+    # Nodes 1, 2 and a line clique on 3..n, plus 1 - 3 and 2 -> n.  1 and 2
+    # are separated given nothing, and criterion 1 must try every simple
+    # path through the clique to say so: 1,958 stack pops at n = 9.
+    lines = [f"line {a} {b}" for a, b in combinations(range(3, n + 1), 2)]
+    return graph_file(tmp_path, "\n".join([f"nodes {n}", "line 1 3", f"arrow 2 {n}", *lines]))
+
+
+@pytest.mark.parametrize("argv", [["sep", "--criterion", "1", "--x", "1", "--y", "2"],
+                                  ["equiv-check"]])
+def test_criterion_1_refuses_a_search_past_its_step_budget(argv, tmp_path, capsys, monkeypatch):
+    # A budget under the clique query's pops; equiv-check asks that query
+    # first and prints only at the end, so its refusal leaves stdout empty.
+    monkeypatch.setattr(separation, "MAX_PATH_STEPS", 1000)
+    g = _line_clique_file(tmp_path, 9)
+    assert main([argv[0], "--graph", g, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: criterion 1 ran past its 1000-step budget\n"
 
 
 # -- magnify / intervene -----------------------------------------------------

@@ -24,10 +24,12 @@ from ampadmg import (
     separated,
     separated_with_determinism,
 )
-from ampadmg.graph import MAX_GRAPH_NODES, _submasks
+from ampadmg import separation
+from ampadmg.graph import MAX_GRAPH_NODES, _bits, _submasks
 from ampadmg.separation import (MAX_SWEEP_NODES, _moral_masks, _route_connected, _route_lanes,
                                  _singleton_masks, _singleton_pairs)
-from conftest import DATA, load_bench, random_graph, singleton_queries
+from conftest import (DATA, gf_separated, gf_sigma, load_bench, random_graph,
+                      singleton_queries)
 
 
 # -- brute-force oracles ------------------------------------------------------
@@ -261,6 +263,30 @@ def test_route_lanes_match_the_per_query_route():
                 xm, ym = g.node_mask(x), g.node_mask(y)
                 checked += _lanes_match_queries(g, xm, ym, full & ~xm & ~ym)
     assert checked == 377_055
+
+
+def test_criterion_2_matches_the_exact_gaussian_oracle():
+    # Every graph with n = 3 and a seeded sample of 300 with n = 4, both
+    # dialects, then seeded line and biarrow graphs with n = 5.  Each
+    # singleton query is asked of the lane kernel and of separated(..., 2),
+    # and both must equal the singularity of a minor of an exact SEM's Sigma.
+    rng = random.Random(59)
+    graphs = [g for dialect in (Dialect.ALTERNATIVE, Dialect.ORIGINAL)
+              for g in (list(enumerate_graphs(3, dialect))
+                        + rng.sample(list(enumerate_graphs(4, dialect)), 300))]
+    graphs += [random_graph(rng, 5, biarrow_ok=True) for _ in range(60)]
+    checked = 0
+    for g in graphs:
+        sigma = gf_sigma(g, rng)
+        for xm, ym, rest in _singleton_pairs(g.n):
+            lanes = _route_lanes(g._adj, xm, ym, rest)
+            for zm in _submasks(rest):
+                q = SeparationQuery._from_masks(xm, ym, zm)
+                sep = gf_separated(sigma, xm.bit_length(), ym.bit_length(), _bits(zm))
+                assert (not lanes & 1) == separated(g, q) == sep, (g, q.x, q.y, q.z)
+                lanes >>= 1
+                checked += 1
+    assert checked == 21_600
 
 
 def _random_sets(rng, n):
@@ -560,15 +586,32 @@ def test_query_naming_a_node_no_graph_has_builds_no_mask():
 def test_query_on_a_graph_past_the_file_cap_is_answered():
     # The library builds graphs of any size; past MAX_GRAPH_NODES a query
     # holds the mask -1 for a set that is in range, and is answered from
-    # its sets.  Criterion 4 is left out: it takes seconds at this size.
+    # its sets.
     big = MAX_GRAPH_NODES + 1
     g = MixedGraph(big, arrows={(1, big)}, lines={(2, big)})
     for q, want in ((SeparationQuery({big}, {1}), False),
                     (SeparationQuery({big}, {3}), True),
                     (SeparationQuery({1}, {2}, {big}), False)):
         assert q.xm == -1 or q.zm == -1
-        for c in (1, 2, 3):
+        for c in (1, 2, 3, 4):
             assert separated(g, q, criterion=c) is want
+
+
+def test_criterion_4_walks_only_the_dropped_components_next_to_the_ancestors(monkeypatch):
+    # Marginalising onto the ancestor set {1, 2, big} walks the one dropped
+    # line component that borders it, {3}, not one per isolated node.
+    real, walked = separation._components, []
+
+    def counting_components(step, todo, block=0):
+        for comp in real(step, todo, block):
+            walked.append(comp)
+            yield comp
+
+    monkeypatch.setattr(separation, "_components", counting_components)
+    big = MAX_GRAPH_NODES + 1
+    g = MixedGraph(big, arrows={(1, 3)}, lines={(2, 3)})
+    assert separated(g, SeparationQuery({1}, {2}, {big}), criterion=4)
+    assert len(walked) == 1
 
 
 # -- separation under determinism ----------------------------------------------
