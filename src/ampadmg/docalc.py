@@ -37,18 +37,16 @@ def intervene(g: MixedGraph, x: Iterable[int]) -> MixedGraph:
 
 def _cut(g: MixedGraph, xm: int) -> tuple:
     # g's (pa, ch, ne, bi) masks with the arrows into x cut, the biarrows at
-    # x dropped and the lines marginalised onto the nodes outside x.  For an
+    # x dropped and the lines marginalised onto the nodes outside x.  Only
+    # x's rows are walked; every other row is copied or masked once.  For an
     # empty x they are g's own masks: a caller copies before it extends them.
     if not xm:
         return g._adj
-    n = g.n
     pa, ch, ne, bi = g._adj
-    keep = ((1 << n) - 1) & ~xm
-    pa_x = [0] * (n + 1)
-    bi_x = [0] * (n + 1)
-    for v in _bits(keep):
-        pa_x[v] = pa[v]
-        bi_x[v] = bi[v] & keep
+    keep = ((1 << g.n) - 1) & ~xm
+    pa_x, bi_x = list(pa), [m & keep for m in bi]
+    for v in _bits(xm):
+        pa_x[v] = bi_x[v] = 0
     return pa_x, [m & keep for m in ch], _marginal_masks(ne, keep, xm), bi_x
 
 

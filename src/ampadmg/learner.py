@@ -127,17 +127,17 @@ class LearnProblem:
 
     @cached_property
     def _checks(self):
-        # The highest node any constraint names, then the dep and the indep
-        # constraints as (regime mask, ((x, y, cond) masks plus weight, ...)).
-        # Deps by rising, indeps by falling regime: score cuts a shared top one once.
+        # The highest node any constraint names, then one (regime mask, deps,
+        # indeps) entry per regime in rising order, so score cuts each regime
+        # once.  Each check is its (x, y, cond) masks plus its weight.
         top = 0
-        split = {"dep": defaultdict(list), "indep": defaultdict(list)}
+        regimes = defaultdict(lambda: {"dep": [], "indep": []})
         for c in self.constraints:
             top = max(top, c.x, c.y, c.regime, *c.cond)
-            split[c.kind][1 << (c.regime - 1) if c.regime else 0].append(
+            regimes[1 << (c.regime - 1) if c.regime else 0][c.kind].append(
                 (1 << (c.x - 1), 1 << (c.y - 1), set_index(c.cond), c.weight))
-        return (top, tuple(sorted(split["dep"].items())),
-                tuple(sorted(split["indep"].items(), reverse=True)))
+        return top, tuple((rm, tuple(k["dep"]), tuple(k["indep"]))
+                          for rm, k in sorted(regimes.items()))
 
     def _norm_prior(self, prior):
         kind, a, b = prior
@@ -173,23 +173,19 @@ def _edge_penalty(g: MixedGraph, p: LearnProblem) -> int:
 def score(g: MixedGraph, p: LearnProblem) -> int | None:
     """Edge penalties plus violated independence weights, or None when a
     hard dependence fails."""
-    top, deps, indeps = p._checks
+    top, regimes = p._checks
     if top > g.n:
         raise NodeOutOfRangeError(f"constraint node {top} out of range 1..{g.n}")
-    cut_rm = None
-    for cut_rm, checks in deps:
-        adj = _cut(g, cut_rm)
-        for xm, ym, zm, _w in checks:
+    total = 0
+    for rm, deps, indeps in regimes:
+        adj = _cut(g, rm)
+        for xm, ym, zm, _w in deps:
             if not _route_connected(adj, xm, ym, zm):
                 return None
-    total = _edge_penalty(g, p)
-    for rm, checks in indeps:
-        if rm != cut_rm:
-            cut_rm, adj = rm, _cut(g, rm)
-        for xm, ym, zm, weight in checks:
+        for xm, ym, zm, weight in indeps:
             if _route_connected(adj, xm, ym, zm):
                 total += weight
-    return total
+    return total + _edge_penalty(g, p)
 
 
 def _und_options(p: LearnProblem, dialect: Dialect, i: int, j: int) -> list[bool]:

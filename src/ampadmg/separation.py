@@ -389,9 +389,13 @@ def marginal_graph(h: MixedGraph, nodes: Iterable[int]) -> MixedGraph:
 
 
 def _marginal_masks(ne, keep: int, drop: int):
-    # drop: the dropped nodes the component walk starts from; a dropped
-    # component that misses them has no kept border, so it adds no edge.
-    out = _restrict(ne, keep)
+    # drop must hold every dropped node with a kept neighbour: the component
+    # walk starts from them, and their rows are the dropped rows that
+    # ``m & keep`` leaves non-zero.  A dropped component that misses drop has
+    # no kept border, so it adds no edge.
+    out = [m & keep for m in ne]
+    for v in _bits(drop):
+        out[v] = 0
     # Each component of dropped nodes, with the kept nodes on its border;
     # every border pair becomes an edge.
     for comp in _components(ne, drop, keep):

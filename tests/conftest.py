@@ -143,6 +143,14 @@ def gf_sigma(g, rng: random.Random):
     sets: B has the arrows' pattern, the biarrows pattern the noise
     covariance N, and the lines pattern its inverse, the noise precision.
     Node i is index i - 1."""
+    return gf_surgery(g, rng, ())
+
+
+def gf_surgery(g, rng: random.Random, d):
+    """The Sigma of :func:`gf_sigma`'s SEM under do(d), computed here, not by
+    the package.  B and N are drawn as gf_sigma draws them; then d's rows of
+    B are zeroed, d gets unit noise independent of the rest, and the other
+    nodes keep their noise covariance."""
     n, draw = g.n, rng.randrange
     i_b = [[int(i == j) for j in range(n)] for i in range(n)]
     precision = [[draw(1, GF_P) if i == j else 0 for j in range(n)] for i in range(n)]
@@ -153,6 +161,10 @@ def gf_sigma(g, rng: random.Random):
     noise = gf_inverse(precision)
     for a, b in g.biarrows:
         noise[a - 1][b - 1] = noise[b - 1][a - 1] = draw(1, GF_P)
+    for v in d:
+        i_b[v - 1] = [int(j == v - 1) for j in range(n)]
+        for j in range(n):
+            noise[v - 1][j] = noise[j][v - 1] = int(j == v - 1)
     a = gf_inverse(i_b)
     return _gf_mul(_gf_mul(a, noise), list(zip(*a)))
 

@@ -8,6 +8,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
+from ampadmg import docalc, graph, separation
 from ampadmg import (
     Dialect,
     MixedGraph,
@@ -29,7 +30,9 @@ from ampadmg import (
     set_members,
     with_regime_nodes,
 )
-from conftest import DATA, load_bench, random_graph, singleton_queries, surgery
+from ampadmg.graph import MAX_GRAPH_NODES
+from conftest import (DATA, gf_separated, gf_surgery, load_bench, random_graph,
+                      singleton_queries, surgery)
 
 
 def oracle_intervene(g, x):
@@ -381,3 +384,46 @@ def test_intervene_matches_sem_surgery():
             for a, b, z in singleton_queries(g.n):
                 assert separated(cut, SeparationQuery({a}, {b}, z)) == ci_test(sigma, a, b, z), \
                     (g, d, a, b, z)
+
+
+def test_intervene_matches_exact_surgery_in_both_dialects():
+    # Every graph with n = 3 in both dialects, then 60 seeded graphs with
+    # n = 4, biarrows allowed.  For every d, criterion 2 on intervene(g, d)
+    # must equal the singularity of a minor of an exact SEM's Sigma under
+    # do(d): the marginalised lines in one dialect, the dropped biarrows in
+    # the other.
+    rng = random.Random(67)
+    graphs = [g for dialect in Dialect for g in enumerate_graphs(3, dialect)]
+    graphs += [random_graph(rng, 4, biarrow_ok=True) for _ in range(60)]
+    checked = 0
+    for g in graphs:
+        for dm in range(1 << g.n):
+            d = set_members(dm, g.n)
+            cut, sigma = intervene(g, d), gf_surgery(g, rng, d)
+            for a, b, z in singleton_queries(g.n):
+                sep = gf_separated(sigma, a, b, z)
+                assert separated(cut, SeparationQuery({a}, {b}, z)) == sep, (g, d, a, b, z)
+                checked += 1
+    assert checked == 42_240
+
+
+def test_intervention_work_follows_the_edges_at_x(monkeypatch):
+    # On 100,001 nodes and three edges, intervening on node 3 and checking a
+    # rule premise with x = {3} walk a handful of node ids, not one per row.
+    real, walked = graph._bits, []
+
+    def counting_bits(mask):
+        for v in real(mask):
+            walked.append(v)
+            yield v
+
+    for module in (graph, docalc, separation):
+        monkeypatch.setattr(module, "_bits", counting_bits)
+    big = MAX_GRAPH_NODES + 1
+    g = MixedGraph(big, arrows={(1, 3)}, lines={(2, 3), (3, 4)})
+    calls = [lambda: intervene(g, {3})]
+    calls += [partial(rule_applicable, g, rule, {3}, {1}, {2}, ()) for rule in (1, 2, 3)]
+    for call in calls:
+        walked.clear()
+        call()
+        assert len(walked) <= 16

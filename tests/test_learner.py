@@ -179,6 +179,19 @@ def test_score_checks_constraints_in_their_regime():
     assert score(g, kept_regime) == 1
 
 
+def test_score_cuts_each_regime_once(monkeypatch):
+    # Regimes 0 and 2 hold a dep and an indep each, regime 1 an indep alone:
+    # three regimes, three cuts, in rising order of the regime masks 0, 1, 2.
+    p = LearnProblem(3, (Constraint("dep", 1, 3), Constraint("dep", 1, 3, regime=2),
+                         Constraint("indep", 1, 3, {2}), Constraint("indep", 2, 3, regime=1),
+                         Constraint("indep", 1, 3, regime=2)))
+    g = MixedGraph(3, arrows={(1, 2), (2, 3)}, lines={(1, 3)})
+    real, cuts = learner._cut, []
+    monkeypatch.setattr(learner, "_cut", lambda g, rm: cuts.append(rm) or real(g, rm))
+    assert score(g, p) == reference_score(g, p) == 6
+    assert cuts == [0, 1, 2]
+
+
 def test_scored_graph_holds_no_reference_cycle():
     # A candidate is freed when its last reference goes, with the cyclic
     # collector off.  Scoring reads its regime masks and memoises nothing on it.
