@@ -8,13 +8,13 @@ by that path survives.  In the original dialect the biarrows touching x
 are simply removed.
 
 Every intervened graph is built from the masks :func:`_cut` returns,
-which nothing memoises.  Rule premises are separation queries on them.
-Rules 2 and 3 add one indicator F with an arrow into every node of z,
-where the reference :func:`with_regime_nodes` adds one per node: a walk
-from F starts ``F -> v`` for some v in z, as a walk from v's own
-indicator does, and a walk that passes F again can be cut at its last
-visit without changing its inner colliders.  F may be added after the cut,
-because z and x are disjoint and F has no lines.
+which nothing memoises.  Rule premises are criterion-2 questions on them.
+Rules 2 and 3 ask about z's regime indicators, which the reference
+:func:`with_regime_nodes` adds one per node.  One indicator F into all of
+z does as well: a walk from F starts ``F -> v`` for some v in z, as a
+walk from v's own indicator does, and a walk that passes F again can be
+cut at its last visit without changing its inner colliders.  So the
+premise asks whether a walk that enters z through an arrowhead reaches y.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .errors import MalformedQueryError, OverlappingSetsError, ParseError
 from .graph import MixedGraph, _bits, _integer, _label_index, _lines, _node_list
-from .separation import SeparationQuery, _marginal_masks, connects_route
+from .separation import SeparationQuery, _marginal_masks, _route_connected, connects_route
 
 
 def intervene(g: MixedGraph, x: Iterable[int]) -> MixedGraph:
@@ -39,7 +39,7 @@ def _cut(g: MixedGraph, xm: int) -> tuple:
     # g's (pa, ch, ne, bi) masks with the arrows into x cut, the biarrows at
     # x dropped and the lines marginalised onto the nodes outside x.  Only
     # x's rows are walked; every other row is copied or masked once.  For an
-    # empty x they are g's own masks: a caller copies before it extends them.
+    # empty x they are g's own masks, which callers only read.
     if not xm:
         return g._adj
     pa, ch, ne, bi = g._adj
@@ -111,10 +111,10 @@ def rule_applicable(g: MixedGraph, rule: int, x: Iterable[int], y: Iterable[int]
     ``p(y | do(x), z, w)``; rule 2 exchanges conditioning on z with
     intervening on it; rule 3 removes an intervention on z entirely.
 
-    Each premise is a separation query on the graph with x forced: y
-    against z given x ∪ w (rule 1), or y against one indicator F into all
-    of z (see the module docstring) given x ∪ z ∪ w (rule 2) or x ∪ w
-    (rule 3).
+    Each premise is a criterion-2 question on the masks of the graph with
+    x forced: y against z given x ∪ w (rule 1), or whether a walk that
+    enters z through an arrowhead reaches y (see the module docstring),
+    given x ∪ z ∪ w (rule 2) or x ∪ w (rule 3).
     """
     if rule not in (1, 2, 3):
         raise ValueError(f"rule must be 1, 2 or 3, got {rule!r}")
@@ -129,17 +129,12 @@ def rule_applicable(g: MixedGraph, rule: int, x: Iterable[int], y: Iterable[int]
         seen |= m
     if not zm:
         return True  # empty z: the rewrite is the identity
-    pa, ch, ne, bi = cut = _cut(g, xm)
+    cut = _cut(g, xm)
     if rule == 1:
         return not connects_route(MixedGraph._from_masks(g.n, cut),
                                   SeparationQuery._from_masks(ym, zm, xm | wm))
-    f = 1 << g.n  # the indicator, node n + 1, added to copies of the cut masks
-    pa_f = pa + [0]
-    for v in _bits(zm):
-        pa_f[v] |= f
-    flagged = MixedGraph._from_masks(g.n + 1, (pa_f, ch + [zm], ne + [0], bi + [0]))
     cond = xm | wm | zm if rule == 2 else xm | wm
-    return not connects_route(flagged, SeparationQuery._from_masks(ym, f, cond))
+    return not _route_connected(cut, 0, ym, cond, zm)
 
 
 @dataclass(frozen=True)

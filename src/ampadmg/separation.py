@@ -14,12 +14,12 @@ The four decision procedures:
 2. walks that may revisit nodes; colliders must be in Z, non-colliders
    must avoid Z, no exceptions -- decided by a frontier fixpoint over
    three node masks, the nodes a walk reaches with each end mark (line,
-   head, tail), in the style of the closures on the graph's masks.  Its
-   lane form, ``_route_lanes``, answers every conditioning set of one
-   (x, y) pair at once, one bit (lane) per set: each node holds three
-   lane ints, the lanes in which a walk has reached it with each end
-   mark, and x is seeded as a tail arrival in every lane.  The singleton
-   sweeps take criterion 2 from it;
+   head, tail).  x leaves every way, as an endpoint; a ``head`` seed
+   starts walks that entered a node through an arrowhead (the rule
+   premises of :mod:`docalc`).  Its lane form, ``_route_lanes``, answers
+   every conditioning set of one (x, y) pair at once, one bit (lane) per
+   set and three lane ints per node; the singleton sweeps take criterion
+   2 from it;
 3. reachability in the augmented graph of the extended subgraph over
    x + y + z;
 4. as 3 but with the undirected part marginalised onto the ancestor set.
@@ -150,13 +150,14 @@ def connects_route(g: MixedGraph, q: SeparationQuery) -> bool:
     return _route_connected(g._adj, xm, ym, zm)
 
 
-def _route_connected(adj, xm: int, ym: int, zm: int) -> bool:
+def _route_connected(adj, xm: int, ym: int, zm: int, head: int = 0) -> bool:
     pa, ch, ne, bi = adj
-    reached_line = reached_head = reached_tail = 0
+    reached_line, reached_head, reached_tail = 0, head, 0
     # The nodes a walk may leave through a line, along an arrow, against an
-    # arrow and through a biarrow.  Endpoints carry no collider status, so
-    # every first step out of x is allowed.
-    by_line = by_arrow = by_pa = by_bi = xm
+    # arrow and through a biarrow.  x leaves every way, as an endpoint; head,
+    # nodes outside y entered through an arrowhead, by the collider rules.
+    by_line = by_pa = by_bi = xm | (head & zm)
+    by_arrow = xm | (head & ~zm)
     while True:
         # The nodes first reached with each end mark: line, head, tail.
         fl = fh = ft = 0

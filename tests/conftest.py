@@ -175,3 +175,14 @@ def gf_separated(sigma, x: int, y: int, z) -> bool:
     z = [v - 1 for v in z]
     rows, cols = [x - 1] + z, [y - 1] + z
     return gf_inverse([[sigma[r][c] for c in cols] for r in rows]) is None
+
+
+def gf_regression(sigma, y: int, s):
+    """The coefficients of y on the nodes s, in sorted order, then the
+    residual variance, all over GF(GF_P): the exact form of a regression of
+    y on s read off Sigma."""
+    s = [v - 1 for v in sorted(s)]
+    inv = gf_inverse([[sigma[a][b] for b in s] for a in s])
+    cov_sy = [sigma[a][y - 1] for a in s]
+    coef = [sum(c * v for c, v in zip(row, cov_sy)) % GF_P for row in inv]
+    return coef + [(sigma[y - 1][y - 1] - sum(c * v for c, v in zip(coef, cov_sy))) % GF_P]

@@ -9,6 +9,8 @@ import contextlib
 import hashlib
 import io
 import json
+import re
+import shlex
 from collections import Counter
 from itertools import combinations
 
@@ -30,6 +32,8 @@ from ampadmg.cli import main, run
 from ampadmg.separation import MAX_SWEEP_NODES
 
 from conftest import DATA
+
+ROOT = DATA.parent.parent
 
 
 def graph_file(tmp_path, text):
@@ -944,3 +948,47 @@ def test_repeated_runs_are_byte_identical(capsys):
         first = capsys.readouterr().out
         main(argv)
         assert capsys.readouterr().out == first
+
+
+# -- the README ----------------------------------------------------------------
+
+
+def _readme_examples():
+    # The "$ ampadmg ..." lines of the sh block under "Command line" in
+    # README.md, each with the output lines shown under it.
+    text = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    examples = []
+    for line in text.split("```sh\n", 1)[1].split("\n```", 1)[0].splitlines():
+        if line.startswith("$ ampadmg "):
+            examples.append((line.removeprefix("$ ampadmg "), []))
+        elif line and not line.startswith("#"):
+            examples[-1][1].append(line)
+    return examples
+
+
+def test_readme_command_examples_print_what_they_show(capsys, monkeypatch):
+    # A shown line is the printed line, or it followed by whitespace and a
+    # "# ..." note; "# exit code N" is checked against the return code.  A
+    # "..." line ends the comparison; otherwise every printed line is shown.
+    # A command that shows nothing or redirects its output must exit 0 or 1.
+    monkeypatch.chdir(ROOT)
+    examples = _readme_examples()
+    assert examples
+    for command, shown in examples:
+        argv = shlex.split(command)
+        if ">" in argv:
+            argv = argv[:argv.index(">")]
+        code = main(argv)
+        printed = capsys.readouterr().out.splitlines()
+        assert code in (0, 1), command
+        for i, line in enumerate(shown):
+            if line.split("#")[0].strip() == "...":
+                break
+            assert i < len(printed), (command, line)
+            note = line.removeprefix(printed[i])
+            assert line.startswith(printed[i]) and (
+                not note or re.fullmatch(r"\s+#.*", note)), (command, line, printed[i])
+            if m := re.fullmatch(r"\s+# exit code (\d+)", note):
+                assert code == int(m.group(1)), command
+        else:
+            assert not shown or len(printed) == len(shown), command

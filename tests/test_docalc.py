@@ -1,6 +1,7 @@
 """Interventions and rule replay, pinned against a step-literal oracle
 that applies the edit steps one at a time with plain set operations."""
 
+import operator
 import random
 from functools import cache, partial
 from itertools import permutations, product
@@ -23,6 +24,7 @@ from ampadmg import (
     intervene,
     magnify,
     marginal_graph,
+    parse,
     parse_derivation,
     random_sem,
     rule_applicable,
@@ -31,7 +33,7 @@ from ampadmg import (
     with_regime_nodes,
 )
 from ampadmg.graph import MAX_GRAPH_NODES
-from conftest import (DATA, gf_separated, gf_surgery, load_bench, random_graph,
+from conftest import (DATA, gf_regression, gf_separated, gf_surgery, load_bench, random_graph,
                       singleton_queries, surgery)
 
 
@@ -330,23 +332,37 @@ def _regression(sigma, y, s):
     return np.append(coef, sigma[y - 1, y - 1] - coef @ sigma[s, y - 1])
 
 
-def _rule_identity(cov, rule, x, y, z, w):
+def _near(a, b):
+    return np.abs(a - b).max() < SURGERY_TOL
+
+
+def _rule_identity(cov, rule, x, y, z, w, regression=_regression, same=_near):
     # y and z are nodes; cov(d) is the covariance under do(d), d a frozenset.
+    # regression and same default to floats at SURGERY_TOL.
     xz, xzw = x | {z}, x | {z} | w
 
-    def same(a, b):
-        return np.abs(a - b).max() < SURGERY_TOL
-
-    def z_coef(d):
-        return abs(_regression(cov(d), y, xzw)[sorted(xzw).index(z)])
+    def z_free(d):
+        return same(regression(cov(d), y, xzw)[sorted(xzw).index(z)], 0)
 
     if rule == 1:  # p(y | do(x), z, w) = p(y | do(x), w)
-        return z_coef(x) < SURGERY_TOL
+        return z_free(x)
     if rule == 2:  # p(y | do(x), do(z), w) = p(y | do(x), z, w)
-        return same(_regression(cov(xz), y, xzw), _regression(cov(x), y, xzw))
+        return same(regression(cov(xz), y, xzw), regression(cov(x), y, xzw))
     # p(y | do(x), do(z), w) = p(y | do(x), w)
-    return (z_coef(xz) < SURGERY_TOL
-            and same(_regression(cov(xz), y, x | w), _regression(cov(x), y, x | w)))
+    return (z_free(xz)
+            and same(regression(cov(xz), y, x | w), regression(cov(x), y, x | w)))
+
+
+def _single_premises(n):
+    # Every (x, y, z, w) over nodes 1..n with y and z single nodes, in a
+    # fixed order; rules 1-3 are asked of each.
+    nodes = range(1, n + 1)
+    for y, z in permutations(nodes, 2):
+        rest = [v for v in nodes if v not in (y, z)]
+        for roles in product("xw-", repeat=len(rest)):
+            x = frozenset(v for v, r in zip(rest, roles) if r == "x")
+            w = frozenset(v for v, r in zip(rest, roles) if r == "w")
+            yield x, y, z, w
 
 
 def _surgery_graphs():
@@ -362,18 +378,34 @@ def _surgery_graphs():
 def test_rule_premises_match_sem_surgery():
     held = broken = 0
     for g, cov in _surgery_graphs():
-        nodes = range(1, g.n + 1)
-        for y, c in permutations(nodes, 2):
-            rest = [v for v in nodes if v not in (y, c)]
-            for roles in product("xw-", repeat=len(rest)):
-                x = frozenset(v for v, r in zip(rest, roles) if r == "x")
-                w = frozenset(v for v, r in zip(rest, roles) if r == "w")
-                for rule in (1, 2, 3):
-                    premise = rule_applicable(g, rule, x, {y}, {c}, w)
-                    assert premise == _rule_identity(cov, rule, x, y, c, w), (g, rule, x, y, c, w)
-                    held += premise
-                    broken += not premise
+        for x, y, c, w in _single_premises(g.n):
+            for rule in (1, 2, 3):
+                premise = rule_applicable(g, rule, x, {y}, {c}, w)
+                assert premise == _rule_identity(cov, rule, x, y, c, w), (g, rule, x, y, c, w)
+                held += premise
+                broken += not premise
     assert held > 1000 and broken > 1000
+
+
+def test_rule_premises_match_exact_surgery_in_both_dialects():
+    # _rule_identity over GF(p), equality in place of the tolerance: every
+    # graph with n = 3 in both dialects, then 40 seeded graphs with n = 4,
+    # biarrows allowed.  Graph k's SEM is drawn from Random(k) under every
+    # d, so do(x) and do(x + z) share one B and N.
+    rng = random.Random(71)
+    graphs = [g for dialect in Dialect for g in enumerate_graphs(3, dialect)]
+    graphs += [random_graph(rng, 4, biarrow_ok=True) for _ in range(40)]
+    held = checked = 0
+    for k, g in enumerate(graphs):
+        cov = cache(lambda d, g=g, k=k: gf_surgery(g, random.Random(k), d))
+        for x, y, c, w in _single_premises(g.n):
+            for rule in (1, 2, 3):
+                premise = rule_applicable(g, rule, x, {y}, {c}, w)
+                assert premise == _rule_identity(cov, rule, x, y, c, w, gf_regression,
+                                                 operator.eq), (g, rule, x, y, c, w)
+                held += premise
+                checked += 1
+    assert checked == 34_560 and 1000 < held < checked - 1000
 
 
 def test_intervene_matches_sem_surgery():
@@ -405,6 +437,39 @@ def test_intervene_matches_exact_surgery_in_both_dialects():
                 assert separated(cut, SeparationQuery({a}, {b}, z)) == sep, (g, d, a, b, z)
                 checked += 1
     assert checked == 42_240
+
+
+def test_rules_2_and_3_build_no_graph(monkeypatch):
+    # Rule 1 asks connects_route once, on the n-node cut graph.  Rules 2 and
+    # 3 start the walk automaton at z's arrowheads on the cut masks: no
+    # graph, no query, no connects_route call.
+    built, asked = [], []
+    for cls in (MixedGraph, SeparationQuery):
+        def recording(owner, *args, _real=cls.__dict__["_from_masks"].__func__, **kwargs):
+            built.append(_real(owner, *args, **kwargs))
+            return built[-1]
+        monkeypatch.setattr(cls, "_from_masks", classmethod(recording))
+
+    def counting_route(g, q):
+        asked.append(g.n)
+        return separation.connects_route(g, q)
+
+    monkeypatch.setattr(docalc, "connects_route", counting_route)
+    cases = [(parse((DATA / name).read_text()), shape)
+             for name in ("ident-alt.g", "ident-orig.g") for shape in _premise_shapes(3)]
+    cases.append((random_graph(random.Random(73), 6, biarrow_ok=True),
+                  ({1}, {2}, {3, 4}, {5})))
+    for g, shape in cases:
+        for rule in (1, 2, 3):
+            built.clear()
+            asked.clear()
+            rule_applicable(g, rule, *shape)
+            if rule == 1:
+                assert asked == [g.n] and [type(b) for b in built] == [MixedGraph,
+                                                                      SeparationQuery]
+                assert built[0].n == g.n
+            else:
+                assert built == [] and asked == [], (g, rule, shape)
 
 
 def test_intervention_work_follows_the_edges_at_x(monkeypatch):
