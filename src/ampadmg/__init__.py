@@ -34,7 +34,6 @@ from .separation import (
     extended_subgraph,
     marginal_graph,
     separated,
-    separated_with_determinism,
 )
 from .markov import (
     CiStatement,
@@ -53,6 +52,7 @@ from .sem import (
     implied_covariance,
     magnify,
     random_sem,
+    separated_with_determinism,
 )
 from .docalc import (
     DerivationReport,

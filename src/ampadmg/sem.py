@@ -8,6 +8,12 @@ nodes are joined by a line.
 The *magnified* view makes the noise explicit: node ``i`` keeps its index
 and its noise term becomes node ``n + i``, with an arrow from each noise
 node into its variable and the lines moved onto the noise nodes.
+
+Conditioning on z in the magnified graph also fixes every noise node that z
+determines (the D-separation of Geiger, Verma and Pearl): one rule, a noise
+node is determined once its variable and the variable's other parents are.
+:func:`separated_with_determinism` closes z that way itself and asks path
+separation, which then agrees with separation in the original graph.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from .errors import ErrorNodeInZError, ProblemTooLargeError, SingularSubmatrixError
 from .graph import MixedGraph, _bits, _check_names, _node_index, _node_mask
-from .separation import _reject_biarrows
+from .separation import SeparationQuery, _path_connected, _query_masks, _reject_biarrows
 
 PRECISION_ZERO_TOL = 1e-9
 CI_TOL = 1e-7
@@ -67,29 +73,41 @@ def _magnified_half(gp: MixedGraph) -> int:
 def determined_closure(gp: MixedGraph, z: Iterable[int]) -> frozenset[int]:
     """Everything functionally determined by z in a magnified graph.
 
-    Least fixpoint of: z is determined; a variable is determined once all
-    its parents (noise node included) are; a noise node is determined once
-    its variable and the variable's remaining parents are.
+    Least fixpoint of: z is determined; a noise node is determined once its
+    variable and the variable's remaining parents are.  The other rule, that
+    a variable is determined once all its parents are, never fires: every
+    variable's own noise node is its parent, and that noise node is
+    determined only after the variable, so the variables of the closure are
+    exactly z.
     """
     m = _magnified_half(gp)
-    zm = gp.node_mask(z)
+    return gp.mask_nodes(_determined_mask(gp._adj[0], m, gp.node_mask(z)))
+
+
+def separated_with_determinism(gp: MixedGraph, q: SeparationQuery) -> bool:
+    """Path separation in a magnified graph, with z closed under
+    :func:`determined_closure`: colliders must be ancestors of the closure,
+    non-colliders must avoid it up to the usual line-line escape."""
+    _reject_biarrows(gp, "path separation")
+    xm, ym, zm = _query_masks(gp, q)
+    dtm = _determined_mask(gp._adj[0], _magnified_half(gp), zm)
+    return not _path_connected(gp._adj, xm, ym, dtm, gp._an_mask(dtm))
+
+
+def _determined_mask(pa, m: int, zm: int) -> int:
+    # The closure of zm in a magnified graph with m variables.  Still a
+    # fixpoint: a noise node may be the parent of another variable, whose
+    # own noise node it then waits for.
     if zm >> m:
         raise ErrorNodeInZError("z may only contain variable nodes (1..n)")
-    pa = gp._adj[0]
-    dt = zm
-    changed = True
-    while changed:
-        changed = False
-        for a in range(1, m + 1):
-            ab = 1 << (a - 1)
+    dt, before = zm, -1
+    while dt != before:
+        before = dt
+        for a in _bits(zm):
             eb = 1 << (m + a - 1)
-            if not dt & ab and not pa[a] & ~dt:
-                dt |= ab
-                changed = True
-            if dt & ab and not dt & eb and not (pa[a] & ~eb) & ~dt:
+            if not pa[a] & ~eb & ~dt:
                 dt |= eb
-                changed = True
-    return gp.mask_nodes(dt)
+    return dt
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import MalformedQueryError, ProblemTooLargeError, UnsupportedDialectError
 from .graph import (MAX_GRAPH_NODES, Dialect, MixedGraph, _bits, _components, _node_index,
@@ -443,24 +443,3 @@ def separated(g: MixedGraph, q: SeparationQuery, criterion: int = 2) -> bool:
     _reject_biarrows(g, "criterion %d", criterion)
     xm, ym, zm = _query_masks(g, q)
     return not _spread(_moral_masks(g, xm | ym | zm, criterion), xm, zm, ym) & ym
-
-
-def separated_with_determinism(
-    g: MixedGraph,
-    q: SeparationQuery,
-    det: Callable[[frozenset], frozenset],
-) -> bool:
-    """Path separation where conditioning extends to everything z determines.
-
-    ``det`` maps a node set to the set it functionally determines; it must
-    be extensive (``z <= det(z)``).  Colliders must be ancestors of
-    ``det(z)``, non-colliders must avoid it up to the usual line-line
-    escape.
-    """
-    _reject_biarrows(g, "path separation")
-    xm, ym, zm = _query_masks(g, q)
-    dt = det(q.z)
-    dtm = g.node_mask(dt)
-    if zm & ~dtm:
-        raise ValueError("det must be extensive: z not contained in det(z)")
-    return not _path_connected(g._adj, xm, ym, dtm, g._an_mask(dtm))

@@ -16,7 +16,6 @@ from ampadmg import (
     amp_statements,
     atom_line,
     ci_test,
-    determined_closure,
     enumerate_graphs,
     gaussian_oracle,
     implied_covariance,
@@ -63,14 +62,9 @@ def test_magnified_graph_with_determinism_matches_path_separation():
         qs = all_queries(n)
         for g in enumerate_graphs(n, Dialect.ALTERNATIVE):
             gp = magnify(g)
-            closures = {}
-            def det(z, gp=gp, closures=closures):
-                if z not in closures:
-                    closures[z] = determined_closure(gp, z)
-                return closures[z]
             for q in qs:
                 assert separated(g, q, criterion=1) == \
-                    separated_with_determinism(gp, q, det), (g, q)
+                    separated_with_determinism(gp, q), (g, q)
 
 
 def test_implied_covariance_satisfies_every_separation():

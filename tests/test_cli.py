@@ -5,6 +5,7 @@ captured text are asserted together.  Exit conventions: 0 affirmative,
 1 negative answer, 2 usage or parse trouble, 3 internal failure.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -27,6 +28,7 @@ from ampadmg import (
     parse_constraints,
     parse_derivation,
 )
+import ampadmg
 from ampadmg import cli, separation
 from ampadmg.cli import main, run
 from ampadmg.separation import MAX_SWEEP_NODES
@@ -554,6 +556,7 @@ def test_learn_bad_constraint_file_is_usage_error(tmp_path, capsys):
     ("forbid arrow 1 1", "line 2: prior edge endpoints must differ"),
     ("require line 3 3", "line 2: prior edge endpoints must differ"),
     ("dep 1 1 {} 0 1", "line 2: constraint endpoints must differ"),
+    ("order 1 2 3\norder 1 2 3", "line 3: duplicate order line"),
 ])
 def test_malformed_constraint_line_is_usage_error(line, message, tmp_path, capsys):
     cfile = tmp_path / "c.txt"
@@ -992,3 +995,26 @@ def test_readme_command_examples_print_what_they_show(capsys, monkeypatch):
                 assert code == int(m.group(1)), command
         else:
             assert not shown or len(printed) == len(shown), command
+
+
+def test_readme_library_section_names_and_prints_what_it_shows():
+    # Every backticked name of the "Highlights" paragraph is exported, and
+    # each commented line of the Python example evaluates to what its
+    # comment shows: the value's repr, or "attr value" pairs read off it.
+    text = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    highlights = text.split("Highlights beyond the CLI surface:", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"`(\w+)`", highlights)
+    assert names and [name for name in names if not hasattr(ampadmg, name)] == []
+    scope, shown_lines = {}, 0
+    for line in text.split("```python\n", 1)[1].split("\n```", 1)[0].splitlines():
+        code, _, shown = line.partition("#")
+        if not shown:
+            exec(code, scope)
+            continue
+        value, shown_lines = eval(code, scope), shown_lines + 1
+        pairs = re.findall(r"(\w+) (\{[^}]*\})", shown)
+        if not pairs:
+            assert repr(value) == shown.strip(), line
+        for attr, literal in pairs:
+            assert getattr(value, attr) == ast.literal_eval(literal), line
+    assert shown_lines == 2

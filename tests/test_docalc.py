@@ -258,6 +258,9 @@ def test_with_regime_nodes_structure(ident_alt):
     assert rg.graph.lines == ident_alt.lines
     for f in rg.indicators:
         assert not any(f in e for e in rg.graph.lines)
+    # An indicator label is primed until it clashes with no other label.
+    clash = MixedGraph(2, node_names=("A", "F_A"))
+    assert with_regime_nodes(clash, [1]).graph.node_names == ("A", "F_A", "F_A'")
 
 
 def test_with_regime_nodes_range_error(ident_alt):

@@ -35,6 +35,7 @@ from ampadmg import (
     relation,
     rule_applicable,
     separated,
+    separated_with_determinism,
     serialize,
     set_index,
     set_members,
@@ -174,6 +175,8 @@ def test_graphs_are_immutable_and_compare_only_to_graphs():
         g.n = 3
     with pytest.raises(AttributeError):
         g.lines = frozenset({(1, 2)})
+    with pytest.raises(AttributeError, match="^cannot delete 'n': MixedGraph is immutable$"):
+        del g.n
     assert g.n == 2 and not g.lines
 
 
@@ -217,6 +220,8 @@ def test_set_index_round_trip(members):
 def test_set_members_range_check():
     with pytest.raises(NodeOutOfRangeError):
         set_members(8, 2)
+    with pytest.raises(NodeOutOfRangeError, match="^node 0 out of range$"):
+        set_index([0])
 
 
 # -- relations ---------------------------------------------------------------
@@ -413,6 +418,19 @@ def test_parse_rejects_garbage():
         parse("arrow 1 2\n")  # no nodes line first
 
 
+@pytest.mark.parametrize("text,line_no,message", [
+    ("nodes 2\nnodes 2\n", 2, "line 2: duplicate nodes line"),
+    ("# no count\nnodes\n", 2, "line 2: nodes line needs a count or labels"),
+    ("nodes A B A\n", 1, "line 1: duplicate node label"),
+    ("# nothing but comments\n\n", None, "missing nodes line"),
+], ids=["duplicate-nodes", "empty-nodes", "duplicate-label", "no-nodes"])
+def test_parse_refusals_are_pinned(text, line_no, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line_no == line_no
+    assert str(err.value) == message
+
+
 def test_parse_caps_the_declared_node_count():
     # Each is refused before a graph is built, so none takes measurable time.
     with pytest.raises(ParseError) as err:
@@ -478,6 +496,7 @@ def test_every_entry_point_reads_nodes_by_one_rule(call):
     lambda g: determined_closure(magnify(g), {9, 16}),
     lambda g: rule_applicable(g, 1, [], [1], {9, 16}, []),
     lambda g: LearnProblem(3, (Constraint("indep", 1, 2, {9, 16}),)),
+    lambda g: separated_with_determinism(magnify(g), SeparationQuery({1}, {2}, {9, 16})),
 ])
 def test_of_several_bad_nodes_the_lowest_is_named(call):
     # {9, 16} iterates as 16, 9: the name must not follow hash-slot order.

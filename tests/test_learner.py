@@ -82,6 +82,8 @@ def test_problem_validation():
         LearnProblem(3, ordering=(1, 2))
     with pytest.raises(ValueError):
         LearnProblem(3, forbidden={("wavy", 1, 2)})
+    with pytest.raises(ValueError, match="^prior edge endpoints must differ$"):
+        LearnProblem(3, forbidden={("arrow", 1, 1)})
 
 
 def test_prior_normalisation():

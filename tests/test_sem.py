@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from ampadmg import (
+    Dialect,
     ErrorNodeInZError,
     LinearSem,
     MixedGraph,
+    NodeOutOfRangeError,
     SeparationQuery,
     SingularSubmatrixError,
     UnsupportedDialectError,
     ci_test,
     determined_closure,
+    enumerate_graphs,
     implied_covariance,
     magnify,
     random_sem,
@@ -80,10 +83,48 @@ def test_closure_is_extensive_and_monotone():
         assert dt_small <= dt_extra
 
 
+def _reference_closure(gp, z):
+    # Both rules of the definition, run to a fixpoint on node sets: a
+    # variable is determined once all its parents are, a noise node once its
+    # variable and the variable's other parents are.
+    m = gp.n // 2
+    parents = {a: gp.parents([a]) for a in range(1, m + 1)}
+    dt = set(z)
+    while True:
+        new = {a for a in parents if parents[a] <= dt}
+        new |= {m + a for a in parents if a in dt and parents[a] - {m + a} <= dt}
+        if new <= dt:
+            return dt
+        dt |= new
+
+
+def test_closure_adds_only_noise_nodes_and_matches_both_rules():
+    rng = random.Random(17)
+    graphs = [g for n in (1, 2, 3) for g in enumerate_graphs(n, Dialect.ALTERNATIVE)]
+    graphs += [random_graph(rng, 4) for _ in range(200)]
+    for g in graphs:
+        big = magnify(g)
+        for zm in range(1 << g.n):
+            z = {a for a in range(1, g.n + 1) if zm >> (a - 1) & 1}
+            dt = determined_closure(big, z)
+            assert dt & set(range(1, g.n + 1)) == z, (g, z)
+            assert dt == _reference_closure(big, z), (g, z)
+
+
+def test_closure_runs_to_a_fixpoint():
+    # Noise node 4 is a parent of variable 1 as well as of variable 2, so
+    # noise node 3 is determined only in the round after 4 is.
+    big = MixedGraph(4, arrows={(3, 1), (4, 2), (4, 1)})
+    assert determined_closure(big, {1, 2}) == {1, 2, 3, 4}
+    assert _reference_closure(big, {1, 2}) == {1, 2, 3, 4}
+
+
 def test_closure_rejects_noise_nodes_in_z():
     big = magnify(MixedGraph(2, arrows={(1, 2)}))
     with pytest.raises(ErrorNodeInZError):
         determined_closure(big, {3})
+    with pytest.raises(ErrorNodeInZError):
+        separated_with_determinism(big, SeparationQuery({1}, {2}, {3}))
 
 
 def test_closure_rejects_non_magnified_graph():
@@ -91,6 +132,18 @@ def test_closure_rejects_non_magnified_graph():
                    (MixedGraph(3, arrows={(2, 1)}), "odd node count")):
         with pytest.raises(ValueError, match=f"^not a magnified graph: {why}$"):
             determined_closure(g, {1})
+        with pytest.raises(ValueError, match=f"^not a magnified graph: {why}$"):
+            separated_with_determinism(g, SeparationQuery({1}, {2}))
+
+
+def test_determinism_checks_biarrows_then_range_then_magnification_then_z():
+    orig = MixedGraph(3, biarrows={(1, 2)})
+    with pytest.raises(UnsupportedDialectError):
+        separated_with_determinism(orig, SeparationQuery({1}, {2}, {9}))
+    with pytest.raises(NodeOutOfRangeError, match="^node 9 out of range"):
+        separated_with_determinism(MixedGraph(3), SeparationQuery({1}, {2}, {9}))
+    with pytest.raises(ValueError, match="^not a magnified graph"):
+        separated_with_determinism(MixedGraph(3), SeparationQuery({1}, {2}, {3}))
 
 
 def test_magnified_graph_represents_same_separations():
@@ -98,18 +151,10 @@ def test_magnified_graph_represents_same_separations():
     for _ in range(100):
         g = random_graph(rng, rng.randint(2, 4))
         big = magnify(g)
-        cache = {}
-
-        def det(z, big=big, cache=cache):
-            key = frozenset(z)
-            if key not in cache:
-                cache[key] = determined_closure(big, key)
-            return cache[key]
-
         for x, y, z in singleton_queries(g.n):
             q = SeparationQuery({x}, {y}, z)
             assert (separated(g, q, criterion=1)
-                    == separated_with_determinism(big, q, det)), (g, x, y, z)
+                    == separated_with_determinism(big, q)), (g, x, y, z)
 
 
 # -- linear models --------------------------------------------------------------
@@ -235,3 +280,8 @@ def test_ci_test_singular_matrix():
     sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularSubmatrixError):
         ci_test(sigma, 1, 2, frozenset())
+    # Invertible, but not a covariance: the pair's precision has a negative
+    # diagonal entry.
+    with pytest.raises(SingularSubmatrixError,
+                       match=r"^covariance submatrix for 1,2\|\[\] is not positive definite$"):
+        ci_test(np.diag([1.0, -1.0, 1.0]), 1, 2, [])

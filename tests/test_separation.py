@@ -22,7 +22,6 @@ from ampadmg import (
     marginal_graph,
     parse,
     separated,
-    separated_with_determinism,
 )
 from ampadmg import separation
 from ampadmg.graph import MAX_GRAPH_NODES, _bits, _submasks
@@ -612,23 +611,3 @@ def test_criterion_4_walks_only_the_dropped_components_next_to_the_ancestors(mon
     g = MixedGraph(big, arrows={(1, 3)}, lines={(2, 3)})
     assert separated(g, SeparationQuery({1}, {2}, {big}), criterion=4)
     assert len(walked) == 1
-
-
-# -- separation under determinism ----------------------------------------------
-
-
-def test_identity_closure_matches_plain_criterion():
-    rng = random.Random(7)
-    identity = frozenset
-    for _ in range(200):
-        g = random_graph(rng, rng.randint(2, 5))
-        x, y, z = rng.choice(list(singleton_queries(g.n)))
-        q = SeparationQuery({x}, {y}, z)
-        assert (separated_with_determinism(g, q, identity)
-                == separated(g, q, criterion=1))
-
-
-def test_shrinking_closure_rejected(double_edge3):
-    q = SeparationQuery({1}, {3}, {2})
-    with pytest.raises(ValueError):
-        separated_with_determinism(double_edge3, q, lambda z: frozenset())
