@@ -24,13 +24,12 @@ from .errors import (
     SingularSubmatrixError,
     UnsupportedDialectError,
 )
-from .graph import Dialect, MixedGraph, parse, relation, serialize, set_index, set_members
+from .graph import Dialect, MixedGraph, parse, serialize, set_index, set_members
 from .separation import (
     SeparationQuery,
     augmented_graph,
     connects_path,
     connects_route,
-    extended_node_set,
     extended_subgraph,
     marginal_graph,
     separated,
@@ -55,7 +54,6 @@ from .sem import (
     separated_with_determinism,
 )
 from .docalc import (
-    DerivationReport,
     RegimeGraph,
     RuleApplication,
     check_derivation,

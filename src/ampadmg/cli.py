@@ -125,13 +125,13 @@ def _cmd_rule(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     if args.script:
         steps = parse_derivation(Path(args.script).read_text(), g)
-        report = check_derivation(g, steps)
+        verdicts = check_derivation(g, steps)
         # Each output line stays parseable as a script line; the verdict
         # rides in a comment.
-        for s, good in zip(steps, report.results):
+        for s, good in zip(steps, verdicts):
             tag = "applicable" if good else "NOT applicable"
             print(f"{_fmt_step(g, s.rule, s.x, s.y, s.z, s.w)}  # {tag}")
-        return 0 if report.ok else 1
+        return 0 if all(verdicts) else 1
     if not args.y:
         raise ParseError("--y is required with --rule")
     ok = rule_applicable(g, args.rule, _node_set(g, args.x), _node_set(g, args.y),

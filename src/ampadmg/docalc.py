@@ -148,24 +148,6 @@ class RuleApplication:
     w: frozenset
 
 
-@dataclass(frozen=True)
-class DerivationReport:
-    """Outcome of replaying a derivation script."""
-
-    results: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(self.results)
-
-    @property
-    def first_failure(self):
-        for i, good in enumerate(self.results):
-            if not good:
-                return i
-        return None
-
-
 _STEP_RE = re.compile(
     r"^rule\s+(?P<rule>\d+)\s+x=(?P<x>\S*)\s+y=(?P<y>\S*)\s+z=(?P<z>\S*)\s+w=(?P<w>\S*)$")
 
@@ -192,8 +174,7 @@ def parse_derivation(text: str, g: MixedGraph | None = None) -> tuple[RuleApplic
     return tuple(steps)
 
 
-def check_derivation(g: MixedGraph, steps: Sequence[RuleApplication]) -> DerivationReport:
-    """Replay scripted rule applications against the graph."""
-    results = tuple(
-        rule_applicable(g, s.rule, s.x, s.y, s.z, s.w) for s in steps)
-    return DerivationReport(results)
+def check_derivation(g: MixedGraph, steps: Sequence[RuleApplication]) -> tuple[bool, ...]:
+    """Replay scripted rule applications against the graph: one verdict per
+    step, True where its premise holds."""
+    return tuple(rule_applicable(g, s.rule, s.x, s.y, s.z, s.w) for s in steps)

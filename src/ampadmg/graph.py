@@ -179,6 +179,9 @@ def _check_names(names, n: int) -> tuple:
     names = tuple(str(s) for s in names)
     if len(names) != n or len(set(names)) != n:
         raise GraphValidationError("node_names must be %d distinct labels" % n)
+    for s in names:
+        if _unreadable_label(s):
+            raise GraphValidationError(f"node label {s!r} cannot be read back from a graph file")
     return names
 
 
@@ -229,7 +232,16 @@ class MixedGraph:
         Bidirected edges as unordered pairs.
     node_names:
         Optional display labels, one per node.  Labels are presentation
-        only: they do not take part in equality or hashing.
+        only: they do not take part in equality or hashing.  A label must
+        read back from the text format: non-empty, with no whitespace or
+        ``#``, and not numeric.
+
+    The paper's node relations are methods that take a node set: Pa
+    :meth:`parents`, Ch :meth:`children`, Ne :meth:`neighbours`, An
+    :meth:`ancestors`, De :meth:`descendants`, de :meth:`semidescendants`,
+    Nd :meth:`non_semidescendants` and Cc :meth:`connectivity_component`.
+    De (descendants, through arrows only) and de (semidescendants, through
+    arrows or lines) differ.
     """
 
     def __init__(self, n: int, arrows=frozenset(), lines=frozenset(),
@@ -445,32 +457,6 @@ class MixedGraph:
         return ", ".join(parts) + ")"
 
 
-_RELATIONS = {
-    "Pa": MixedGraph.parents,
-    "Ch": MixedGraph.children,
-    "Ne": MixedGraph.neighbours,
-    "An": MixedGraph.ancestors,
-    "De": MixedGraph.descendants,
-    "de": MixedGraph.semidescendants,
-    "Nd": MixedGraph.non_semidescendants,
-    "Cc": MixedGraph.connectivity_component,
-}
-
-
-def relation(g: MixedGraph, kind: str, nodes: Iterable[int]) -> frozenset[int]:
-    """Dispatch to a node relation by name.
-
-    ``kind`` is one of ``Pa``, ``Ch``, ``Ne``, ``An``, ``De``, ``de``,
-    ``Nd``, ``Cc``.  Note that ``De`` (descendants through arrows only)
-    and ``de`` (semidescendants, arrows or lines) differ.
-    """
-    try:
-        fn = _RELATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown relation kind {kind!r}") from None
-    return fn(g, nodes)
-
-
 # -- text format -----------------------------------------------------------
 #
 # Graph files, constraint files, derivation scripts and CLI node lists all
@@ -526,6 +512,12 @@ def _numeric(tok: str) -> bool:
     digits = tok.lstrip("-")
     return bool(digits) and all(unicodedata.digit(c, None) is not None
                                 for c in digits)
+
+
+def _unreadable_label(label: str) -> bool:
+    """True for a label a nodes line cannot declare: empty, split by
+    whitespace, cut by ``#`` or numeric."""
+    return not label or "#" in label or any(c.isspace() for c in label) or _numeric(label)
 
 
 def _label_index(names) -> dict[str, int]:
@@ -603,7 +595,7 @@ def parse(text: str) -> MixedGraph:
             if numeric:
                 continue
             for lbl in rest:
-                if _numeric(lbl):
+                if _unreadable_label(lbl):  # a token here can only be numeric
                     raise ParseError(
                         f"label {lbl!r} is numeric; use a node count instead",
                         line_no)

@@ -376,6 +376,8 @@ def parse_constraints(text: str) -> LearnProblem:
                                  line_no)
             cond = _node_list(braced[1:-1], n, {}, line_no)
             regime = _integer(tokens[4], "regime", line_no)
+            if not 0 <= regime <= n:
+                raise ParseError(f"regime {regime} out of range 0..{n}", line_no)
             weight = _integer(tokens[5], "weight", line_no)
             try:
                 constraints.append(Constraint(kw, x, y, cond, regime, weight))
@@ -385,6 +387,8 @@ def parse_constraints(text: str) -> LearnProblem:
             if ordering is not None:
                 raise ParseError("duplicate order line", line_no)
             ordering = tuple(_node(t, n, {}, line_no) for t in tokens[1:])
+            if sorted(ordering) != list(range(1, n + 1)):
+                raise ParseError("ordering must list each node exactly once", line_no)
         elif kw in ("forbid", "require"):
             if len(tokens) != 4 or tokens[1] not in EDGE_KINDS:
                 raise ParseError(f"{kw} needs an edge kind and two nodes", line_no)

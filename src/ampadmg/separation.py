@@ -104,17 +104,12 @@ def _singleton_pairs(n: int) -> Iterator[tuple[int, int, int]]:
             for xm, ym in combinations([1 << i for i in range(n)], 2))
 
 
-def _singleton_masks(n: int) -> Iterator[tuple[int, int, int]]:
-    """The masks ``(xm, ym, zm)`` of every singleton query: the pairs of
-    :func:`_singleton_pairs`, each with every z inside its ``rest`` in
-    increasing mask order.  Refused at the call as that is."""
-    return ((xm, ym, zm) for xm, ym, rest in _singleton_pairs(n) for zm in _submasks(rest))
-
-
 def singleton_queries(n: int) -> Iterator[tuple[int, int, frozenset]]:
-    """The queries of :func:`_singleton_masks` as ``(x, y, z)`` node sets."""
-    for xm, ym, zm in _singleton_masks(n):
-        yield xm.bit_length(), ym.bit_length(), frozenset(_bits(zm))
+    """Every singleton query ``(x, y, z)``: the pairs of :func:`_singleton_pairs`,
+    each with every z inside its ``rest`` in increasing mask order.  Refused
+    at the call as that is."""
+    return ((xm.bit_length(), ym.bit_length(), frozenset(_bits(zm)))
+            for xm, ym, rest in _singleton_pairs(n) for zm in _submasks(rest))
 
 
 def _query_masks(g: MixedGraph, q: SeparationQuery):
@@ -322,12 +317,6 @@ def _path_connected(adj, xm: int, ym: int, dtm: int, anm: int) -> bool:
 
 
 # -- subgraph constructions ---------------------------------------------------
-
-
-def extended_node_set(g: MixedGraph, nodes: Iterable[int]) -> frozenset[int]:
-    """Nodes of the extended subgraph: the line components of the
-    ancestral closure of ``nodes``."""
-    return g.mask_nodes(g._cc_mask(g._an_mask(g.node_mask(nodes))))
 
 
 def extended_subgraph(g: MixedGraph, nodes: Iterable[int]) -> MixedGraph:

@@ -557,6 +557,10 @@ def test_learn_bad_constraint_file_is_usage_error(tmp_path, capsys):
     ("require line 3 3", "line 2: prior edge endpoints must differ"),
     ("dep 1 1 {} 0 1", "line 2: constraint endpoints must differ"),
     ("order 1 2 3\norder 1 2 3", "line 3: duplicate order line"),
+    ("indep 1 2 {} 7 1", "line 2: regime 7 out of range 0..3"),
+    ("dep 1 2 {} -1 1", "line 2: regime -1 out of range 0..3"),
+    ("order 1 1 2", "line 2: ordering must list each node exactly once"),
+    ("order 1 2", "line 2: ordering must list each node exactly once"),
 ])
 def test_malformed_constraint_line_is_usage_error(line, message, tmp_path, capsys):
     cfile = tmp_path / "c.txt"

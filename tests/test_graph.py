@@ -32,7 +32,6 @@ from ampadmg import (
     markov_blanket,
     parse,
     random_sem,
-    relation,
     rule_applicable,
     separated,
     separated_with_determinism,
@@ -228,27 +227,25 @@ def test_set_members_range_check():
 
 
 def test_neighbours(mixed6):
-    assert relation(mixed6, "Ne", {4}) == {3, 6}
+    assert mixed6.neighbours({4}) == {3, 6}
 
 
 def test_semidescendants_and_complement(mixed6):
-    assert relation(mixed6, "de", {2}) == {2, 3, 4, 5, 6}
-    assert relation(mixed6, "Nd", {2}) == {1}
+    assert mixed6.semidescendants({2}) == {2, 3, 4, 5, 6}
+    assert mixed6.non_semidescendants({2}) == {1}
 
 
 def test_relations_of_empty_set(mixed6):
-    for kind in ("Pa", "Ch", "Ne", "An", "De", "de", "Nd", "Cc"):
-        expected = frozenset(range(1, 7)) if kind == "Nd" else frozenset()
-        assert relation(mixed6, kind, frozenset()) == expected
+    # Pa, Ch, Ne, An, De, de and Cc of nothing is nothing; Nd is every node.
+    for relation in (mixed6.parents, mixed6.children, mixed6.neighbours, mixed6.ancestors,
+                     mixed6.descendants, mixed6.semidescendants,
+                     mixed6.connectivity_component):
+        assert relation(frozenset()) == frozenset(), relation.__name__
+    assert mixed6.non_semidescendants(frozenset()) == frozenset(range(1, 7))
 
 
 def test_ancestors_are_reflexive(mixed6):
-    assert relation(mixed6, "An", {4}) == {1, 2, 4}
-
-
-def test_unknown_relation_kind(mixed6):
-    with pytest.raises(ValueError):
-        relation(mixed6, "pa", {1})
+    assert mixed6.ancestors({4}) == {1, 2, 4}
 
 
 def test_connectivity_components(mixed6):
@@ -441,10 +438,52 @@ def test_parse_caps_the_declared_node_count():
     assert str(err.value) == "line 2: 100001 nodes exceed the cap of 100000"
 
 
-@given(st.integers(0, 10**6), st.integers(1, 6))
-def test_parse_serialize_round_trip(seed, n):
+def _reads_back(label: str) -> bool:
+    # Whether a nodes line declaring the one label gives that label back.
+    try:
+        return parse(f"nodes {label}\n").node_names == (label,)
+    except ParseError:
+        return False
+
+
+@given(st.integers(0, 10**6), st.integers(1, 6),
+       st.none() | st.lists(st.text(min_size=1, max_size=4), min_size=6, max_size=6,
+                            unique=True))
+def test_parse_serialize_round_trip(seed, n, labels):
     g = random_graph(random.Random(seed), n, biarrow_ok=True)
-    assert parse(serialize(g)) == g
+    if labels is not None:
+        try:
+            g = MixedGraph(n, g.arrows, g.lines, g.biarrows, labels[:n])
+        except GraphValidationError:
+            assert not all(map(_reads_back, labels[:n]))
+            return
+    back = parse(serialize(g))
+    assert back == g and back.node_names == g.node_names
+
+
+def _refused(label: str) -> bool:
+    try:
+        MixedGraph(1, node_names=(label,))
+    except GraphValidationError as err:
+        assert str(err) == f"node label {label!r} cannot be read back from a graph file"
+        return True
+    return False
+
+
+@settings(max_examples=300)
+@given(st.text(max_size=4))
+def test_labels_are_refused_exactly_when_a_nodes_line_cannot_read_them_back(label):
+    assert _refused(label) is not _reads_back(label)
+
+
+@pytest.mark.parametrize("label,refused", [
+    ("a b", True), ("", True), ("x#y", True), ("3", True), ("-3", True), ("--2", True),
+    ("\u00b2", True), ("a\u2028b", True), ("a\x1fb", True),
+    ("eps_A", False), ("F_A'", False), ("-", False), ("a,b", False),
+])
+def test_a_label_is_refused_where_it_enters_when_a_nodes_line_cannot_read_it(label, refused):
+    assert _refused(label) is refused
+    assert _reads_back(label) is not refused
 
 
 # -- the node rule ------------------------------------------------------------
@@ -458,7 +497,7 @@ NODE_ENTRY_POINTS = {
     "MixedGraph": lambda k: MixedGraph(3, arrows={(k, 2)}),
     "node_label": lambda k: _G.node_label(k),
     "node_mask": lambda k: _G.parents([k, 2]),
-    "relation": lambda k: relation(_G, "An", [k]),
+    "ancestors": lambda k: _G.ancestors([k]),
     "set_index": lambda k: set_index([k, 3]),
     "set_members": lambda k: set_members(k, 3),
     "SeparationQuery": lambda k: separated(_G, SeparationQuery({k}, {3}, {2})),

@@ -16,7 +16,6 @@ from ampadmg import (
     connects_path,
     connects_route,
     enumerate_graphs,
-    extended_node_set,
     extended_subgraph,
     intervene,
     marginal_graph,
@@ -26,7 +25,7 @@ from ampadmg import (
 from ampadmg import separation
 from ampadmg.graph import MAX_GRAPH_NODES, _bits, _submasks
 from ampadmg.separation import (MAX_SWEEP_NODES, _moral_masks, _route_connected, _route_lanes,
-                                 _singleton_masks, _singleton_pairs)
+                                 _singleton_pairs)
 from conftest import (DATA, gf_separated, gf_sigma, load_bench, random_graph,
                       singleton_queries)
 
@@ -173,7 +172,7 @@ def test_singleton_queries_order_is_pinned():
 
 def test_singleton_sweep_is_refused_above_its_cap_at_the_call():
     # Refused before a single mask is walked; nothing at the cap is run.
-    for sweep in (_singleton_masks, _singleton_pairs):
+    for sweep in (singleton_queries, _singleton_pairs):
         with pytest.raises(ProblemTooLargeError, match=f"cap of {MAX_SWEEP_NODES}$"):
             sweep(MAX_SWEEP_NODES + 1)
 
@@ -368,7 +367,7 @@ def test_extended_subgraph(mixed6):
     ext = extended_subgraph(mixed6, {1, 2, 4})
     assert ext.arrows == {(1, 2), (1, 4), (2, 4)}
     assert ext.lines == {(3, 4), (3, 5), (4, 6), (5, 6)}
-    assert extended_node_set(mixed6, {1, 2, 4}) == {1, 2, 3, 4, 5, 6}
+    assert mixed6.connectivity_component(mixed6.ancestors({1, 2, 4})) == {1, 2, 3, 4, 5, 6}
     assert extended_subgraph(mixed6, range(1, 7)) == mixed6
     assert extended_subgraph(mixed6, frozenset()) == MixedGraph(6)
 

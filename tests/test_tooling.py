@@ -6,8 +6,10 @@ benchmark run, so the names are checked here, with the tier-1 tests.
 """
 
 import ast
+import re
 from pathlib import Path
 
+import ampadmg
 from conftest import load_bench
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ampadmg"
@@ -107,3 +109,19 @@ def test_only_the_token_reader_calls_int():
     sites = sorted(f"{path.name}:{func}" for path in SRC.glob("*.py")
                    for func in _sites(ast.parse(path.read_text()), hit))
     assert sites == ["graph.py:_int_token"]
+
+
+def test_every_export_is_used_documented_or_traced():
+    # A public name that no other module uses, the README does not name and
+    # the benchmark does not trace is a second spelling nobody reads.
+    live = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    live.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    live.add(node.attr)
+    live.update(re.findall(r"`(\w+)`", (SRC.parent.parent / "README.md").read_text()))
+    live.update(attr for _path, attr, _name in load_bench("spans").TARGETS)
+    assert [name for name in ampadmg.__all__ if name not in live] == []
