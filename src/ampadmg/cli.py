@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .docalc import check_derivation, intervene, parse_derivation, rule_applicable
-from .errors import AmpAdmgError, NoFeasibleModelError, ParseError
+from .errors import AmpAdmgError, NoFeasibleModelError, ParseError, SingularSubmatrixError
 from .graph import (Dialect, MixedGraph, _bits, _label_index, _node_list, _submasks, parse,
                     serialize)
 from .learner import (MAX_NODES_DEFAULT, atom_line, export_asp, learn,
@@ -27,8 +27,9 @@ from .learner import (MAX_NODES_DEFAULT, atom_line, export_asp, learn,
 from .markov import (CiStatement, amp_statements, gaussian_oracle,
                      ordered_local_statements, ordered_pairwise_statements,
                      separation_oracle, verify_statements)
-from .sem import CI_TOL, ci_test, implied_covariance, magnify, random_sem
-from .separation import (SeparationQuery, _refuse_past_sweep_cap, _route_lanes,
+from .sem import CI_TOL, _ci_tests, ci_test, implied_covariance, magnify, random_sem
+from .separation import (SeparationQuery, _moral_connected, _path_connected,
+                         _refuse_past_sweep_cap, _reject_biarrows, _route_lanes,
                          _singleton_pairs, separated)
 
 
@@ -84,22 +85,25 @@ def _cmd_sep(args: argparse.Namespace) -> int:
 
 def _cmd_equiv_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    checked = 0
-    for xm, ym, rest in _singleton_pairs(g.n):
+    pairs = _singleton_pairs(g.n)  # refuses a graph over the cap before its dialect
+    # Criterion 1 asks first in every query; its refusal stands for 3 and 4.
+    _reject_biarrows(g, "path separation")
+    adj, checked = g._adj, 0
+    for xm, ym, rest in pairs:
         # Criterion 2 for every z of the pair at once, one lane per z.
-        lanes = _route_lanes(g._adj, xm, ym, rest)
+        lanes = _route_lanes(adj, xm, ym, rest)
         for zm in _submasks(rest):
-            q = SeparationQuery._from_masks(xm, ym, zm)
-            verdicts = [separated(g, q, criterion=1), not lanes & 1,
-                        separated(g, q, criterion=3), separated(g, q, criterion=4)]
+            verdicts = (not _path_connected(adj, xm, ym, zm, g._an_mask(zm)), not lanes & 1,
+                        not _moral_connected(g, xm, ym, zm, 3),
+                        not _moral_connected(g, xm, ym, zm, 4))
             lanes >>= 1
             checked += 1
             if len(set(verdicts)) != 1:
                 detail = " ".join(
                     f"{c}:{'separated' if v else 'connected'}"
                     for c, v in zip((1, 2, 3, 4), verdicts))
-                print(f"disagreement: x={_names(g, q.x)} y={_names(g, q.y)} "
-                      f"z={{{_names(g, q.z)}}}  {detail}")
+                print(f"disagreement: x={_names(g, _bits(xm))} y={_names(g, _bits(ym))} "
+                      f"z={{{_names(g, _bits(zm))}}}  {detail}")
                 return 3
     print(f"{checked} queries, criteria 1-4 agree")
     return 0
@@ -174,23 +178,47 @@ def _cmd_sem_check(args: argparse.Namespace) -> int:
     sigma = implied_covariance(random_sem(g, seed=args.seed))
     seps = violations = 0
     for xm, ym, rest in pairs:
-        # Criterion 2 for every z of the pair at once, one lane per z.
-        lanes = _route_lanes(g._adj, xm, ym, rest) if args.criterion == 2 else None
-        for zm in _submasks(rest):
-            if lanes is None:
-                sep = separated(g, CiStatement._from_masks(xm, ym, zm), criterion=args.criterion)
-            else:
-                sep = not lanes & 1
-                lanes >>= 1
-            if not sep:
-                continue
-            seps += 1
-            if not ci_test(sigma, xm.bit_length(), ym.bit_length(), _bits(zm), tol=args.tol):
-                violations += 1
-                print(f"VIOLATION {_fmt_stmt(g, CiStatement._from_masks(xm, ym, zm))}")
+        # The z masks of the pair's separations, in increasing order.
+        if args.criterion == 2:
+            # Criterion 2 for every z of the pair at once, one lane per z.
+            lanes = _route_lanes(g._adj, xm, ym, rest)
+            zms = [zm for k, zm in enumerate(_submasks(rest)) if not lanes >> k & 1]
+        else:
+            zms = []
+            try:
+                for zm in _submasks(rest):
+                    if separated(g, CiStatement._from_masks(xm, ym, zm),
+                                 criterion=args.criterion):
+                        zms.append(zm)
+            except AmpAdmgError:
+                # A criterion that refuses mid-pair (criterion 1's step
+                # budget) does so after the tests of the z before it.
+                _report_violations(g, sigma, xm, ym, zms, args.tol)
+                raise
+        seps += len(zms)
+        violations += _report_violations(g, sigma, xm, ym, zms, args.tol)
     print(f"seed {args.seed}, tol {args.tol:g}: "
           f"{seps} separations checked, {violations} violations")
     return 0 if violations == 0 else 1
+
+
+def _report_violations(g: MixedGraph, sigma, xm: int, ym: int, zms: list, tol: float) -> int:
+    """Print a VIOLATION line for each z mask of the pair whose partial
+    correlation is not below tol, in order, and count them.  One stacked
+    inverse per |z|; a pair with a singular submatrix is replayed one z at
+    a time through ``ci_test``, which prints the lines before that z and
+    raises the error naming it."""
+    x, y = xm.bit_length(), ym.bit_length()
+    try:
+        verdicts = _ci_tests(sigma, x, y, zms, tol)
+    except SingularSubmatrixError:
+        verdicts = (ci_test(sigma, x, y, _bits(zm), tol=tol) for zm in zms)
+    violations = 0
+    for zm, independent in zip(zms, verdicts):
+        if not independent:
+            violations += 1
+            print(f"VIOLATION {_fmt_stmt(g, CiStatement._from_masks(xm, ym, zm))}")
+    return violations
 
 
 _DIALECTS = {"alt": (Dialect.ALTERNATIVE,), "orig": (Dialect.ORIGINAL,),

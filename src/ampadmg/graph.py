@@ -405,8 +405,17 @@ class MixedGraph:
         return self.mask_nodes(self._cc_mask(self.node_mask(nodes)))
 
     def connectivity_components(self) -> tuple[frozenset[int], ...]:
-        """Partition of the nodes into line-connected components."""
-        return tuple(self.mask_nodes(c) for c in _components(self._adj[2], self.full_mask))
+        """Partition of the nodes into line-connected components, in order of
+        their lowest node.  A node without a line is its own component; the
+        component walk runs only over the nodes with one."""
+        ne = self._adj[2]
+        lined = 0
+        for v in range(1, self.n + 1):
+            if ne[v]:
+                lined |= 1 << (v - 1)
+        by_lowest = {(c & -c).bit_length(): c for c in _components(ne, lined)}
+        return tuple(self.mask_nodes(by_lowest[v]) if ne[v] else frozenset((v,))
+                     for v in range(1, self.n + 1) if v in by_lowest or not ne[v])
 
     # -- derived graphs ----------------------------------------------------
 

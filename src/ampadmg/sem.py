@@ -208,3 +208,37 @@ def ci_test(sigma: np.ndarray, x: int, y: int, z: Iterable[int],
             f"covariance submatrix for {x},{y}|{zs} is not positive definite")
     pcorr = -prec.item(0, 1) / math.sqrt(denom)
     return bool(abs(pcorr) < tol)
+
+
+def _ci_tests(sigma: np.ndarray, x: int, y: int, zms, tol: float) -> list[bool]:
+    """``ci_test(sigma, x, y, _bits(zm), tol)`` for each z mask in ``zms``, in
+    order, on trusted arguments: x and y distinct nodes of sigma, each mask
+    inside the other nodes.
+
+    The masks are grouped by size, and each group's submatrices (rows and
+    columns x, y, then z ascending, as in :func:`ci_test`) are inverted as one
+    stack.  numpy runs the same LAPACK routine on each matrix of a stack as on
+    a lone one, and the partial correlation is then :func:`ci_test`'s own
+    float arithmetic, so every verdict is bit for bit the one :func:`ci_test`
+    gives.  A singular or not positive definite submatrix raises
+    :class:`SingularSubmatrixError`; :func:`ci_test` names its set.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, zm in enumerate(zms):
+        groups.setdefault(zm.bit_count(), []).append(i)
+    out = [False] * len(zms)
+    for k, where in groups.items():
+        idx = np.array([[x - 1, y - 1] + [v - 1 for v in _bits(zms[i])] for i in where])
+        try:
+            prec = np.linalg.inv(sigma[idx[:, :, None], idx[:, None, :]])
+        except np.linalg.LinAlgError:
+            raise SingularSubmatrixError(
+                f"a covariance submatrix for {x},{y} given {k} nodes is singular") from None
+        for i, ((pxx, pxy), (_, pyy)) in zip(where, prec[:, :2, :2].tolist()):
+            denom = pxx * pyy
+            if denom <= 0:
+                raise SingularSubmatrixError(
+                    f"a covariance submatrix for {x},{y} given {k} nodes "
+                    "is not positive definite")
+            out[i] = abs(-pxy / math.sqrt(denom)) < tol
+    return out

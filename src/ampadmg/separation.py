@@ -18,11 +18,14 @@ The four decision procedures:
    starts walks that entered a node through an arrowhead (the rule
    premises of :mod:`docalc`).  Its lane form, ``_route_lanes``, answers
    every conditioning set of one (x, y) pair at once, one bit (lane) per
-   set and three lane ints per node; the singleton sweeps take criterion
-   2 from it;
+   set and three lane ints per node;
 3. reachability in the augmented graph of the extended subgraph over
    x + y + z;
 4. as 3 but with the undirected part marginalised onto the ancestor set.
+
+The singleton sweeps ask the kernels on masks: criterion 2 from
+``_route_lanes`` once per pair, criteria 1, 3 and 4 from ``_path_connected``
+and ``_moral_connected`` per query, after one dialect check per graph.
 
 Criterion 2 also accepts graphs with bidirected edges; the others reject
 them.
@@ -414,6 +417,12 @@ def _moral_masks(g: MixedGraph, smask: int, criterion: int) -> tuple:
     return aug
 
 
+def _moral_connected(g: MixedGraph, xm: int, ym: int, zm: int, criterion: int) -> bool:
+    """Criterion 3 or 4 on trusted masks: some path from x to y in the
+    augmented graph of :func:`_moral_masks` avoids z."""
+    return (_spread(_moral_masks(g, xm | ym | zm, criterion), xm, zm, ym) & ym) != 0
+
+
 # -- the four-way dispatcher --------------------------------------------------
 
 
@@ -431,4 +440,4 @@ def separated(g: MixedGraph, q: SeparationQuery, criterion: int = 2) -> bool:
         raise ValueError(f"criterion must be 1..4, got {criterion!r}")
     _reject_biarrows(g, "criterion %d", criterion)
     xm, ym, zm = _query_masks(g, q)
-    return not _spread(_moral_masks(g, xm | ym | zm, criterion), xm, zm, ym) & ym
+    return not _moral_connected(g, xm, ym, zm, criterion)

@@ -167,14 +167,15 @@ def test_equiv_check_reports_query_count(capsys):
 
 
 def test_equiv_check_reports_a_disagreement_and_exits_3(capsys, monkeypatch):
-    real = cli.separated
+    # Criteria 3 and 4 come from the moral kernel, asked on masks.
+    real = cli._moral_connected
 
-    def criterion_4_flips_one(g, q, criterion=2):
-        verdict = real(g, q, criterion)
-        flip = criterion == 4 and (q.x, q.y, q.z) == ({1}, {3}, {2})
+    def criterion_4_flips_one(g, xm, ym, zm, criterion):
+        verdict = real(g, xm, ym, zm, criterion)
+        flip = criterion == 4 and (xm, ym, zm) == (0b001, 0b100, 0b010)
         return not verdict if flip else verdict
 
-    monkeypatch.setattr(cli, "separated", criterion_4_flips_one)
+    monkeypatch.setattr(cli, "_moral_connected", criterion_4_flips_one)
     assert main(["equiv-check", "--graph", str(DATA / "double-edge.g")]) == 3
     assert capsys.readouterr().out == (
         "disagreement: x=A y=D z={B}  1:connected 2:connected 3:connected 4:separated\n")
@@ -202,46 +203,39 @@ MARKOV_GENERATORS = {"ordered-local": "ordered_local_statements",
 
 def test_sweep_commands_ask_through_the_cli_names(capsys, monkeypatch):
     # bench/spans.py counts the sweeps' questions by wrapping cli.separated
-    # and cli.ci_test, and traces the Markov generators by their cli names;
-    # criterion 2 is one lane-kernel call per pair.
+    # and cli.ci_test, and traces the Markov generators by their cli names.
+    # The sweeps ask the kernels on masks by their cli names: criterion 2 is
+    # one lane-kernel call per pair, criteria 1, 3 and 4 one kernel call per
+    # query, and the Gaussian test one _ci_tests call per pair.
     asked = Counter()
-    real_separated, real_ci_test, real_lanes = cli.separated, cli.ci_test, cli._route_lanes
 
-    def counting_separated(g, q, criterion=2):
-        asked[criterion] += 1
-        return real_separated(g, q, criterion=criterion)
+    def counting(name, key=None):
+        real = getattr(cli, name)
 
-    def counting_ci_test(*args, **kwargs):
-        asked["ci_test"] += 1
-        return real_ci_test(*args, **kwargs)
+        def count(*args, **kwargs):
+            asked[key(*args, **kwargs) if key else name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, count)
 
-    def counting_lanes(*args):
-        asked["lanes"] += 1
-        return real_lanes(*args)
-
-    def counting_generator(name, real):
-        def generate(g, *args):
-            asked[name] += 1
-            return real(g, *args)
-        return generate
-
-    monkeypatch.setattr(cli, "separated", counting_separated)
-    monkeypatch.setattr(cli, "ci_test", counting_ci_test)
-    monkeypatch.setattr(cli, "_route_lanes", counting_lanes)
+    counting("separated", lambda g, q, criterion=2: criterion)
+    counting("_moral_connected", lambda g, xm, ym, zm, criterion: ("moral", criterion))
+    for name in ("ci_test", "_ci_tests", "_route_lanes", "_path_connected"):
+        counting(name)
     assert main(["equiv-check", "--graph", str(DATA / "mixed6.g")]) == 0
     assert capsys.readouterr().out == "240 queries, criteria 1-4 agree\n"
-    assert asked == {1: 240, 3: 240, 4: 240, "lanes": 15}
+    assert asked == {"_path_connected": 240, ("moral", 3): 240, ("moral", 4): 240,
+                     "_route_lanes": 15}
     asked.clear()
     assert main(["sem-check", "--graph", str(DATA / "mixed6.g")]) == 0
     assert capsys.readouterr().out == "seed 0, tol 1e-07: 25 separations checked, 0 violations\n"
-    assert asked == {"lanes": 15, "ci_test": 25}
+    assert asked == {"_route_lanes": 15, "_ci_tests": 15}
     asked.clear()
     assert main(["sem-check", "--graph", str(DATA / "mixed6.g"), "--criterion", "3"]) == 0
     assert capsys.readouterr().out == "seed 0, tol 1e-07: 25 separations checked, 0 violations\n"
-    assert asked == {3: 240, "ci_test": 25}
+    assert asked == {3: 240, "_ci_tests": 15}
     # markov-verify looks its generator up by the cli name at call time, once.
     for name in set(MARKOV_GENERATORS.values()):
-        monkeypatch.setattr(cli, name, counting_generator(name, getattr(cli, name)))
+        counting(name)
     for prop, name in MARKOV_GENERATORS.items():
         asked.clear()
         assert main(["markov-verify", "--graph", str(DATA / "amp-chain.g"),
@@ -279,6 +273,71 @@ def test_criterion_1_refuses_a_search_past_its_step_budget(argv, tmp_path, capsy
     assert main([argv[0], "--graph", g, *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err == "error: criterion 1 ran past its 1000-step budget\n"
+
+
+def test_equiv_check_refuses_past_its_cap_before_the_dialect(tmp_path, capsys):
+    # A graph over the cap is refused for its size even when it has a biarrow.
+    g = graph_file(tmp_path, f"nodes {MAX_SWEEP_NODES + 1}\nbiarrow 1 2\n")
+    assert main(["equiv-check", "--graph", g]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: n={MAX_SWEEP_NODES + 1} exceeds the singleton "
+                            f"sweep cap of {MAX_SWEEP_NODES}\n")
+
+
+def _violations(*groups):
+    # VIOLATION lines of mixed6.g, one (x, y, z sets) group per pair.
+    return "".join(f"VIOLATION {{{x}}} _||_ {{{y}}} | {{{z}}}\n"
+                   for x, y, zs in groups for z in zs)
+
+
+_BEFORE_B_F = _violations(("A", "E", ("", "B", "F", "B,F")), ("A", "F", ("", "B", "E", "B,E")),
+                          ("B", "C", ("A", "A,E", "A,F", "A,E,F")),
+                          ("B", "E", ("", "A", "A,C", "F", "A,F", "A,C,F")))
+
+
+@pytest.mark.parametrize("copy, replaced, out, err", [
+    (5, 3, _BEFORE_B_F + _violations(("B", "F", ("", "A", "A,C", "E", "A,E"))),
+     "covariance submatrix for 2,6|[1, 3, 5] is singular"),
+    (1, 4, _BEFORE_B_F + _violations(("B", "F", ("", "A", "A,C", "E", "A,E", "A,C,E"))),
+     "covariance submatrix for 3,6|[1, 2, 4, 5] is not positive definite")])
+def test_sem_check_reports_a_bad_submatrix_as_one_test_at_a_time(copy, replaced, out, err,
+                                                                 capsys, monkeypatch):
+    # Node `replaced` gets node `copy`'s row and column of sigma, so every
+    # submatrix holding both is singular.  At --tol 0 every separation is a
+    # VIOLATION: the lines up to the first bad submatrix print in order,
+    # those of its own pair included, and its error names it.
+    real = cli.implied_covariance
+
+    def rank_deficient(sem):
+        sigma = real(sem).copy()
+        sigma[:, replaced - 1] = sigma[:, copy - 1]
+        sigma[replaced - 1, :] = sigma[copy - 1, :]
+        return sigma
+
+    monkeypatch.setattr(cli, "implied_covariance", rank_deficient)
+    assert main(["sem-check", "--graph", str(DATA / "mixed6.g"), "--tol", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == f"error: {err}\n"
+
+
+def test_sem_check_refusing_mid_pair_follows_the_tests_before_it(capsys, monkeypatch):
+    # A criterion that refuses at A, E | {D} does so after the VIOLATION lines
+    # of the pair's earlier separations.
+    real = cli.separated
+
+    def refuses_one(g, q, criterion=2):
+        if (q.xm, q.ym, q.zm) == (0b000001, 0b010000, 0b001000):
+            raise AmpAdmgError("criterion 1 ran past its 1000-step budget")
+        return real(g, q, criterion)
+
+    monkeypatch.setattr(cli, "separated", refuses_one)
+    assert main(["sem-check", "--graph", str(DATA / "mixed6.g"), "--tol", "0",
+                 "--criterion", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "VIOLATION {A} _||_ {E} | {}\nVIOLATION {A} _||_ {E} | {B}\n"
     assert captured.err == "error: criterion 1 ran past its 1000-step budget\n"
 
 

@@ -23,6 +23,7 @@ from ampadmg import (
     SeparationQuery,
     augmented_graph,
     ci_test,
+    enumerate_graphs,
     determined_closure,
     extended_subgraph,
     implied_covariance,
@@ -40,7 +41,8 @@ from ampadmg import (
     set_members,
     with_regime_nodes,
 )
-from ampadmg.graph import _spread
+from ampadmg import graph
+from ampadmg.graph import MAX_GRAPH_NODES, _components, _spread
 from conftest import random_graph
 
 
@@ -255,6 +257,41 @@ def test_connectivity_components(mixed6):
         frozenset({1}), frozenset({2}), frozenset({3})}
     assert set(MixedGraph(2, lines={(1, 2)}).connectivity_components()) == {
         frozenset({1, 2})}
+
+
+def test_connectivity_components_match_one_walk_over_every_node():
+    # The partition, in its order, of one component walk over all nodes, on
+    # every graph with n <= 4.
+    for n in range(5):
+        for g in enumerate_graphs(n, Dialect.ALTERNATIVE):
+            walked = tuple(g.mask_nodes(c) for c in _components(g._adj[2], g.full_mask))
+            assert g.connectivity_components() == walked, g
+
+
+def test_connectivity_components_walk_only_the_nodes_with_a_line(monkeypatch):
+    # On 100,001 nodes and three edges, one spread covers the one component
+    # with lines, and the 99,998 nodes without one become singletons unwalked.
+    spreads, walked = [], []
+    real_spread, real_bits = graph._spread, graph._bits
+
+    def counting_spread(*args):
+        spreads.append(args[1])
+        return real_spread(*args)
+
+    def counting_bits(mask):
+        for v in real_bits(mask):
+            walked.append(v)
+            yield v
+
+    monkeypatch.setattr(graph, "_spread", counting_spread)
+    monkeypatch.setattr(graph, "_bits", counting_bits)
+    g = MixedGraph(MAX_GRAPH_NODES + 1, arrows={(1, 3)}, lines={(2, 3), (3, 4)})
+    walked.clear()
+    comps = g.connectivity_components()
+    assert spreads == [0b10] and len(walked) <= 16
+    assert len(comps) == MAX_GRAPH_NODES - 1
+    assert comps[:3] == (frozenset({1}), frozenset({2, 3, 4}), frozenset({5}))
+    assert comps[-1] == frozenset({MAX_GRAPH_NODES + 1})
 
 
 def test_connectivity_component_of_node(mixed6):

@@ -21,6 +21,7 @@ from ampadmg import (
     separated,
     separated_with_determinism,
 )
+from ampadmg.sem import _ci_tests
 from conftest import random_graph, singleton_queries
 
 
@@ -264,6 +265,27 @@ def test_ci_test_partial_correlation_is_bit_exact():
                 ref = float(abs(-prec[0, 1] / np.sqrt(prec[0, 0] * prec[1, 1])))
                 assert not ci_test(sigma, x, y, z, tol=ref), (g, x, y, z)
                 assert ci_test(sigma, x, y, z, tol=np.nextafter(ref, np.inf)), (g, x, y, z)
+
+
+def test_stacked_ci_tests_match_ci_test():
+    # Every separated singleton query of seeded n = 6-9 graphs, one
+    # _ci_tests call per pair, at tolerances where both verdicts occur.
+    rng = random.Random(32)
+    seen = set()
+    for n in (6, 7, 8, 9):
+        for _ in range(5):
+            g = random_graph(rng, n)
+            sigma = implied_covariance(random_sem(g, rng.randint(0, 10**6)))
+            zs_of = {}
+            for x, y, z in singleton_queries(n):
+                if separated(g, SeparationQuery({x}, {y}, z)):
+                    zs_of.setdefault((x, y), []).append(z)
+            for tol in (0, 1e-7, 0.05, 0.5, 1.0):
+                for (x, y), zs in zs_of.items():
+                    stacked = _ci_tests(sigma, x, y, [g.node_mask(z) for z in zs], tol)
+                    assert stacked == [ci_test(sigma, x, y, z, tol=tol) for z in zs], (g, x, y)
+                    seen.update(stacked)
+    assert seen == {False, True}
 
 
 def test_ci_test_validation():
