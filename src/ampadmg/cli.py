@@ -20,17 +20,15 @@ from typing import Iterable, Sequence
 
 from .docalc import check_derivation, intervene, parse_derivation, rule_applicable
 from .errors import AmpAdmgError, NoFeasibleModelError, ParseError, SingularSubmatrixError
-from .graph import (Dialect, MixedGraph, _bits, _label_index, _node_list, _submasks, parse,
-                    serialize)
+from .graph import Dialect, MixedGraph, _bits, _label_index, _node_list, parse, serialize
 from .learner import (MAX_NODES_DEFAULT, atom_line, export_asp, learn,
                       parse_constraints)
 from .markov import (CiStatement, amp_statements, gaussian_oracle,
                      ordered_local_statements, ordered_pairwise_statements,
                      separation_oracle, verify_statements)
 from .sem import CI_TOL, _ci_tests, ci_test, implied_covariance, magnify, random_sem
-from .separation import (SeparationQuery, _moral_connected, _path_connected,
-                         _refuse_past_sweep_cap, _reject_biarrows, _route_lanes,
-                         _singleton_pairs, separated)
+from .separation import (SeparationQuery, _refuse_past_sweep_cap, _reject_biarrows,
+                         _separating_masks, _singleton_pairs, separated)
 
 
 def _load_graph(path: str) -> MixedGraph:
@@ -86,25 +84,18 @@ def _cmd_sep(args: argparse.Namespace) -> int:
 def _cmd_equiv_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     pairs = _singleton_pairs(g.n)  # refuses a graph over the cap before its dialect
-    # Criterion 1 asks first in every query; its refusal stands for 3 and 4.
-    _reject_biarrows(g, "path separation")
-    adj, checked = g._adj, 0
+    _reject_biarrows(g, "path separation")  # criterion 1's refusal stands for 3 and 4
+    checked = 0
     for xm, ym, rest in pairs:
-        # Criterion 2 for every z of the pair at once, one lane per z.
-        lanes = _route_lanes(adj, xm, ym, rest)
-        for zm in _submasks(rest):
-            verdicts = (not _path_connected(adj, xm, ym, zm, g._an_mask(zm)), not lanes & 1,
-                        not _moral_connected(g, xm, ym, zm, 3),
-                        not _moral_connected(g, xm, ym, zm, 4))
-            lanes >>= 1
-            checked += 1
-            if len(set(verdicts)) != 1:
-                detail = " ".join(
-                    f"{c}:{'separated' if v else 'connected'}"
-                    for c, v in zip((1, 2, 3, 4), verdicts))
-                print(f"disagreement: x={_names(g, _bits(xm))} y={_names(g, _bits(ym))} "
-                      f"z={{{_names(g, _bits(zm))}}}  {detail}")
-                return 3
+        seps = [set(_separating_masks(g, c, xm, ym, rest)) for c in (1, 2, 3, 4)]
+        if split := set.union(*seps) - set.intersection(*seps):
+            zm = min(split)  # the first z of the pair that the criteria split on
+            detail = " ".join(f"{c}:{'separated' if zm in sep else 'connected'}"
+                              for c, sep in enumerate(seps, 1))
+            print(f"disagreement: x={_names(g, _bits(xm))} y={_names(g, _bits(ym))} "
+                  f"z={{{_names(g, _bits(zm))}}}  {detail}")
+            return 3
+        checked += 1 << rest.bit_count()
     print(f"{checked} queries, criteria 1-4 agree")
     return 0
 
@@ -175,28 +166,19 @@ def _cmd_markov_verify(args: argparse.Namespace) -> int:
 def _cmd_sem_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     pairs = _singleton_pairs(g.n)  # refuses a graph over the cap before sigma is built
+    # random_sem refuses biarrows, so it is the dialect check of every criterion.
     sigma = implied_covariance(random_sem(g, seed=args.seed))
     seps = violations = 0
     for xm, ym, rest in pairs:
-        # The z masks of the pair's separations, in increasing order.
-        if args.criterion == 2:
-            # Criterion 2 for every z of the pair at once, one lane per z.
-            lanes = _route_lanes(g._adj, xm, ym, rest)
-            zms = [zm for k, zm in enumerate(_submasks(rest)) if not lanes >> k & 1]
-        else:
-            zms = []
-            try:
-                for zm in _submasks(rest):
-                    if separated(g, CiStatement._from_masks(xm, ym, zm),
-                                 criterion=args.criterion):
-                        zms.append(zm)
-            except AmpAdmgError:
-                # A criterion that refuses mid-pair (criterion 1's step
-                # budget) does so after the tests of the z before it.
-                _report_violations(g, sigma, xm, ym, zms, args.tol)
-                raise
+        # The pair's separating z, in increasing order; a refusal mid-pair
+        # (criterion 1's step budget) still prints the tests of the z before it.
+        zms = []
+        try:
+            for zm in _separating_masks(g, args.criterion, xm, ym, rest):
+                zms.append(zm)
+        finally:
+            violations += _report_violations(g, sigma, xm, ym, zms, args.tol)
         seps += len(zms)
-        violations += _report_violations(g, sigma, xm, ym, zms, args.tol)
     print(f"seed {args.seed}, tol {args.tol:g}: "
           f"{seps} separations checked, {violations} violations")
     return 0 if violations == 0 else 1

@@ -525,8 +525,10 @@ def _numeric(tok: str) -> bool:
 
 def _unreadable_label(label: str) -> bool:
     """True for a label a nodes line cannot declare: empty, split by
-    whitespace, cut by ``#`` or numeric."""
-    return not label or "#" in label or any(c.isspace() for c in label) or _numeric(label)
+    whitespace, cut by ``#``, holding a ``,`` (node lists split there) or
+    numeric."""
+    return (not label or "#" in label or "," in label or any(c.isspace() for c in label)
+            or _numeric(label))
 
 
 def _label_index(names) -> dict[str, int]:
@@ -604,7 +606,10 @@ def parse(text: str) -> MixedGraph:
             if numeric:
                 continue
             for lbl in rest:
-                if _unreadable_label(lbl):  # a token here can only be numeric
+                if "," in lbl:
+                    raise ParseError(f"label {lbl!r} holds a comma, which splits node lists",
+                                     line_no)
+                if _unreadable_label(lbl):  # any other such token here is numeric
                     raise ParseError(
                         f"label {lbl!r} is numeric; use a node count instead",
                         line_no)

@@ -91,7 +91,7 @@ def separated_with_determinism(gp: MixedGraph, q: SeparationQuery) -> bool:
     _reject_biarrows(gp, "path separation")
     xm, ym, zm = _query_masks(gp, q)
     dtm = _determined_mask(gp._adj[0], _magnified_half(gp), zm)
-    return not _path_connected(gp._adj, xm, ym, dtm, gp._an_mask(dtm))
+    return not _path_connected(gp, xm, ym, dtm)
 
 
 def _determined_mask(pa, m: int, zm: int) -> int:

@@ -23,9 +23,9 @@ The four decision procedures:
    x + y + z;
 4. as 3 but with the undirected part marginalised onto the ancestor set.
 
-The singleton sweeps ask the kernels on masks: criterion 2 from
-``_route_lanes`` once per pair, criteria 1, 3 and 4 from ``_path_connected``
-and ``_moral_connected`` per query, after one dialect check per graph.
+The singleton sweeps ask ``_separating_masks`` once per (x, y) pair and
+criterion: it picks the kernel, and criterion 2 answers the whole pair with
+one ``_route_lanes`` call.
 
 Criterion 2 also accepts graphs with bidirected edges; the others reject
 them.
@@ -262,7 +262,7 @@ def connects_path(g: MixedGraph, q: SeparationQuery) -> bool:
     """
     _reject_biarrows(g, "path separation")
     xm, ym, zm = _query_masks(g, q)
-    return _path_connected(g._adj, xm, ym, zm, g._an_mask(zm))
+    return _path_connected(g, xm, ym, zm)
 
 
 MAX_PATH_STEPS = 1 << 20
@@ -270,11 +270,12 @@ MAX_PATH_STEPS = 1 << 20
 tries every simple path, about 10x more per added node, so it refuses."""
 
 
-def _path_connected(adj, xm: int, ym: int, dtm: int, anm: int) -> bool:
-    # dtm: the effective conditioning mask; anm: its ancestral closure,
-    # which is where colliders are passable.  A start node has no end mark
-    # (None) and no collider status, so it may leave every way.
-    pa, ch, ne, _bi = adj
+def _path_connected(g: MixedGraph, xm: int, ym: int, dtm: int) -> bool:
+    # dtm: the effective conditioning mask; colliders are passable in its
+    # ancestral closure, anm.  A start node has no end mark (None) and no
+    # collider status, so it may leave every way.
+    pa, ch, ne, _bi = g._adj
+    anm = g._an_mask(dtm)
     stack = [(s, None, 1 << (s - 1)) for s in _bits(xm)]
     budget = MAX_PATH_STEPS
     while stack:
@@ -423,7 +424,21 @@ def _moral_connected(g: MixedGraph, xm: int, ym: int, zm: int, criterion: int) -
     return (_spread(_moral_masks(g, xm | ym | zm, criterion), xm, zm, ym) & ym) != 0
 
 
-# -- the four-way dispatcher --------------------------------------------------
+# -- the four-way dispatchers -------------------------------------------------
+
+
+def _separating_masks(g: MixedGraph, criterion: int, xm: int, ym: int,
+                      rest: int) -> Iterator[int]:
+    """The z inside ``rest`` that separate the singleton pair x, y under the
+    criterion, in increasing mask order, on trusted masks (the caller checks
+    the dialect).  Criterion 2 answers the pair with one ``_route_lanes``
+    call; 1, 3 and 4 ask their kernel lazily, once per z."""
+    if criterion == 2:
+        lanes = _route_lanes(g._adj, xm, ym, rest)
+        return (zm for k, zm in enumerate(_submasks(rest)) if not lanes >> k & 1)
+    if criterion == 1:
+        return (zm for zm in _submasks(rest) if not _path_connected(g, xm, ym, zm))
+    return (zm for zm in _submasks(rest) if not _moral_connected(g, xm, ym, zm, criterion))
 
 
 def separated(g: MixedGraph, q: SeparationQuery, criterion: int = 2) -> bool:

@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import re
 import shlex
 from collections import Counter
@@ -27,13 +28,14 @@ from ampadmg import (
     parse,
     parse_constraints,
     parse_derivation,
+    serialize,
 )
 import ampadmg
 from ampadmg import cli, separation
 from ampadmg.cli import main, run
 from ampadmg.separation import MAX_SWEEP_NODES
 
-from conftest import DATA
+from conftest import DATA, random_graph
 
 ROOT = DATA.parent.parent
 
@@ -168,14 +170,14 @@ def test_equiv_check_reports_query_count(capsys):
 
 def test_equiv_check_reports_a_disagreement_and_exits_3(capsys, monkeypatch):
     # Criteria 3 and 4 come from the moral kernel, asked on masks.
-    real = cli._moral_connected
+    real = separation._moral_connected
 
     def criterion_4_flips_one(g, xm, ym, zm, criterion):
         verdict = real(g, xm, ym, zm, criterion)
         flip = criterion == 4 and (xm, ym, zm) == (0b001, 0b100, 0b010)
         return not verdict if flip else verdict
 
-    monkeypatch.setattr(cli, "_moral_connected", criterion_4_flips_one)
+    monkeypatch.setattr(separation, "_moral_connected", criterion_4_flips_one)
     assert main(["equiv-check", "--graph", str(DATA / "double-edge.g")]) == 3
     assert capsys.readouterr().out == (
         "disagreement: x=A y=D z={B}  1:connected 2:connected 3:connected 4:separated\n")
@@ -183,13 +185,13 @@ def test_equiv_check_reports_a_disagreement_and_exits_3(capsys, monkeypatch):
 
 def test_equiv_check_reports_a_lane_disagreement_and_exits_3(capsys, monkeypatch):
     # Criterion 2 comes from the lane kernel, one lane per z of the pair.
-    real = cli._route_lanes
+    real = separation._route_lanes
 
     def lane_of_b_flips(adj, xm, ym, rest):
         lanes = real(adj, xm, ym, rest)
         return lanes ^ 0b10 if (xm, ym) == (0b001, 0b100) else lanes
 
-    monkeypatch.setattr(cli, "_route_lanes", lane_of_b_flips)
+    monkeypatch.setattr(separation, "_route_lanes", lane_of_b_flips)
     assert main(["equiv-check", "--graph", str(DATA / "double-edge.g")]) == 3
     assert capsys.readouterr().out == (
         "disagreement: x=A y=D z={B}  1:connected 2:separated 3:connected 4:connected\n")
@@ -204,9 +206,9 @@ MARKOV_GENERATORS = {"ordered-local": "ordered_local_statements",
 def test_sweep_commands_ask_through_the_cli_names(capsys, monkeypatch):
     # bench/spans.py counts the sweeps' questions by wrapping cli.separated
     # and cli.ci_test, and traces the Markov generators by their cli names.
-    # The sweeps ask the kernels on masks by their cli names: criterion 2 is
-    # one lane-kernel call per pair, criteria 1, 3 and 4 one kernel call per
-    # query, and the Gaussian test one _ci_tests call per pair.
+    # The sweeps ask for each pair's separating z by its cli name, once per
+    # pair and criterion, and the Gaussian test one _ci_tests call per pair;
+    # neither asks separated() per query.
     asked = Counter()
 
     def counting(name, key=None):
@@ -218,21 +220,20 @@ def test_sweep_commands_ask_through_the_cli_names(capsys, monkeypatch):
         monkeypatch.setattr(cli, name, count)
 
     counting("separated", lambda g, q, criterion=2: criterion)
-    counting("_moral_connected", lambda g, xm, ym, zm, criterion: ("moral", criterion))
-    for name in ("ci_test", "_ci_tests", "_route_lanes", "_path_connected"):
+    counting("_separating_masks", lambda g, criterion, xm, ym, rest: ("masks", criterion))
+    for name in ("ci_test", "_ci_tests"):
         counting(name)
     assert main(["equiv-check", "--graph", str(DATA / "mixed6.g")]) == 0
     assert capsys.readouterr().out == "240 queries, criteria 1-4 agree\n"
-    assert asked == {"_path_connected": 240, ("moral", 3): 240, ("moral", 4): 240,
-                     "_route_lanes": 15}
+    assert asked == {("masks", 1): 15, ("masks", 2): 15, ("masks", 3): 15, ("masks", 4): 15}
     asked.clear()
     assert main(["sem-check", "--graph", str(DATA / "mixed6.g")]) == 0
     assert capsys.readouterr().out == "seed 0, tol 1e-07: 25 separations checked, 0 violations\n"
-    assert asked == {"_route_lanes": 15, "_ci_tests": 15}
+    assert asked == {("masks", 2): 15, "_ci_tests": 15}
     asked.clear()
     assert main(["sem-check", "--graph", str(DATA / "mixed6.g"), "--criterion", "3"]) == 0
     assert capsys.readouterr().out == "seed 0, tol 1e-07: 25 separations checked, 0 violations\n"
-    assert asked == {3: 240, "_ci_tests": 15}
+    assert asked == {("masks", 3): 15, "_ci_tests": 15}
     # markov-verify looks its generator up by the cli name at call time, once.
     for name in set(MARKOV_GENERATORS.values()):
         counting(name)
@@ -326,19 +327,36 @@ def test_sem_check_reports_a_bad_submatrix_as_one_test_at_a_time(copy, replaced,
 def test_sem_check_refusing_mid_pair_follows_the_tests_before_it(capsys, monkeypatch):
     # A criterion that refuses at A, E | {D} does so after the VIOLATION lines
     # of the pair's earlier separations.
-    real = cli.separated
+    real = separation._path_connected
 
-    def refuses_one(g, q, criterion=2):
-        if (q.xm, q.ym, q.zm) == (0b000001, 0b010000, 0b001000):
+    def refuses_one(g, xm, ym, zm):
+        if (xm, ym, zm) == (0b000001, 0b010000, 0b001000):
             raise AmpAdmgError("criterion 1 ran past its 1000-step budget")
-        return real(g, q, criterion)
+        return real(g, xm, ym, zm)
 
-    monkeypatch.setattr(cli, "separated", refuses_one)
+    monkeypatch.setattr(separation, "_path_connected", refuses_one)
     assert main(["sem-check", "--graph", str(DATA / "mixed6.g"), "--tol", "0",
                  "--criterion", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "VIOLATION {A} _||_ {E} | {}\nVIOLATION {A} _||_ {E} | {B}\n"
     assert captured.err == "error: criterion 1 ran past its 1000-step budget\n"
+
+
+def test_sem_check_prints_the_same_under_every_criterion(tmp_path, capsys):
+    # The four criteria separate the same z, so sem-check prints the same
+    # bytes under each; at --tol 0 every separation is a VIOLATION line, which
+    # pins the order of the z too.  Seeded graphs with n = 6..8.
+    rng = random.Random(67)
+    for n in (6, 6, 7, 7, 8, 8):
+        g = graph_file(tmp_path, serialize(random_graph(rng, n)))
+        seed = str(rng.randint(0, 1000))
+        for tol in ([], ["--tol", "0"]):
+            runs = {(main(["sem-check", "--graph", g, "--seed", seed, "--criterion", c, *tol]),
+                     capsys.readouterr()) for c in "1234"}
+            assert len(runs) == 1, (n, seed, tol)
+            (code, captured), = runs
+            assert captured.err == ""
+            assert ("VIOLATION" in captured.out) == (code == 1) == bool(tol), (n, seed, tol)
 
 
 # -- magnify / intervene -----------------------------------------------------

@@ -439,6 +439,16 @@ def test_parse_rejects_numeric_labels():
         parse("nodes A 2 C\n")
 
 
+@pytest.mark.parametrize("line", ["nodes a,b c", "nodes A 1,2", "nodes , A"])
+def test_parse_refuses_a_label_holding_a_comma_by_name(line):
+    # Node lists on the command line and in scripts split on commas, so such
+    # a label could never be named there.
+    label = next(tok for tok in line.split() if "," in tok)
+    with pytest.raises(ParseError) as err:
+        parse(f"# labels\n{line}\n")
+    assert str(err.value) == f"line 2: label {label!r} holds a comma, which splits node lists"
+
+
 def test_parse_rejects_unknown_label():
     with pytest.raises(ParseError) as err:
         parse("nodes A B\narrow A C\n")
@@ -516,7 +526,7 @@ def test_labels_are_refused_exactly_when_a_nodes_line_cannot_read_them_back(labe
 @pytest.mark.parametrize("label,refused", [
     ("a b", True), ("", True), ("x#y", True), ("3", True), ("-3", True), ("--2", True),
     ("\u00b2", True), ("a\u2028b", True), ("a\x1fb", True),
-    ("eps_A", False), ("F_A'", False), ("-", False), ("a,b", False),
+    ("a,b", True), ("eps_A", False), ("F_A'", False), ("-", False),
 ])
 def test_a_label_is_refused_where_it_enters_when_a_nodes_line_cannot_read_it(label, refused):
     assert _refused(label) is refused

@@ -25,7 +25,7 @@ from ampadmg import (
 from ampadmg import separation
 from ampadmg.graph import MAX_GRAPH_NODES, _bits, _submasks
 from ampadmg.separation import (MAX_SWEEP_NODES, _moral_masks, _route_connected, _route_lanes,
-                                 _singleton_pairs)
+                                 _separating_masks, _singleton_pairs)
 from conftest import (DATA, gf_separated, gf_sigma, load_bench, random_graph,
                       singleton_queries)
 
@@ -261,6 +261,27 @@ def test_route_lanes_match_the_per_query_route():
                 xm, ym = g.node_mask(x), g.node_mask(y)
                 checked += _lanes_match_queries(g, xm, ym, full & ~xm & ~ym)
     assert checked == 377_055
+
+
+def test_separating_masks_match_the_public_path():
+    # Each pair's separating z, asked once per criterion, against separated()
+    # per query: every alternative graph with n = 3 and seeded ones with
+    # n = 4..7 under all four criteria; under criterion 2, biarrow graphs too.
+    rng = random.Random(61)
+    lines = list(enumerate_graphs(3, Dialect.ALTERNATIVE))
+    lines += [random_graph(rng, n) for n in (4, 5, 6, 7) for _ in range(10)]
+    biarrows = list(enumerate_graphs(3, Dialect.ORIGINAL))
+    biarrows += [random_graph(rng, n, biarrow_ok=True) for n in (4, 5, 6, 7) for _ in range(10)]
+    checked = 0
+    for criteria, graphs in (((1, 2, 3, 4), lines), ((2,), biarrows)):
+        for g in graphs:
+            for xm, ym, rest in _singleton_pairs(g.n):
+                for c in criteria:
+                    expected = [zm for zm in _submasks(rest) if separated(
+                        g, SeparationQuery._from_masks(xm, ym, zm), c)]
+                    assert list(_separating_masks(g, c, xm, ym, rest)) == expected, (g, xm, ym, c)
+                    checked += 1 << rest.bit_count()
+    assert checked == 56_800
 
 
 def test_criterion_2_matches_the_exact_gaussian_oracle():
