@@ -28,7 +28,6 @@ from .graph import Dialect, MixedGraph, parse, serialize, set_index, set_members
 from .separation import (
     SeparationQuery,
     augmented_graph,
-    connects_path,
     connects_route,
     extended_subgraph,
     marginal_graph,

@@ -105,7 +105,7 @@ def set_index(members: Iterable[int]) -> int:
 def set_members(index: int, n: int) -> frozenset[int]:
     """Inverse of :func:`set_index` for sets over nodes 1..n."""
     index = _node_index(index)
-    if index < 0 or index >> n:
+    if index < 0 or n < 0 or index >> n:
         raise NodeOutOfRangeError(f"set index {index} out of range for n={n}")
     return frozenset(_bits(index))
 

@@ -32,7 +32,7 @@ OBSERVATIONAL = 0
 AMP_FLAVOURS = ("block-recursive", "local", "pairwise")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class CiStatement(SeparationQuery):
     """x independent of y given z, in regime 0 (observational) or under an
     intervention on node ``regime``; held as masks like a query."""
@@ -42,6 +42,9 @@ class CiStatement(SeparationQuery):
     def __init__(self, x, y, z=frozenset(), regime: int = OBSERVATIONAL):
         super().__init__(x, y, z)
         self.__dict__["regime"] = _node_index(regime)
+
+    def _key(self) -> tuple:
+        return (*super()._key(), self.regime)
 
     def canonical(self) -> "CiStatement":
         """Swap x and y into a fixed order so symmetric duplicates collapse:

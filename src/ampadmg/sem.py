@@ -12,8 +12,8 @@ node into its variable and the lines moved onto the noise nodes.
 Conditioning on z in the magnified graph also fixes every noise node that z
 determines (the D-separation of Geiger, Verma and Pearl): one rule, a noise
 node is determined once its variable and the variable's other parents are.
-:func:`separated_with_determinism` closes z that way itself and asks path
-separation, which then agrees with separation in the original graph.
+:func:`separated_with_determinism` closes z that way and asks criterion 1
+(path separation) of the closure, which agrees with the unmagnified graph.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ErrorNodeInZError, ProblemTooLargeError, SingularSubmatrixError
 from .graph import MixedGraph, _bits, _check_names, _node_index, _node_mask
-from .separation import SeparationQuery, _path_connected, _query_masks, _reject_biarrows
+from .separation import SeparationQuery, _connected, _query_masks, _reject_biarrows
 
 PRECISION_ZERO_TOL = 1e-9
 CI_TOL = 1e-7
@@ -91,7 +91,7 @@ def separated_with_determinism(gp: MixedGraph, q: SeparationQuery) -> bool:
     _reject_biarrows(gp, "path separation")
     xm, ym, zm = _query_masks(gp, q)
     dtm = _determined_mask(gp._adj[0], _magnified_half(gp), zm)
-    return not _path_connected(gp, xm, ym, dtm)
+    return not _connected(gp, 1, xm, ym, dtm)
 
 
 def _determined_mask(pa, m: int, zm: int) -> int:

@@ -23,12 +23,11 @@ The four decision procedures:
    x + y + z;
 4. as 3 but with the undirected part marginalised onto the ancestor set.
 
-The singleton sweeps ask ``_separating_masks`` once per (x, y) pair and
-criterion: it picks the kernel, and criterion 2 answers the whole pair with
-one ``_route_lanes`` call.
-
-Criterion 2 also accepts graphs with bidirected edges; the others reject
-them.
+A single question goes through :func:`separated`, which asks criterion 2 of
+:func:`connects_route` and 1, 3 and 4, which reject bidirected edges, of
+``_connected``, their one kernel table.  The singleton sweeps ask
+``_separating_masks`` once per (x, y) pair and criterion; it answers
+criterion 2 with one ``_route_lanes`` call.
 
 A query is its node masks, checked once where it enters; the package builds
 its own queries (statements, singleton sweeps, rule premises) from masks,
@@ -51,14 +50,14 @@ from .graph import (MAX_GRAPH_NODES, Dialect, MixedGraph, _bits, _components, _n
 END_LINE, END_HEAD, END_TAIL = 0, 1, 2
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class SeparationQuery:
     """Disjoint node sets x, y (non-empty) and a conditioning set z, held as
     masks ``xm``, ``ym``, ``zm`` (node i is bit i - 1) that equality and
     hashing compare; the sets are checked once and are views built on first
     access.  A node that is not an integer is refused here; a set naming a
     node outside ``1..MAX_GRAPH_NODES`` gets the mask -1, and a graph asked
-    about it reads the set itself."""
+    about it reads the set itself, as do equality and hashing."""
 
     xm: int
     ym: int
@@ -80,6 +79,16 @@ class SeparationQuery:
         q = object.__new__(cls)
         q.__dict__.update(xm=xm, ym=ym, zm=zm, **fields)
         return q
+
+    def _key(self) -> tuple:
+        masks = self.xm, self.ym, self.zm
+        return masks if min(masks) >= 0 else (self.x, self.y, self.z)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     x = cached_property(lambda q: frozenset(_bits(q.xm)))
     y = cached_property(lambda q: frozenset(_bits(q.ym)))
@@ -253,18 +262,6 @@ def _route_lanes(adj, xm: int, ym: int, rest: int) -> int:
 # -- criterion 1: simple paths ----------------------------------------------
 
 
-def connects_path(g: MixedGraph, q: SeparationQuery) -> bool:
-    """True when some simple path from x to y is open given z.
-
-    Colliders must be ancestors of z; a non-collider must avoid z unless
-    both its path edges are lines and it keeps a parent outside z.
-    Intended as the small-n oracle for :func:`connects_route`.
-    """
-    _reject_biarrows(g, "path separation")
-    xm, ym, zm = _query_masks(g, q)
-    return _path_connected(g, xm, ym, zm)
-
-
 MAX_PATH_STEPS = 1 << 20
 """The most stack pops criterion 1 may take.  On a dense line component it
 tries every simple path, about 10x more per added node, so it refuses."""
@@ -418,13 +415,14 @@ def _moral_masks(g: MixedGraph, smask: int, criterion: int) -> tuple:
     return aug
 
 
-def _moral_connected(g: MixedGraph, xm: int, ym: int, zm: int, criterion: int) -> bool:
-    """Criterion 3 or 4 on trusted masks: some path from x to y in the
-    augmented graph of :func:`_moral_masks` avoids z."""
-    return (_spread(_moral_masks(g, xm | ym | zm, criterion), xm, zm, ym) & ym) != 0
-
-
 # -- the four-way dispatchers -------------------------------------------------
+
+
+def _connected(g: MixedGraph, criterion: int, xm: int, ym: int, zm: int) -> bool:
+    """Criterion 1, 3 or 4 on trusted masks; the caller checks the dialect."""
+    if criterion == 1:
+        return _path_connected(g, xm, ym, zm)
+    return (_spread(_moral_masks(g, xm | ym | zm, criterion), xm, zm, ym) & ym) != 0
 
 
 def _separating_masks(g: MixedGraph, criterion: int, xm: int, ym: int,
@@ -432,27 +430,26 @@ def _separating_masks(g: MixedGraph, criterion: int, xm: int, ym: int,
     """The z inside ``rest`` that separate the singleton pair x, y under the
     criterion, in increasing mask order, on trusted masks (the caller checks
     the dialect).  Criterion 2 answers the pair with one ``_route_lanes``
-    call; 1, 3 and 4 ask their kernel lazily, once per z."""
+    call; 1, 3 and 4 ask :func:`_connected` lazily, once per z."""
     if criterion == 2:
         lanes = _route_lanes(g._adj, xm, ym, rest)
         return (zm for k, zm in enumerate(_submasks(rest)) if not lanes >> k & 1)
-    if criterion == 1:
-        return (zm for zm in _submasks(rest) if not _path_connected(g, xm, ym, zm))
-    return (zm for zm in _submasks(rest) if not _moral_connected(g, xm, ym, zm, criterion))
+    return (zm for zm in _submasks(rest) if not _connected(g, criterion, xm, ym, zm))
 
 
 def separated(g: MixedGraph, q: SeparationQuery, criterion: int = 2) -> bool:
     """Decide whether x and y are separated given z.
 
-    All four criteria agree on valid graphs; criterion 2 is the engine of
-    choice and the only one defined for bidirected edges.
+    All four agree on valid graphs; criterion 2, the engine of choice, alone
+    accepts biarrows.  Criterion 1's open paths have colliders in An(z) and
+    non-colliders outside z, save line-line ones with a parent outside z.
     """
     if criterion == 2:
         return not connects_route(g, q)
-    if criterion == 1:
-        return not connects_path(g, q)
-    if criterion not in (3, 4):
+    if criterion not in (1, 3, 4):
         raise ValueError(f"criterion must be 1..4, got {criterion!r}")
-    _reject_biarrows(g, "criterion %d", criterion)
-    xm, ym, zm = _query_masks(g, q)
-    return not _moral_connected(g, xm, ym, zm, criterion)
+    if criterion == 1:
+        _reject_biarrows(g, "path separation")
+    else:
+        _reject_biarrows(g, "criterion %d", criterion)
+    return not _connected(g, criterion, *_query_masks(g, q))

@@ -169,15 +169,15 @@ def test_equiv_check_reports_query_count(capsys):
 
 
 def test_equiv_check_reports_a_disagreement_and_exits_3(capsys, monkeypatch):
-    # Criteria 3 and 4 come from the moral kernel, asked on masks.
-    real = separation._moral_connected
+    # Criteria 1, 3 and 4 come from one kernel table, asked on masks.
+    real = separation._connected
 
-    def criterion_4_flips_one(g, xm, ym, zm, criterion):
-        verdict = real(g, xm, ym, zm, criterion)
+    def criterion_4_flips_one(g, criterion, xm, ym, zm):
+        verdict = real(g, criterion, xm, ym, zm)
         flip = criterion == 4 and (xm, ym, zm) == (0b001, 0b100, 0b010)
         return not verdict if flip else verdict
 
-    monkeypatch.setattr(separation, "_moral_connected", criterion_4_flips_one)
+    monkeypatch.setattr(separation, "_connected", criterion_4_flips_one)
     assert main(["equiv-check", "--graph", str(DATA / "double-edge.g")]) == 3
     assert capsys.readouterr().out == (
         "disagreement: x=A y=D z={B}  1:connected 2:connected 3:connected 4:separated\n")

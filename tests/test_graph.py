@@ -221,6 +221,8 @@ def test_set_index_round_trip(members):
 def test_set_members_range_check():
     with pytest.raises(NodeOutOfRangeError):
         set_members(8, 2)
+    with pytest.raises(NodeOutOfRangeError, match="^set index 0 out of range for n=-1$"):
+        set_members(0, -1)
     with pytest.raises(NodeOutOfRangeError, match="^node 0 out of range$"):
         set_index([0])
 

@@ -32,6 +32,7 @@ from ampadmg import (
     verify_statements,
 )
 from ampadmg import docalc
+from ampadmg.graph import MAX_GRAPH_NODES
 from conftest import DATA, random_graph, singleton_queries
 
 
@@ -79,6 +80,20 @@ def test_mask_built_queries_equal_set_built_ones(sets, regime):
         c = s.canonical()
         assert (c.x, c.y, c.z, c.regime) == (*canon, z, regime)
         assert c == CiStatement(*canon, z, regime)
+
+
+def test_queries_naming_nodes_out_of_range_compare_their_sets():
+    # Each such set has the mask -1, so equality and hashing read the sets.
+    for a, b in ((SeparationQuery({1}, {0}), SeparationQuery({1}, {-5, 7})),
+                 (SeparationQuery({1}, {MAX_GRAPH_NODES + 1}),
+                  SeparationQuery({1}, {MAX_GRAPH_NODES + 2})),
+                 (CiStatement({5}, {0, 2}, {-1}, 3), CiStatement({5}, {0, 3}, {-7}, 3))):
+        assert a != b and len({a, b}) == 2
+    # Equal sets still compare equal and hash alike, and the regime counts.
+    q = CiStatement({5}, {0, 2}, {-1}, 3)
+    twin = CiStatement({5}, {2, 0}, {-1}, 3)
+    assert q == twin and hash(q) == hash(twin) and len({q, twin}) == 1
+    assert q != CiStatement({5}, {0, 2}, {-1}, 4)
 
 
 def test_statements_naming_a_node_below_1_still_order():

@@ -13,7 +13,6 @@ from ampadmg import (
     SeparationQuery,
     UnsupportedDialectError,
     augmented_graph,
-    connects_path,
     connects_route,
     enumerate_graphs,
     extended_subgraph,
@@ -350,19 +349,19 @@ def test_route_matches_walk_oracle_on_regime_graphs():
 
 
 def test_path_examples(double_edge3):
-    assert connects_path(double_edge3, SeparationQuery({1}, {3}, {2}))
-    assert connects_path(MixedGraph(2, arrows={(1, 2)}),
-                         SeparationQuery({1}, {2}, frozenset()))
+    assert not separated(double_edge3, SeparationQuery({1}, {3}, {2}), 1)
+    assert not separated(MixedGraph(2, arrows={(1, 2)}),
+                         SeparationQuery({1}, {2}, frozenset()), 1)
     collider = MixedGraph(3, arrows={(1, 3), (2, 3)})
-    assert not connects_path(collider, SeparationQuery({1}, {2}, frozenset()))
-    assert connects_path(collider, SeparationQuery({1}, {2}, {3}))
+    assert separated(collider, SeparationQuery({1}, {2}, frozenset()), 1)
+    assert not separated(collider, SeparationQuery({1}, {2}, {3}), 1)
 
 
 def test_path_matches_path_oracle_exhaustive_n3():
     for g in enumerate_graphs(3, Dialect.ALTERNATIVE):
         for x, y, z in singleton_queries(3):
             q = SeparationQuery({x}, {y}, z)
-            assert connects_path(g, q) == oracle_path_connected(
+            assert (not separated(g, q, 1)) == oracle_path_connected(
                 g, {x}, {y}, z), (g, x, y, z)
 
 
@@ -372,13 +371,13 @@ def test_path_matches_path_oracle_random_n5():
         g = random_graph(rng, 5)
         for x, y, z in singleton_queries(5):
             q = SeparationQuery({x}, {y}, z)
-            assert connects_path(g, q) == oracle_path_connected(
+            assert (not separated(g, q, 1)) == oracle_path_connected(
                 g, {x}, {y}, z), (g, x, y, z)
 
 
 def test_path_rejects_biarrows(ident_orig):
-    with pytest.raises(UnsupportedDialectError):
-        connects_path(ident_orig, SeparationQuery({1}, {2}, frozenset()))
+    with pytest.raises(UnsupportedDialectError, match="^path separation is not defined"):
+        separated(ident_orig, SeparationQuery({1}, {2}, frozenset()), 1)
 
 
 # -- graph constructions --------------------------------------------------------

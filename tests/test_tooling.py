@@ -111,6 +111,25 @@ def test_only_the_token_reader_calls_int():
     assert sites == ["graph.py:_int_token"]
 
 
+def test_each_criterion_kernel_has_one_dispatch_site():
+    # separation._connected maps criteria 1, 3 and 4 to their kernels, and
+    # _separating_masks alone asks the lane form of criterion 2; every other
+    # caller asks them through those two.
+    kernels = ("_path_connected", "_moral_masks", "_route_lanes")
+
+    def calls(name):
+        # A call of `name`, bare or as a module attribute.
+        return lambda node: (isinstance(node, ast.Call)
+                             and getattr(node.func, "id", getattr(node.func, "attr", None)) == name)
+
+    sites = {name: sorted(f"{path.name}:{func}" for path in SRC.glob("*.py")
+                          for func in _sites(ast.parse(path.read_text()), calls(name)))
+             for name in kernels}
+    assert sites == {"_path_connected": ["separation.py:_connected"],
+                     "_moral_masks": ["separation.py:_connected"],
+                     "_route_lanes": ["separation.py:_separating_masks"]}
+
+
 def test_every_export_is_used_documented_or_traced():
     # A public name that no other module uses, the README does not name and
     # the benchmark does not trace is a second spelling nobody reads.
