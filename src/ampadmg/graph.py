@@ -104,7 +104,7 @@ def set_index(members: Iterable[int]) -> int:
 
 def set_members(index: int, n: int) -> frozenset[int]:
     """Inverse of :func:`set_index` for sets over nodes 1..n."""
-    index = _node_index(index)
+    index, n = _node_index(index), _node_index(n)
     if index < 0 or n < 0 or index >> n:
         raise NodeOutOfRangeError(f"set index {index} out of range for n={n}")
     return frozenset(_bits(index))
@@ -418,12 +418,6 @@ class MixedGraph:
                      for v in range(1, self.n + 1) if v in by_lowest or not ne[v])
 
     # -- derived graphs ----------------------------------------------------
-
-    def induced_subgraph(self, nodes: Iterable[int]) -> "MixedGraph":
-        """Keep exactly the edges with both endpoints in ``nodes``."""
-        mask = self.node_mask(nodes)
-        adj = tuple(_restrict(masks, mask) for masks in self._adj)
-        return MixedGraph._from_masks(self.n, adj, self.node_names)
 
     def undirected_skeleton(self) -> "MixedGraph":
         """The graph restricted to its lines."""

@@ -9,8 +9,8 @@ The four decision procedures:
 
 1. simple paths; colliders must be ancestors of Z, non-colliders must
    avoid Z except that a line-line non-collider with a parent outside Z
-   may be conditioned on -- a depth-first search that refuses to run past
-   ``MAX_PATH_STEPS`` stack pops;
+   may be conditioned on -- a depth-first search whose stack entries carry
+   lanes as in 2, one bit per z; a call refuses past ``MAX_PATH_STEPS`` pops;
 2. walks that may revisit nodes; colliders must be in Z, non-colliders
    must avoid Z, no exceptions -- decided by a frontier fixpoint over
    three node masks, the nodes a walk reaches with each end mark (line,
@@ -27,7 +27,7 @@ A single question goes through :func:`separated`, which asks criterion 2 of
 :func:`connects_route` and 1, 3 and 4, which reject bidirected edges, of
 ``_connected``, their one kernel table.  The singleton sweeps ask
 ``_separating_masks`` once per (x, y) pair and criterion; it answers
-criterion 2 with one ``_route_lanes`` call.
+criteria 1 and 2 with one kernel call per pair.
 
 A query is its node masks, checked once where it enters; the package builds
 its own queries (statements, singleton sweeps, rule premises) from masks,
@@ -38,8 +38,9 @@ augmented graph of criteria 3 and 4 per criterion and ancestor set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import and_
 from typing import Iterable, Iterator
 
 from .errors import MalformedQueryError, ProblemTooLargeError, UnsupportedDialectError
@@ -202,19 +203,10 @@ def _route_connected(adj, xm: int, ym: int, zm: int, head: int = 0) -> bool:
         by_bi = (fh & zm) | (ft & ~zm)
 
 
-def _route_lanes(adj, xm: int, ym: int, rest: int) -> int:
-    """Criterion 2 for every conditioning set inside ``rest`` at once.
-
-    Bit k of the result is set iff x and y are connected given the k-th
-    submask of ``rest`` in ``_submasks`` (increasing) order: lane k.  Each
-    node holds three lane ints, ``line[v]``, ``head[v]`` and ``tail[v]``,
-    the lanes in which a walk has reached v with that end mark.  x is seeded
-    as a tail arrival in every lane: outside z that may leave every way, an
-    endpoint's freedom.  If v is the j-th bit of ``rest``, the lanes whose
-    set holds v are the periodic pattern of bit j of the lane number.
-    """
-    pa, ch, ne, bi = adj
-    size = len(pa)
+def _lanes(rest: int, size: int) -> tuple[int, list[int]]:
+    """``full``, one bit (lane) per submask of ``rest``, and ``in_z``, whose
+    entry for the j-th node of ``rest`` is the lanes whose submask holds it:
+    the periodic pattern of bit j of the lane number.  Other entries are 0."""
     full = (1 << (1 << rest.bit_count())) - 1
     in_z = [0] * size
     width = 1
@@ -223,6 +215,22 @@ def _route_lanes(adj, xm: int, ym: int, rest: int) -> int:
         rest ^= vb
         in_z[vb.bit_length()] = full // ((1 << 2 * width) - 1) * (((1 << width) - 1) << width)
         width <<= 1
+    return full, in_z
+
+
+def _route_lanes(adj, xm: int, ym: int, rest: int) -> int:
+    """Criterion 2 for every conditioning set inside ``rest`` at once.
+
+    Bit k of the result is set iff x and y are connected given the k-th
+    submask of ``rest`` in ``_submasks`` (increasing) order: lane k.  Each
+    node holds three lane ints, ``line[v]``, ``head[v]`` and ``tail[v]``,
+    the lanes in which a walk has reached v with that end mark.  x is seeded
+    as a tail arrival in every lane: outside z that may leave every way, an
+    endpoint's freedom.
+    """
+    pa, ch, ne, bi = adj
+    size = len(pa)
+    full, in_z = _lanes(rest, size)
     line, head, tail = [0] * size, [0] * size, [0] * size
     for v in _bits(xm):
         tail[v] = full
@@ -263,58 +271,59 @@ def _route_lanes(adj, xm: int, ym: int, rest: int) -> int:
 
 
 MAX_PATH_STEPS = 1 << 20
-"""The most stack pops criterion 1 may take.  On a dense line component it
-tries every simple path, about 10x more per added node, so it refuses."""
+"""The most stack pops one call of criterion 1's search may take, a single
+question or a whole sweep pair.  On a dense line component it tries every
+simple path, about 10x more per added node, so it refuses."""
 
 
-def _path_connected(g: MixedGraph, xm: int, ym: int, dtm: int) -> bool:
-    # dtm: the effective conditioning mask; colliders are passable in its
-    # ancestral closure, anm.  A start node has no end mark (None) and no
-    # collider status, so it may leave every way.
+def _path_connected(g: MixedGraph, xm: int, ym: int, zm: int, rest: int = 0) -> int:
+    """Criterion 1 for every conditioning set zm + s, s inside ``rest``: bit
+    k is set iff x and y are connected given zm plus the k-th submask of
+    ``rest``, as in ``_route_lanes``, and rest = 0 asks a single question.
+    One depth-first search over simple paths; each stack entry carries the
+    lanes in which its path is still open."""
     pa, ch, ne, _bi = g._adj
-    anm = g._an_mask(dtm)
-    stack = [(s, None, 1 << (s - 1)) for s in _bits(xm)]
+    full, in_z = _lanes(rest, len(pa))
+    anm = g._an_mask(zm)
+    # an_z[v]: the lanes whose part of rest holds v or a descendant of v.
+    an_z = [0] * len(pa)
+    for w in _bits(rest):
+        for v in _bits(g._an_mask(1 << (w - 1))):
+            an_z[v] |= in_z[w]
+    # A start node has no end mark (None): it leaves every way, even from z.
+    stack = [(s, None, 1 << (s - 1), full) for s in _bits(xm)]
+    connected = 0
     budget = MAX_PATH_STEPS
     while stack:
         budget -= 1
         if budget < 0:
             raise ProblemTooLargeError(f"criterion 1 ran past its {MAX_PATH_STEPS}-step budget")
-        v, mark, vis = stack.pop()
-        vb = 1 << (v - 1)
-        in_dt = dtm & vb
-        passes_collider = anm & vb
-        # line out of v
-        if mark is None or (passes_collider if mark == END_HEAD
-                            else (not in_dt or (mark == END_LINE and pa[v] & ~dtm))):
-            targets = ne[v]
-            if targets & ym:
-                return True
-            rest = targets & ~vis
-            while rest:
-                wb = rest & -rest
-                rest ^= wb
-                stack.append((wb.bit_length(), END_LINE, vis | wb))
-        # arrow out of v
-        if mark is None or not in_dt:
-            targets = ch[v]
-            if targets & ym:
-                return True
-            rest = targets & ~vis
-            while rest:
-                wb = rest & -rest
-                rest ^= wb
-                stack.append((wb.bit_length(), END_HEAD, vis | wb))
-        # against an arrow into v
-        if mark is None or ((not in_dt) if mark == END_TAIL else passes_collider):
-            targets = pa[v]
-            if targets & ym:
-                return True
-            rest = targets & ~vis
-            while rest:
-                wb = rest & -rest
-                rest ^= wb
-                stack.append((wb.bit_length(), END_TAIL, vis | wb))
-    return False
+        v, mark, vis, lanes = stack.pop()
+        lanes &= ~connected  # a branch dies once all its lanes are connected
+        # A non-collider passes outside z (zl: the lanes whose z holds v), a
+        # collider in An(z), and a line-line one in z where a parent is not.
+        zl = full if zm >> (v - 1) & 1 else in_z[v]
+        line = arrow = up = lanes if mark is None else lanes & ~zl
+        if mark == END_HEAD or mark == END_LINE:
+            up = lanes if anm >> (v - 1) & 1 else lanes & an_z[v]
+            if mark == END_HEAD:
+                line = up
+            elif lanes & zl:
+                line |= lanes & ~reduce(and_, (in_z[w] for w in _bits(pa[v] & ~zm)), full)
+        for targets, end, open_ in ((ne[v], END_LINE, line), (ch[v], END_HEAD, arrow),
+                                    (pa[v], END_TAIL, up)):
+            if open_ and targets:
+                if targets & ym:
+                    connected |= open_
+                    if connected == full:
+                        return full
+                    continue
+                targets &= ~vis
+                while targets:
+                    wb = targets & -targets
+                    targets ^= wb
+                    stack.append((wb.bit_length(), end, vis | wb, open_))
+    return connected
 
 
 # -- subgraph constructions ---------------------------------------------------
@@ -421,7 +430,7 @@ def _moral_masks(g: MixedGraph, smask: int, criterion: int) -> tuple:
 def _connected(g: MixedGraph, criterion: int, xm: int, ym: int, zm: int) -> bool:
     """Criterion 1, 3 or 4 on trusted masks; the caller checks the dialect."""
     if criterion == 1:
-        return _path_connected(g, xm, ym, zm)
+        return _path_connected(g, xm, ym, zm) != 0
     return (_spread(_moral_masks(g, xm | ym | zm, criterion), xm, zm, ym) & ym) != 0
 
 
@@ -429,10 +438,11 @@ def _separating_masks(g: MixedGraph, criterion: int, xm: int, ym: int,
                       rest: int) -> Iterator[int]:
     """The z inside ``rest`` that separate the singleton pair x, y under the
     criterion, in increasing mask order, on trusted masks (the caller checks
-    the dialect).  Criterion 2 answers the pair with one ``_route_lanes``
-    call; 1, 3 and 4 ask :func:`_connected` lazily, once per z."""
-    if criterion == 2:
-        lanes = _route_lanes(g._adj, xm, ym, rest)
+    the dialect).  Criteria 1 and 2 answer the pair with one lane-kernel
+    call, which refuses before any z; 3 and 4 ask :func:`_connected` lazily."""
+    if criterion in (1, 2):
+        lanes = (_path_connected(g, xm, ym, 0, rest) if criterion == 1
+                 else _route_lanes(g._adj, xm, ym, rest))
         return (zm for k, zm in enumerate(_submasks(rest)) if not lanes >> k & 1)
     return (zm for zm in _submasks(rest) if not _connected(g, criterion, xm, ym, zm))
 

@@ -324,21 +324,22 @@ def test_sem_check_reports_a_bad_submatrix_as_one_test_at_a_time(copy, replaced,
     assert captured.err == f"error: {err}\n"
 
 
-def test_sem_check_refusing_mid_pair_follows_the_tests_before_it(capsys, monkeypatch):
-    # A criterion that refuses at A, E | {D} does so after the VIOLATION lines
-    # of the pair's earlier separations.
+def test_sem_check_refusing_a_pair_follows_the_pairs_before_it(capsys, monkeypatch):
+    # Criterion 1 answers a whole pair in one search, so a refusal at B, F
+    # comes after the VIOLATION lines of the pairs before it and prints none
+    # of its own.
     real = separation._path_connected
 
-    def refuses_one(g, xm, ym, zm):
-        if (xm, ym, zm) == (0b000001, 0b010000, 0b001000):
+    def refuses_one(g, xm, ym, zm, rest=0):
+        if (xm, ym) == (0b000010, 0b100000):
             raise AmpAdmgError("criterion 1 ran past its 1000-step budget")
-        return real(g, xm, ym, zm)
+        return real(g, xm, ym, zm, rest)
 
     monkeypatch.setattr(separation, "_path_connected", refuses_one)
     assert main(["sem-check", "--graph", str(DATA / "mixed6.g"), "--tol", "0",
                  "--criterion", "1"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "VIOLATION {A} _||_ {E} | {}\nVIOLATION {A} _||_ {E} | {B}\n"
+    assert captured.out == _BEFORE_B_F
     assert captured.err == "error: criterion 1 ran past its 1000-step budget\n"
 
 

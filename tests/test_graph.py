@@ -303,15 +303,6 @@ def test_connectivity_component_of_node(mixed6):
 # -- subgraphs ---------------------------------------------------------------
 
 
-def test_induced_subgraph(mixed6):
-    sub = mixed6.induced_subgraph({3, 4, 5, 6})
-    assert sub.arrows == {(5, 6)}
-    assert sub.lines == {(3, 4), (3, 5), (4, 6), (5, 6)}
-    assert mixed6.induced_subgraph(range(1, 7)) == mixed6
-    empty = mixed6.induced_subgraph(frozenset())
-    assert not empty.arrows and not empty.lines
-
-
 def test_undirected_skeleton(mixed6):
     skel = mixed6.undirected_skeleton()
     assert not skel.arrows
@@ -330,8 +321,7 @@ def test_derived_graphs_match_a_validated_rebuild():
         n = rng.randint(1, 6)
         g = random_graph(rng, n, biarrow_ok=True)
         s = {v for v in range(1, n + 1) if rng.random() < 0.4}
-        derived = [intervene(g, s), with_regime_nodes(g, s).graph,
-                   g.induced_subgraph(s), g.undirected_skeleton()]
+        derived = [intervene(g, s), with_regime_nodes(g, s).graph, g.undirected_skeleton()]
         if not g.biarrows:
             derived += [extended_subgraph(g, s), augmented_graph(g), magnify(g),
                         marginal_graph(g.undirected_skeleton(), s)]
@@ -549,6 +539,7 @@ NODE_ENTRY_POINTS = {
     "ancestors": lambda k: _G.ancestors([k]),
     "set_index": lambda k: set_index([k, 3]),
     "set_members": lambda k: set_members(k, 3),
+    "set_members.n": lambda k: set_members(0, k),
     "SeparationQuery": lambda k: separated(_G, SeparationQuery({k}, {3}, {2})),
     "CiStatement.regime": lambda k: CiStatement({2}, {3}, regime=k),
     "markov_blanket": lambda k: markov_blanket(_G, {k, 2}, k),

@@ -262,6 +262,48 @@ def test_route_lanes_match_the_per_query_route():
     assert checked == 377_055
 
 
+def _path_lanes_match_the_oracle(g, xm, ym, zm, rest):
+    # Lane k of the criterion-1 kernel against the path oracle for zm plus
+    # the k-th submask of rest.
+    lanes = separation._path_connected(g, xm, ym, zm, rest)
+    x, y = set(_bits(xm)), set(_bits(ym))
+    count = 0
+    for k, s in enumerate(_submasks(rest)):
+        z = set(_bits(zm | s))
+        assert bool(lanes >> k & 1) == oracle_path_connected(g, x, y, z), (g, x, y, z)
+        count += 1
+    assert lanes >> count == 0, (g, xm, ym, zm, rest)
+    return count
+
+
+def test_path_lanes_match_the_path_oracle():
+    # Every alternative graph with n <= 3 and every 9th with n = 4, then
+    # seeded ones with n = 5..8.  Each pair is asked with every other node in
+    # rest, with a seeded part of it and with rest = 0 (one lane), and with
+    # one seeded node fixed in zm and lanes over the others; the seeded
+    # graphs also with x and y of several nodes.
+    rng = random.Random(71)
+    graphs = [g for n in (1, 2, 3, 4)
+              for i, g in enumerate(enumerate_graphs(n, Dialect.ALTERNATIVE))
+              if n < 4 or i % 9 == 0]
+    graphs += [random_graph(rng, n) for n in (5, 6, 7, 8) for _ in range(2)]
+    checked = 0
+    for g in graphs:
+        full = (1 << g.n) - 1
+        for xm, ym, rest in _singleton_pairs(g.n):
+            for r in (rest, rest & rng.getrandbits(g.n), 0):
+                checked += _path_lanes_match_the_oracle(g, xm, ym, 0, r)
+            if rest:
+                zm = 1 << (rng.choice(list(_bits(rest))) - 1)
+                checked += _path_lanes_match_the_oracle(g, xm, ym, zm, rest & ~zm)
+        if g.n >= 5:
+            for _ in range(5):
+                x, y, _z = _random_sets(rng, g.n)
+                xm, ym = g.node_mask(x), g.node_mask(y)
+                checked += _path_lanes_match_the_oracle(g, xm, ym, 0, full & ~xm & ~ym)
+    assert checked == 227_515
+
+
 def test_separating_masks_match_the_public_path():
     # Each pair's separating z, asked once per criterion, against separated()
     # per query: every alternative graph with n = 3 and seeded ones with

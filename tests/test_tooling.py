@@ -112,10 +112,11 @@ def test_only_the_token_reader_calls_int():
 
 
 def test_each_criterion_kernel_has_one_dispatch_site():
-    # separation._connected maps criteria 1, 3 and 4 to their kernels, and
-    # _separating_masks alone asks the lane form of criterion 2; every other
-    # caller asks them through those two.
-    kernels = ("_path_connected", "_moral_masks", "_route_lanes")
+    # separation._connected maps criteria 1, 3 and 4 to their kernels for a
+    # single question, and _separating_masks alone asks the lane kernels of
+    # criteria 1 and 2 for a sweep pair; every other caller asks them through
+    # those two.  Both lane kernels build their lane patterns with _lanes.
+    kernels = ("_path_connected", "_moral_masks", "_route_lanes", "_lanes")
 
     def calls(name):
         # A call of `name`, bare or as a module attribute.
@@ -125,9 +126,11 @@ def test_each_criterion_kernel_has_one_dispatch_site():
     sites = {name: sorted(f"{path.name}:{func}" for path in SRC.glob("*.py")
                           for func in _sites(ast.parse(path.read_text()), calls(name)))
              for name in kernels}
-    assert sites == {"_path_connected": ["separation.py:_connected"],
+    assert sites == {"_path_connected": ["separation.py:_connected",
+                                         "separation.py:_separating_masks"],
                      "_moral_masks": ["separation.py:_connected"],
-                     "_route_lanes": ["separation.py:_separating_masks"]}
+                     "_route_lanes": ["separation.py:_separating_masks"],
+                     "_lanes": ["separation.py:_path_connected", "separation.py:_route_lanes"]}
 
 
 def test_every_export_is_used_documented_or_traced():
