@@ -87,7 +87,7 @@ def _cmd_equiv_check(args: argparse.Namespace) -> int:
     _reject_biarrows(g, "path separation")  # criterion 1's refusal stands for 3 and 4
     checked = 0
     for xm, ym, rest in pairs:
-        seps = [set(_separating_masks(g, c, xm, ym, rest)) for c in (1, 2, 3, 4)]
+        seps = [set(_separating_masks(g, c, xm, ym, 0, rest)) for c in (1, 2, 3, 4)]
         if split := set.union(*seps) - set.intersection(*seps):
             zm = min(split)  # the first z of the pair that the criteria split on
             detail = " ".join(f"{c}:{'separated' if zm in sep else 'connected'}"
@@ -170,7 +170,7 @@ def _cmd_sem_check(args: argparse.Namespace) -> int:
     sigma = implied_covariance(random_sem(g, seed=args.seed))
     seps = violations = 0
     for xm, ym, rest in pairs:
-        zms = list(_separating_masks(g, args.criterion, xm, ym, rest))
+        zms = _separating_masks(g, args.criterion, xm, ym, 0, rest)
         violations += _report_violations(g, sigma, xm, ym, zms, args.tol)
         seps += len(zms)
     print(f"seed {args.seed}, tol {args.tol:g}: "

@@ -111,7 +111,7 @@ def ordered_local_statements(g: MixedGraph) -> tuple[CiStatement, ...]:
     Every statement emitted is a separation, but together they do not
     imply the global property on every graph: on ``2 -> 4 -> 3``,
     ``1 - 4``, ``2 - 3``, ``1 ⊥ 2 | ∅`` holds but both members of {1, 2}
-    are skipped (ROADMAP item 1).
+    are skipped (open on the ROADMAP).
     """
     _reject_biarrows(g, "the ordered local property")
     return _finish(_screened(g, _ancestral_sets(g)))
@@ -127,7 +127,7 @@ def ordered_pairwise_statements(g: MixedGraph) -> tuple[CiStatement, ...]:
     Every statement emitted is a separation, but together they do not
     imply the global property on every graph: on ``2 -> 3``, ``1 - 3``,
     ``1 ⊥ 2 | ∅`` holds but nothing is emitted, as the one such S holding
-    1 and 2 also holds 3 (ROADMAP item 1).
+    1 and 2 also holds 3 (open on the ROADMAP).
     """
     _reject_biarrows(g, "the ordered pairwise property")
     ne = g._adj[2]

@@ -24,9 +24,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ErrorNodeInZError, ProblemTooLargeError, SingularSubmatrixError
+from .errors import (ErrorNodeInZError, GraphValidationError, ProblemTooLargeError,
+                     SingularSubmatrixError)
 from .graph import MixedGraph, _bits, _check_names, _node_index, _node_mask
-from .separation import SeparationQuery, _connected, _query_masks, _reject_biarrows
+from .separation import SeparationQuery, _query_masks, _reject_biarrows, _separating_masks
 
 PRECISION_ZERO_TOL = 1e-9
 CI_TOL = 1e-7
@@ -53,8 +54,10 @@ def magnify(g: MixedGraph) -> MixedGraph:
     ne_m = [0] * (n + 1) + [m << n for m in ne[1:]]
     names = None
     if g.node_names:
-        names = _check_names(g.node_names + tuple(f"eps_{s}" for s in g.node_names),
-                             2 * n)
+        noise = tuple(f"eps_{s}" for s in g.node_names)
+        if clash := set(noise).intersection(g.node_names):
+            raise GraphValidationError(f"noise label {min(clash)!r} clashes with a node label")
+        names = _check_names(g.node_names + noise, 2 * n)
     return MixedGraph._from_masks(2 * n, (pa_m, ch_m, ne_m, [0] * (2 * n + 1)), names)
 
 
@@ -91,7 +94,7 @@ def separated_with_determinism(gp: MixedGraph, q: SeparationQuery) -> bool:
     _reject_biarrows(gp, "path separation")
     xm, ym, zm = _query_masks(gp, q)
     dtm = _determined_mask(gp._adj[0], _magnified_half(gp), zm)
-    return not _connected(gp, 1, xm, ym, dtm)
+    return bool(_separating_masks(gp, 1, xm, ym, dtm, 0))
 
 
 def _determined_mask(pa, m: int, zm: int) -> int:
@@ -189,6 +192,8 @@ def ci_test(sigma: np.ndarray, x: int, y: int, z: Iterable[int],
     """Exact-arithmetic conditional independence: is the partial correlation
     of x and y given z below ``tol`` in magnitude?"""
     sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+        raise ValueError(f"sigma must be a square 2-D matrix, got shape {sigma.shape}")
     n = sigma.shape[0]
     x, y = _node_index(x, n), _node_index(y, n)
     zs = list(_bits(_node_mask(z, n)))

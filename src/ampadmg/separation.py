@@ -23,11 +23,9 @@ The four decision procedures:
    x + y + z;
 4. as 3 but with the undirected part marginalised onto the ancestor set.
 
-A single question goes through :func:`separated`, which asks criterion 2 of
-:func:`connects_route` and 1, 3 and 4, which reject bidirected edges, of
-``_connected``, their one kernel table.  The singleton sweeps ask
-``_separating_masks`` once per (x, y) pair and criterion; it answers
-criteria 1 and 2 with one kernel call per pair.
+``_separating_masks``, the one kernel table, gives the s inside ``rest``
+for which z + s separates x and y; :func:`separated` asks it with
+``rest = 0``, the singleton sweeps once per (x, y) pair and criterion.
 
 A query is its node masks, checked once where it enters; the package builds
 its own queries (statements, singleton sweeps, rule premises) from masks,
@@ -203,12 +201,14 @@ def _route_connected(adj, xm: int, ym: int, zm: int, head: int = 0) -> bool:
         by_bi = (fh & zm) | (ft & ~zm)
 
 
-def _lanes(rest: int, size: int) -> tuple[int, list[int]]:
-    """``full``, one bit (lane) per submask of ``rest``, and ``in_z``, whose
-    entry for the j-th node of ``rest`` is the lanes whose submask holds it:
-    the periodic pattern of bit j of the lane number.  Other entries are 0."""
+def _lanes(rest: int, size: int, zm: int) -> tuple[int, list[int]]:
+    """``full``, one bit (lane) per submask of ``rest``, and ``in_z``: for the
+    j-th node of ``rest`` the lanes whose submask holds it (the periodic
+    pattern of bit j of the lane number), for a node of ``zm`` every lane, else 0."""
     full = (1 << (1 << rest.bit_count())) - 1
     in_z = [0] * size
+    for v in _bits(zm):
+        in_z[v] = full
     width = 1
     while rest:
         vb = rest & -rest
@@ -218,11 +218,11 @@ def _lanes(rest: int, size: int) -> tuple[int, list[int]]:
     return full, in_z
 
 
-def _route_lanes(adj, xm: int, ym: int, rest: int) -> int:
-    """Criterion 2 for every conditioning set inside ``rest`` at once.
+def _route_lanes(adj, xm: int, ym: int, zm: int, rest: int) -> int:
+    """Criterion 2 for every conditioning set zm + s, s inside ``rest``, at once.
 
-    Bit k of the result is set iff x and y are connected given the k-th
-    submask of ``rest`` in ``_submasks`` (increasing) order: lane k.  Each
+    Bit k of the result is set iff x and y are connected given zm plus the
+    k-th submask of ``rest`` in ``_submasks`` (increasing) order: lane k.  Each
     node holds three lane ints, ``line[v]``, ``head[v]`` and ``tail[v]``,
     the lanes in which a walk has reached v with that end mark.  x is seeded
     as a tail arrival in every lane: outside z that may leave every way, an
@@ -230,7 +230,7 @@ def _route_lanes(adj, xm: int, ym: int, rest: int) -> int:
     """
     pa, ch, ne, bi = adj
     size = len(pa)
-    full, in_z = _lanes(rest, size)
+    full, in_z = _lanes(rest, size, zm)
     line, head, tail = [0] * size, [0] * size, [0] * size
     for v in _bits(xm):
         tail[v] = full
@@ -276,14 +276,14 @@ question or a whole sweep pair.  On a dense line component it tries every
 simple path, about 10x more per added node, so it refuses."""
 
 
-def _path_connected(g: MixedGraph, xm: int, ym: int, zm: int, rest: int = 0) -> int:
+def _path_connected(g: MixedGraph, xm: int, ym: int, zm: int, rest: int) -> int:
     """Criterion 1 for every conditioning set zm + s, s inside ``rest``: bit
     k is set iff x and y are connected given zm plus the k-th submask of
     ``rest``, as in ``_route_lanes``, and rest = 0 asks a single question.
     One depth-first search over simple paths; each stack entry carries the
     lanes in which its path is still open."""
     pa, ch, ne, _bi = g._adj
-    full, in_z = _lanes(rest, len(pa))
+    full, in_z = _lanes(rest, len(pa), zm)
     anm = g._an_mask(zm)
     # an_z[v]: the lanes whose part of rest holds v or a descendant of v.
     an_z = [0] * len(pa)
@@ -300,16 +300,15 @@ def _path_connected(g: MixedGraph, xm: int, ym: int, zm: int, rest: int = 0) -> 
             raise ProblemTooLargeError(f"criterion 1 ran past its {MAX_PATH_STEPS}-step budget")
         v, mark, vis, lanes = stack.pop()
         lanes &= ~connected  # a branch dies once all its lanes are connected
-        # A non-collider passes outside z (zl: the lanes whose z holds v), a
-        # collider in An(z), and a line-line one in z where a parent is not.
-        zl = full if zm >> (v - 1) & 1 else in_z[v]
-        line = arrow = up = lanes if mark is None else lanes & ~zl
+        # A non-collider passes outside z (in_z[v]: the lanes whose z holds v),
+        # a collider in An(z), and a line-line one in z where a parent is not.
+        line = arrow = up = lanes if mark is None else lanes & ~in_z[v]
         if mark == END_HEAD or mark == END_LINE:
             up = lanes if anm >> (v - 1) & 1 else lanes & an_z[v]
             if mark == END_HEAD:
                 line = up
-            elif lanes & zl:
-                line |= lanes & ~reduce(and_, (in_z[w] for w in _bits(pa[v] & ~zm)), full)
+            elif lanes & in_z[v]:
+                line |= lanes & ~reduce(and_, (in_z[w] for w in _bits(pa[v])), full)
         for targets, end, open_ in ((ne[v], END_LINE, line), (ch[v], END_HEAD, arrow),
                                     (pa[v], END_TAIL, up)):
             if open_ and targets:
@@ -424,27 +423,24 @@ def _moral_masks(g: MixedGraph, smask: int, criterion: int) -> tuple:
     return aug
 
 
-# -- the four-way dispatchers -------------------------------------------------
+# -- the kernel table ---------------------------------------------------------
 
 
-def _connected(g: MixedGraph, criterion: int, xm: int, ym: int, zm: int) -> bool:
-    """Criterion 1, 3 or 4 on trusted masks; the caller checks the dialect."""
+def _separating_masks(g: MixedGraph, criterion: int, xm: int, ym: int, zm: int,
+                      rest: int) -> list[int]:
+    """The s inside ``rest`` for which zm + s separates x and y under the
+    criterion, in ``_submasks`` order, on trusted masks; the caller checks the
+    dialect.  For one question (``rest = 0``) criterion 2's scalar kernel beats one lane."""
     if criterion == 1:
-        return _path_connected(g, xm, ym, zm) != 0
-    return (_spread(_moral_masks(g, xm | ym | zm, criterion), xm, zm, ym) & ym) != 0
-
-
-def _separating_masks(g: MixedGraph, criterion: int, xm: int, ym: int,
-                      rest: int) -> Iterator[int]:
-    """The z inside ``rest`` that separate the singleton pair x, y under the
-    criterion, in increasing mask order, on trusted masks (the caller checks
-    the dialect).  Criteria 1 and 2 answer the pair with one lane-kernel
-    call, which refuses before any z; 3 and 4 ask :func:`_connected` lazily."""
-    if criterion in (1, 2):
-        lanes = (_path_connected(g, xm, ym, 0, rest) if criterion == 1
-                 else _route_lanes(g._adj, xm, ym, rest))
-        return (zm for k, zm in enumerate(_submasks(rest)) if not lanes >> k & 1)
-    return (zm for zm in _submasks(rest) if not _connected(g, criterion, xm, ym, zm))
+        lanes = _path_connected(g, xm, ym, zm, rest)
+    elif criterion == 2 and rest:
+        lanes = _route_lanes(g._adj, xm, ym, zm, rest)
+    elif criterion == 2:
+        return [] if _route_connected(g._adj, xm, ym, zm) else [0]
+    else:
+        return [s for s in _submasks(rest) if not _spread(
+            _moral_masks(g, xm | ym | zm | s, criterion), xm, zm | s, ym) & ym]
+    return [s for k, s in enumerate(_submasks(rest)) if not lanes >> k & 1]
 
 
 def separated(g: MixedGraph, q: SeparationQuery, criterion: int = 2) -> bool:
@@ -454,12 +450,10 @@ def separated(g: MixedGraph, q: SeparationQuery, criterion: int = 2) -> bool:
     accepts biarrows.  Criterion 1's open paths have colliders in An(z) and
     non-colliders outside z, save line-line ones with a parent outside z.
     """
-    if criterion == 2:
-        return not connects_route(g, q)
-    if criterion not in (1, 3, 4):
+    if criterion not in (1, 2, 3, 4):
         raise ValueError(f"criterion must be 1..4, got {criterion!r}")
     if criterion == 1:
         _reject_biarrows(g, "path separation")
-    else:
+    elif criterion != 2:
         _reject_biarrows(g, "criterion %d", criterion)
-    return not _connected(g, criterion, *_query_masks(g, q))
+    return bool(_separating_masks(g, criterion, *_query_masks(g, q), 0))

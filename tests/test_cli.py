@@ -169,15 +169,15 @@ def test_equiv_check_reports_query_count(capsys):
 
 
 def test_equiv_check_reports_a_disagreement_and_exits_3(capsys, monkeypatch):
-    # Criteria 1, 3 and 4 come from one kernel table, asked on masks.
-    real = separation._connected
+    # Every criterion comes from one kernel table, asked on masks once per pair.
+    real = cli._separating_masks
 
-    def criterion_4_flips_one(g, criterion, xm, ym, zm):
-        verdict = real(g, criterion, xm, ym, zm)
-        flip = criterion == 4 and (xm, ym, zm) == (0b001, 0b100, 0b010)
-        return not verdict if flip else verdict
+    def criterion_4_flips_one(g, criterion, xm, ym, zm, rest):
+        seps = real(g, criterion, xm, ym, zm, rest)
+        flip = criterion == 4 and (xm, ym) == (0b001, 0b100)
+        return sorted(set(seps) ^ {0b010}) if flip else seps
 
-    monkeypatch.setattr(separation, "_connected", criterion_4_flips_one)
+    monkeypatch.setattr(cli, "_separating_masks", criterion_4_flips_one)
     assert main(["equiv-check", "--graph", str(DATA / "double-edge.g")]) == 3
     assert capsys.readouterr().out == (
         "disagreement: x=A y=D z={B}  1:connected 2:connected 3:connected 4:separated\n")
@@ -187,8 +187,8 @@ def test_equiv_check_reports_a_lane_disagreement_and_exits_3(capsys, monkeypatch
     # Criterion 2 comes from the lane kernel, one lane per z of the pair.
     real = separation._route_lanes
 
-    def lane_of_b_flips(adj, xm, ym, rest):
-        lanes = real(adj, xm, ym, rest)
+    def lane_of_b_flips(adj, xm, ym, zm, rest):
+        lanes = real(adj, xm, ym, zm, rest)
         return lanes ^ 0b10 if (xm, ym) == (0b001, 0b100) else lanes
 
     monkeypatch.setattr(separation, "_route_lanes", lane_of_b_flips)
@@ -220,7 +220,7 @@ def test_sweep_commands_ask_through_the_cli_names(capsys, monkeypatch):
         monkeypatch.setattr(cli, name, count)
 
     counting("separated", lambda g, q, criterion=2: criterion)
-    counting("_separating_masks", lambda g, criterion, xm, ym, rest: ("masks", criterion))
+    counting("_separating_masks", lambda g, criterion, xm, ym, zm, rest: ("masks", criterion))
     for name in ("ci_test", "_ci_tests"):
         counting(name)
     assert main(["equiv-check", "--graph", str(DATA / "mixed6.g")]) == 0
@@ -381,9 +381,10 @@ def test_intervene_output_parses_back(capsys):
 
 
 def test_magnify_label_clash_is_usage_error(tmp_path, capsys):
+    # Node A's noise label is the second node's label; the refusal names it.
     g = graph_file(tmp_path, "nodes A eps_A\n")
     assert main(["magnify", "--graph", g]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr() == ("", "error: noise label 'eps_A' clashes with a node label\n")
 
 
 def test_magnify_refuses_more_nodes_than_its_cap(tmp_path, capsys):

@@ -298,6 +298,13 @@ def test_ci_test_validation():
         ci_test(sigma, 0, 2, frozenset())
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (3, 2), (2, 3), (2, 2, 2)])
+def test_ci_test_refuses_a_sigma_that_is_not_a_square_matrix(shape):
+    # Refused by its shape, not by numpy's indexing nor as a singular submatrix.
+    with pytest.raises(ValueError, match=r"^sigma must be a square 2-D matrix, got shape \("):
+        ci_test(np.ones(shape), 1, 2, [])
+
+
 def test_ci_test_singular_matrix():
     sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularSubmatrixError):

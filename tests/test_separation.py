@@ -227,22 +227,25 @@ def test_criterion_2_matches_networkx_on_line_free_graphs():
     assert checked == 19_806
 
 
-def _lanes_match_queries(g, xm, ym, rest):
-    # Lane k of the lane kernel against one per-query fixpoint for the k-th z.
-    lanes = _route_lanes(g._adj, xm, ym, rest)
+def _lanes_match_queries(g, xm, ym, zm, rest):
+    # Lane k of the lane kernel against one per-query fixpoint for zm plus
+    # the k-th submask of rest.
+    lanes = _route_lanes(g._adj, xm, ym, zm, rest)
     count = 0
-    for k, zm in enumerate(_submasks(rest)):
-        assert bool(lanes >> k & 1) == _route_connected(g._adj, xm, ym, zm), (g, xm, ym, zm)
+    for k, s in enumerate(_submasks(rest)):
+        assert bool(lanes >> k & 1) == _route_connected(g._adj, xm, ym, zm | s), \
+            (g, xm, ym, zm, s)
         count += 1
-    assert lanes >> count == 0, (g, xm, ym, rest)
+    assert lanes >> count == 0, (g, xm, ym, zm, rest)
     return count
 
 
 def test_route_lanes_match_the_per_query_route():
     # Every graph with n <= 3 and every 9th with n = 4, both dialects; then
     # seeded line and biarrow graphs with n = 5..9.  Each pair is asked with
-    # every other node in rest, with a seeded part of it, and with rest = 0
-    # (one lane); the seeded graphs also with x and y of several nodes.
+    # every other node in rest, with a seeded part of it, with rest = 0 (one
+    # lane), and with one seeded node fixed in zm and lanes over the others;
+    # the seeded graphs also with x and y of several nodes.
     rng = random.Random(53)
     graphs = [g for dialect in (Dialect.ALTERNATIVE, Dialect.ORIGINAL)
               for n in (1, 2, 3, 4) for i, g in enumerate(enumerate_graphs(n, dialect))
@@ -253,13 +256,16 @@ def test_route_lanes_match_the_per_query_route():
         full = (1 << g.n) - 1
         for xm, ym, rest in _singleton_pairs(g.n):
             for r in (rest, rest & rng.getrandbits(g.n), 0):
-                checked += _lanes_match_queries(g, xm, ym, r)
+                checked += _lanes_match_queries(g, xm, ym, 0, r)
+            if rest:
+                zm = 1 << (rng.choice(list(_bits(rest))) - 1)
+                checked += _lanes_match_queries(g, xm, ym, zm, rest & ~zm)
         if g.n >= 5:
             for _ in range(5):
                 x, y, _z = _random_sets(rng, g.n)
                 xm, ym = g.node_mask(x), g.node_mask(y)
-                checked += _lanes_match_queries(g, xm, ym, full & ~xm & ~ym)
-    assert checked == 377_055
+                checked += _lanes_match_queries(g, xm, ym, 0, full & ~xm & ~ym)
+    assert checked == 484_823
 
 
 def _path_lanes_match_the_oracle(g, xm, ym, zm, rest):
@@ -306,7 +312,8 @@ def test_path_lanes_match_the_path_oracle():
 
 def test_separating_masks_match_the_public_path():
     # Each pair's separating z, asked once per criterion, against separated()
-    # per query: every alternative graph with n = 3 and seeded ones with
+    # per query, the table's rest = 0 case (for criterion 2 the scalar
+    # kernel): every alternative graph with n = 3 and seeded ones with
     # n = 4..7 under all four criteria; under criterion 2, biarrow graphs too.
     rng = random.Random(61)
     lines = list(enumerate_graphs(3, Dialect.ALTERNATIVE))
@@ -320,7 +327,7 @@ def test_separating_masks_match_the_public_path():
                 for c in criteria:
                     expected = [zm for zm in _submasks(rest) if separated(
                         g, SeparationQuery._from_masks(xm, ym, zm), c)]
-                    assert list(_separating_masks(g, c, xm, ym, rest)) == expected, (g, xm, ym, c)
+                    assert _separating_masks(g, c, xm, ym, 0, rest) == expected, (g, xm, ym, c)
                     checked += 1 << rest.bit_count()
     assert checked == 56_800
 
@@ -339,7 +346,7 @@ def test_criterion_2_matches_the_exact_gaussian_oracle():
     for g in graphs:
         sigma = gf_sigma(g, rng)
         for xm, ym, rest in _singleton_pairs(g.n):
-            lanes = _route_lanes(g._adj, xm, ym, rest)
+            lanes = _route_lanes(g._adj, xm, ym, 0, rest)
             for zm in _submasks(rest):
                 q = SeparationQuery._from_masks(xm, ym, zm)
                 sep = gf_separated(sigma, xm.bit_length(), ym.bit_length(), _bits(zm))

@@ -112,25 +112,29 @@ def test_only_the_token_reader_calls_int():
 
 
 def test_each_criterion_kernel_has_one_dispatch_site():
-    # separation._connected maps criteria 1, 3 and 4 to their kernels for a
-    # single question, and _separating_masks alone asks the lane kernels of
-    # criteria 1 and 2 for a sweep pair; every other caller asks them through
-    # those two.  Both lane kernels build their lane patterns with _lanes.
-    kernels = ("_path_connected", "_moral_masks", "_route_lanes", "_lanes")
+    # separation._separating_masks maps every criterion to its kernel, for a
+    # single question and a sweep pair alike; every other caller asks the
+    # kernels through it.  Both lane kernels build their lane patterns with
+    # _lanes.  The scalar route kernel is also asked directly by
+    # connects_route and by the learner's and the rule premises' cut graphs.
+    kernels = ("_path_connected", "_moral_masks", "_route_lanes", "_lanes", "_route_connected")
 
     def calls(name):
         # A call of `name`, bare or as a module attribute.
         return lambda node: (isinstance(node, ast.Call)
                              and getattr(node.func, "id", getattr(node.func, "attr", None)) == name)
 
-    sites = {name: sorted(f"{path.name}:{func}" for path in SRC.glob("*.py")
-                          for func in _sites(ast.parse(path.read_text()), calls(name)))
+    # The functions that call each kernel, however many times.
+    sites = {name: sorted({f"{path.name}:{func}" for path in SRC.glob("*.py")
+                           for func in _sites(ast.parse(path.read_text()), calls(name))})
              for name in kernels}
-    assert sites == {"_path_connected": ["separation.py:_connected",
-                                         "separation.py:_separating_masks"],
-                     "_moral_masks": ["separation.py:_connected"],
+    assert sites == {"_path_connected": ["separation.py:_separating_masks"],
+                     "_moral_masks": ["separation.py:_separating_masks"],
                      "_route_lanes": ["separation.py:_separating_masks"],
-                     "_lanes": ["separation.py:_path_connected", "separation.py:_route_lanes"]}
+                     "_lanes": ["separation.py:_path_connected", "separation.py:_route_lanes"],
+                     "_route_connected": ["docalc.py:rule_applicable", "learner.py:score",
+                                          "separation.py:_separating_masks",
+                                          "separation.py:connects_route"]}
 
 
 def test_every_export_is_used_documented_or_traced():
