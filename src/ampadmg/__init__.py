@@ -53,7 +53,6 @@ from .sem import (
     separated_with_determinism,
 )
 from .docalc import (
-    RegimeGraph,
     RuleApplication,
     check_derivation,
     intervene,

@@ -9,19 +9,20 @@ are simply removed.
 
 Every intervened graph is built from the masks :func:`_cut` returns,
 which nothing memoises.  Rule premises are criterion-2 questions on them.
-Rules 2 and 3 ask about z's regime indicators, which the reference
-:func:`with_regime_nodes` adds one per node.  One indicator F into all of
-z does as well: a walk from F starts ``F -> v`` for some v in z, as a
-walk from v's own indicator does, and a walk that passes F again can be
-cut at its last visit without changing its inner colliders.  So the
-premise asks whether a walk that enters z through an arrowhead reaches y.
+Rules 2 and 3 ask about z's regime indicators, which
+:func:`with_regime_nodes` adds one per node; the premises are checked
+against ``bench/oracle.py`` and SEM surgery, not against that graph.
+One indicator F into all of z does as well: a walk from F starts
+``F -> v`` for some v in z, as a walk from v's own indicator does, and a
+walk that passes F again can be cut at its last visit without changing
+its inner colliders.  So the premise asks whether a walk that enters z
+through an arrowhead reaches y.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import MalformedQueryError, OverlappingSetsError, ParseError
@@ -50,44 +51,20 @@ def _cut(g: MixedGraph, xm: int) -> tuple:
     return pa_x, [m & keep for m in ch], _marginal_masks(ne, keep, xm), bi_x
 
 
-@dataclass(frozen=True)
-class RegimeGraph:
-    """A graph augmented with regime indicator nodes.
+def with_regime_nodes(g: MixedGraph, targets: Iterable[int]) -> MixedGraph:
+    """g with one indicator node per target, each pointing into its target.
 
-    ``regime_nodes`` pairs each augmented variable with its indicator;
-    indicators occupy indices above the base graph's n.
-    """
-
-    graph: MixedGraph
-    regime_nodes: tuple
-
-    @cached_property
-    def _f_of(self) -> dict:
-        return dict(self.regime_nodes)
-
-    def indicator(self, v: int) -> int:
-        return self._f_of[v]
-
-    @property
-    def indicators(self) -> frozenset[int]:
-        return frozenset(f for _v, f in self.regime_nodes)
-
-
-def with_regime_nodes(g: MixedGraph, targets: Iterable[int]) -> RegimeGraph:
-    """Add one indicator node per target, each pointing into its target.
-
-    A labelled graph names the indicator of ``v`` ``F_<label of v>``,
-    primed until it clashes with no other label.
+    The k-th target in increasing order (k = 1, 2, ...) gets the indicator
+    node ``g.n + k``.  A labelled graph names the indicator of ``v``
+    ``F_<label of v>``, primed until it clashes with no other label.
     """
     targets = list(_bits(g.node_mask(targets)))
-    n = g.n
-    pairs = tuple((v, n + k + 1) for k, v in enumerate(targets))
+    n, grow = g.n, [0] * len(targets)
     pa, ch, ne, bi = g._adj
-    pa_r = pa + [0] * len(targets)
+    pa_r = pa + grow
     ch_r = ch + [1 << (v - 1) for v in targets]
-    for v, f in pairs:
+    for f, v in enumerate(targets, start=n + 1):
         pa_r[v] |= 1 << (f - 1)
-    grow = [0] * len(targets)
     names = None
     if g.node_names:
         names = list(g.node_names)
@@ -99,8 +76,7 @@ def with_regime_nodes(g: MixedGraph, targets: Iterable[int]) -> RegimeGraph:
             taken.add(label)
             names.append(label)
         names = tuple(names)
-    big = MixedGraph._from_masks(n + len(targets), (pa_r, ch_r, ne + grow, bi + grow), names)
-    return RegimeGraph(big, pairs)
+    return MixedGraph._from_masks(n + len(targets), (pa_r, ch_r, ne + grow, bi + grow), names)
 
 
 def rule_applicable(g: MixedGraph, rule: int, x: Iterable[int], y: Iterable[int],

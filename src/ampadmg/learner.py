@@ -13,8 +13,9 @@ stops at the first one past that bound (branch and bound, as in ASP-based
 exact causal discovery).  With all penalties zero there is one level and
 every candidate is scored.
 
-The same problem can be exported as a logic program whose answer sets are
-the optimal graphs, for use with an ASP solver.
+The same problem can be exported as a logic program for an ASP solver.
+The export has never been run against one, and it differs from
+:func:`learn` in the two known ways that README names.
 """
 
 from __future__ import annotations
@@ -506,7 +507,7 @@ def export_asp(p: LearnProblem) -> str:
         prior_atoms.append(f":- not {kind}({a},{b},0).\n")
     if prior_atoms:
         out.append("".join(prior_atoms))
-    facts = [f"nodes({p.n}).", f"set(0..{(1 << p.n) - 1})."]
+    facts = [f"nodes({p.n}).", f"set(0..{top})."]
     for c in p.constraints:
         facts.append(f"{c.kind}({c.x},{c.y},{set_index(c.cond)},"
                      f"{c.regime},{c.weight}).")

@@ -89,7 +89,7 @@ def markov_blanket(g: MixedGraph, s: Iterable[int], b: int) -> frozenset[int]:
     if not sm >> (b - 1) & 1:
         raise NodeNotInSetError(f"node {b} is not in the target set")
     _reject_biarrows(g, "extended subgraph")
-    return g.mask_nodes(_blanket_mask(_extended_masks(g, sm), b))
+    return g.mask_nodes(_blanket_mask(_extended_masks(g, g._an_mask(sm)), b))
 
 
 def _ancestral_sets(g: MixedGraph):
@@ -137,7 +137,8 @@ def ordered_pairwise_statements(g: MixedGraph) -> tuple[CiStatement, ...]:
 
 def _screened(g: MixedGraph, sets):
     # Each member b of each set S against the rest of S given its blanket
-    # in the extended subgraph over S, unless that blanket leaves S.
+    # in the extended subgraph over S, unless that blanket leaves S.  Every
+    # S is ancestral, so it is its own ancestor set.
     for sm in sets:
         ext_adj = _extended_masks(g, sm)
         for b in _bits(sm):

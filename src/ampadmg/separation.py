@@ -332,14 +332,15 @@ def extended_subgraph(g: MixedGraph, nodes: Iterable[int]) -> MixedGraph:
     """Arrows and lines inside the ancestral closure of ``nodes`` plus all
     lines inside that closure's line components."""
     _reject_biarrows(g, "extended subgraph")
-    pa_e, ch_e, ne_e = _extended_masks(g, g.node_mask(nodes))
+    pa_e, ch_e, ne_e = _extended_masks(g, g._an_mask(g.node_mask(nodes)))
     return MixedGraph._from_masks(g.n, (pa_e, ch_e, ne_e, [0] * (g.n + 1)),
                                   g.node_names)
 
 
-def _extended_masks(g: MixedGraph, smask: int):
+def _extended_masks(g: MixedGraph, anm: int):
+    # The extended subgraph's (pa, ch, ne) over the ancestral set anm, which
+    # the caller closes.
     pa, ch, ne, _bi = g._adj
-    anm = g._an_mask(smask)
     return _restrict(pa, anm), _restrict(ch, anm), _restrict(ne, g._cc_mask(anm))
 
 

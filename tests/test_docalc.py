@@ -247,20 +247,20 @@ def test_rule_premises_match_an_oracle_sharing_no_code_at_n4():
 
 
 def test_with_regime_nodes_structure(ident_alt):
+    # The k-th target in increasing order gets the indicator node n + k.
     rg = with_regime_nodes(ident_alt, [1, 3])
-    assert rg.graph.n == 5
-    assert rg.regime_nodes == ((1, 4), (3, 5))
-    assert rg.indicator(1) == 4 and rg.indicator(3) == 5
-    assert rg.indicators == {4, 5}
-    assert rg.graph.node_names == ("A", "B", "C", "F_A", "F_C")
-    assert rg.graph.arrows == set(ident_alt.arrows) | {(4, 1), (5, 3)}
+    assert with_regime_nodes(ident_alt, [3, 1]) == rg
+    assert rg.n == 5
+    assert rg.children({4}) == {1} and rg.children({5}) == {3}
+    assert rg.node_names == ("A", "B", "C", "F_A", "F_C")
+    assert rg.arrows == set(ident_alt.arrows) | {(4, 1), (5, 3)}
     # indicators only point into their targets
-    assert rg.graph.lines == ident_alt.lines
-    for f in rg.indicators:
-        assert not any(f in e for e in rg.graph.lines)
+    assert rg.lines == ident_alt.lines
+    for f in (4, 5):
+        assert not any(f in e for e in rg.lines)
     # An indicator label is primed until it clashes with no other label.
     clash = MixedGraph(2, node_names=("A", "F_A"))
-    assert with_regime_nodes(clash, [1]).graph.node_names == ("A", "F_A", "F_A'")
+    assert with_regime_nodes(clash, [1]).node_names == ("A", "F_A", "F_A'")
 
 
 def test_with_regime_nodes_range_error(ident_alt):

@@ -321,7 +321,7 @@ def test_derived_graphs_match_a_validated_rebuild():
         n = rng.randint(1, 6)
         g = random_graph(rng, n, biarrow_ok=True)
         s = {v for v in range(1, n + 1) if rng.random() < 0.4}
-        derived = [intervene(g, s), with_regime_nodes(g, s).graph, g.undirected_skeleton()]
+        derived = [intervene(g, s), with_regime_nodes(g, s), g.undirected_skeleton()]
         if not g.biarrows:
             derived += [extended_subgraph(g, s), augmented_graph(g), magnify(g),
                         marginal_graph(g.undirected_skeleton(), s)]
@@ -407,6 +407,49 @@ def test_is_amp_cg(double_edge3):
     assert MixedGraph(3, arrows={(1, 2)}, lines={(2, 3)}).is_amp_cg()
     # one arrow plus a line path back to its tail: semidirected cycle
     assert not MixedGraph(3, arrows={(1, 2)}, lines={(2, 3), (1, 3)}).is_amp_cg()
+    # an arrow chain, and the same chain closed by one line: every arrow
+    # then lies on a semidirected cycle
+    chain = {(i, i + 1) for i in range(1, 12)}
+    assert MixedGraph(12, arrows=chain).is_amp_cg()
+    assert not MixedGraph(12, arrows=chain, lines={(1, 12)}).is_amp_cg()
+
+
+def _is_amp_cg_reference(g) -> bool:
+    # On the edge sets: no biarrows, and no arrow a -> b whose head b leads
+    # back to a by forward steps (arrows tail to head, lines either way).
+    if g.biarrows:
+        return False
+    step = {v: set() for v in range(1, g.n + 1)}
+    for a, b in g.arrows:
+        step[a].add(b)
+    for a, b in g.lines:
+        step[a].add(b)
+        step[b].add(a)
+    for a, b in g.arrows:
+        seen, todo = {b}, [b]
+        while todo:
+            for w in step[todo.pop()] - seen:
+                seen.add(w)
+                todo.append(w)
+        if a in seen:
+            return False
+    return True
+
+
+def test_is_amp_cg_matches_an_edge_set_reference():
+    graphs = [g for d in Dialect for n in range(5) for g in enumerate_graphs(n, d)]
+    rng = random.Random(61)
+    for _ in range(1500):
+        n = rng.randint(5, 9)
+        g = random_graph(rng, n, biarrow_ok=True)
+        # Half the sample keeps at most one edge per pair, so that some of
+        # it is a chain graph.
+        graphs.append(g if rng.random() < 0.5 else
+                      MixedGraph(n, g.arrows, g.lines - {tuple(sorted(e)) for e in g.arrows},
+                                 g.biarrows))
+    verdicts = [g.is_amp_cg() for g in graphs]
+    assert verdicts == [_is_amp_cg_reference(g) for g in graphs]
+    assert 100 < sum(verdicts[-1500:]) < 1400  # both verdicts in the sample
 
 
 # -- text format --------------------------------------------------------------

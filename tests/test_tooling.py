@@ -111,6 +111,18 @@ def test_only_the_token_reader_calls_int():
     assert sites == ["graph.py:_int_token"]
 
 
+def test_graphs_are_validated_only_where_text_enters():
+    # The public constructor validates; every graph the package derives
+    # from a valid one is built by MixedGraph._from_masks, which trusts it.
+    def hit(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "MixedGraph")
+
+    sites = sorted(f"{path.name}:{func}" for path in SRC.glob("*.py")
+                   for func in _sites(ast.parse(path.read_text()), hit))
+    assert sites == ["graph.py:parse", "learner.py:parse_atom_line"]
+
+
 def test_each_criterion_kernel_has_one_dispatch_site():
     # separation._separating_masks maps every criterion to its kernel, for a
     # single question and a sweep pair alike; every other caller asks the
