@@ -44,8 +44,9 @@ def _node_set(g: MixedGraph, raw: str | None) -> frozenset:
 
 def _non_negative(what: str, kind=int):
     """An argparse type for a finite number >= 0: numpy's generators take
-    only such seeds and the learner only such penalties, and a negative, NaN
-    or infinite tolerance would fail or pass every Gaussian check."""
+    only such seeds and the learner only such penalties and node caps, and a
+    negative, NaN or infinite tolerance would fail or pass every Gaussian
+    check."""
     def parse_value(text: str):
         try:
             value = kind(text)
@@ -311,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("learn", _cmd_learn,
                 "list all penalty-minimal graphs satisfying weighted constraints")
     _add_learn_flags(p)
-    p.add_argument("--max-n", type=int, default=MAX_NODES_DEFAULT)
+    p.add_argument("--max-n", type=_non_negative("max-n"), default=MAX_NODES_DEFAULT)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = command("export-asp", _cmd_export_asp,

@@ -159,7 +159,7 @@ def amp_statements(g: MixedGraph, flavour: str) -> tuple[CiStatement, ...]:
     for cm in _components(g._adj[2], g.full_mask):
         ndm = g.full_mask & ~g._sde_mask(cm)
         if flavour == "block-recursive":
-            out.extend(_block_recursive(g, cm))
+            out.extend(_block_recursive(g, cm, ndm))
         elif flavour == "local":
             out.extend(_local(g, cm, ndm))
         else:
@@ -169,13 +169,14 @@ def amp_statements(g: MixedGraph, flavour: str) -> tuple[CiStatement, ...]:
     return _finish(out)
 
 
-def _block_recursive(g, cm):
+def _block_recursive(g, cm, ndm):
     # Every non-empty block of the component against its non-semidescendants
     # given its parents; plus every separation of the component's undirected
-    # graph, shifted by the component's parents.
+    # graph, shifted by the component's parents.  Lines join the component,
+    # so every non-empty block has the component's non-semidescendants ndm.
     for dm in _submasks(cm):
         pam = _union(g._adj[0], dm)
-        yield dm, g.full_mask & ~g._sde_mask(dm) & ~pam, pam
+        yield dm, ndm & ~pam, pam
     pac = _union(g._adj[0], cm)
     ne = g._adj[2]  # no line leaves the component
     for xm in _submasks(cm):

@@ -189,61 +189,56 @@ def random_sem(g: MixedGraph, seed: int) -> LinearSem:
 
 def ci_test(sigma: np.ndarray, x: int, y: int, z: Iterable[int],
             tol: float = CI_TOL) -> bool:
-    """Exact-arithmetic conditional independence: is the partial correlation
-    of x and y given z below ``tol`` in magnitude?"""
+    """Conditional independence read from a covariance matrix: is the float
+    partial correlation of x and y given z below ``tol`` in magnitude?"""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError(f"sigma must be a square 2-D matrix, got shape {sigma.shape}")
     n = sigma.shape[0]
     x, y = _node_index(x, n), _node_index(y, n)
-    zs = list(_bits(_node_mask(z, n)))
-    if x == y or x in zs or y in zs:
+    zm = _node_mask(z, n)
+    if x == y or zm & (1 << (x - 1) | 1 << (y - 1)):
         raise ValueError("x, y and z must be distinct")
-    idx = [x - 1, y - 1] + [i - 1 for i in zs]
-    try:
-        prec = np.linalg.inv(sigma.take(idx, 0).take(idx, 1))
-    except np.linalg.LinAlgError:
-        raise SingularSubmatrixError(
-            f"covariance submatrix for {x},{y}|{zs} is singular") from None
-    # Python floats and math.sqrt round exactly as numpy's float64 scalars
-    # do, at a fraction of the call cost.
-    denom = prec.item(0, 0) * prec.item(1, 1)
-    if denom <= 0:
-        raise SingularSubmatrixError(
-            f"covariance submatrix for {x},{y}|{zs} is not positive definite")
-    pcorr = -prec.item(0, 1) / math.sqrt(denom)
-    return bool(abs(pcorr) < tol)
+    return _ci_tests(sigma, x, y, [zm], tol)[0]
 
 
 def _ci_tests(sigma: np.ndarray, x: int, y: int, zms, tol: float) -> list[bool]:
-    """``ci_test(sigma, x, y, _bits(zm), tol)`` for each z mask in ``zms``, in
-    order, on trusted arguments: x and y distinct nodes of sigma, each mask
-    inside the other nodes.
+    """For each z mask in ``zms``, in order: is the float partial correlation
+    of x and y given z below ``tol`` in magnitude?  On trusted arguments (x
+    and y distinct nodes of sigma, each mask inside the other nodes); every
+    partial correlation, :func:`ci_test`'s included, is read here.
 
-    The masks are grouped by size, and each group's submatrices (rows and
-    columns x, y, then z ascending, as in :func:`ci_test`) are inverted as one
-    stack.  numpy runs the same LAPACK routine on each matrix of a stack as on
-    a lone one, and the partial correlation is then :func:`ci_test`'s own
-    float arithmetic, so every verdict is bit for bit the one :func:`ci_test`
-    gives.  A singular or not positive definite submatrix raises
-    :class:`SingularSubmatrixError`; :func:`ci_test` names its set.
+    Each size's submatrices (rows and columns x, y, then z ascending) are
+    inverted as one stack.  A singular or not positive definite submatrix
+    raises :class:`SingularSubmatrixError` naming its set; a singular stack
+    is inverted again one matrix at a time, by the same LAPACK routine, to
+    name its first singular set.
     """
+    def named(i, what):
+        return f"covariance submatrix for {x},{y}|{list(_bits(zms[i]))} is {what}"
+
     groups: dict[int, list[int]] = {}
     for i, zm in enumerate(zms):
         groups.setdefault(zm.bit_count(), []).append(i)
     out = [False] * len(zms)
-    for k, where in groups.items():
+    for where in groups.values():
         idx = np.array([[x - 1, y - 1] + [v - 1 for v in _bits(zms[i])] for i in where])
+        sub = sigma[idx[:, :, None], idx[:, None, :]]
         try:
-            prec = np.linalg.inv(sigma[idx[:, :, None], idx[:, None, :]])
+            prec = np.linalg.inv(sub)
         except np.linalg.LinAlgError:
-            raise SingularSubmatrixError(
-                f"a covariance submatrix for {x},{y} given {k} nodes is singular") from None
+            for i, m in zip(where, sub):
+                try:
+                    np.linalg.inv(m)
+                except np.linalg.LinAlgError:
+                    raise SingularSubmatrixError(named(i, "singular")) from None
+            raise  # not reached: some matrix of the stack fails alone
+        # Python floats and math.sqrt round exactly as numpy's float64
+        # scalars do, at a fraction of the call cost.  A NaN denominator
+        # fails `denom > 0`, so no verdict is read from it.
         for i, ((pxx, pxy), (_, pyy)) in zip(where, prec[:, :2, :2].tolist()):
             denom = pxx * pyy
-            if denom <= 0:
-                raise SingularSubmatrixError(
-                    f"a covariance submatrix for {x},{y} given {k} nodes "
-                    "is not positive definite")
-            out[i] = abs(-pxy / math.sqrt(denom)) < tol
+            if not denom > 0:
+                raise SingularSubmatrixError(named(i, "not positive definite"))
+            out[i] = abs(pxy) / math.sqrt(denom) < tol
     return out

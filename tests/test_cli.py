@@ -534,6 +534,16 @@ def test_negative_penalty_is_usage_error(capsys):
             assert f"{kind} penalty must be non-negative" in captured.err
 
 
+def test_negative_max_n_is_usage_error(capsys):
+    # A negative cap would refuse every problem as too large.
+    assert main(["learn", "--constraints", str(DATA / "indeps-obs.txt"),
+                 "--max-n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
+    assert "max-n must be non-negative and finite, got -1" in captured.err
+
+
 def test_non_integer_seed_is_usage_error(capsys):
     assert main(["sem-check", "--graph", str(DATA / "mixed6.g"), "--seed", "x"]) == 2
     captured = capsys.readouterr()

@@ -21,7 +21,7 @@ from ampadmg import (
     separated,
     separated_with_determinism,
 )
-from ampadmg.sem import _ci_tests
+from ampadmg.sem import CI_TOL, _ci_tests
 from conftest import random_graph, singleton_queries
 
 
@@ -251,25 +251,31 @@ def test_ci_test_chain_blocks():
     assert not ci_test(sigma, 1, 3, frozenset())
 
 
+def _reference_pcorr(sigma, x, y, z) -> float:
+    # |partial correlation| by the plain numpy formula.
+    idx = [x - 1, y - 1] + [i - 1 for i in sorted(z)]
+    prec = np.linalg.inv(sigma[np.ix_(idx, idx)])
+    return float(abs(-prec[0, 1] / np.sqrt(prec[0, 0] * prec[1, 1])))
+
+
 def test_ci_test_partial_correlation_is_bit_exact():
-    # The reference |pcorr| is the plain numpy formula.  ci_test must
-    # reproduce it to the last bit: False at tol = |pcorr|, True one ulp above.
+    # ci_test must reproduce the reference |pcorr| to the last bit: False at
+    # tol = |pcorr|, True one ulp above.
     rng = random.Random(31)
     for n in (5, 6, 7):
         for _ in range(3):
             g = random_graph(rng, n)
             sigma = implied_covariance(random_sem(g, rng.randint(0, 10**6)))
             for x, y, z in singleton_queries(n):
-                idx = [x - 1, y - 1] + [i - 1 for i in sorted(z)]
-                prec = np.linalg.inv(sigma[np.ix_(idx, idx)])
-                ref = float(abs(-prec[0, 1] / np.sqrt(prec[0, 0] * prec[1, 1])))
+                ref = _reference_pcorr(sigma, x, y, z)
                 assert not ci_test(sigma, x, y, z, tol=ref), (g, x, y, z)
                 assert ci_test(sigma, x, y, z, tol=np.nextafter(ref, np.inf)), (g, x, y, z)
 
 
 def test_stacked_ci_tests_match_ci_test():
     # Every separated singleton query of seeded n = 6-9 graphs, one
-    # _ci_tests call per pair, at tolerances where both verdicts occur.
+    # _ci_tests call per pair, at tolerances where both verdicts occur,
+    # against the reference |pcorr| computed one matrix at a time.
     rng = random.Random(32)
     seen = set()
     for n in (6, 7, 8, 9):
@@ -283,7 +289,8 @@ def test_stacked_ci_tests_match_ci_test():
             for tol in (0, 1e-7, 0.05, 0.5, 1.0):
                 for (x, y), zs in zs_of.items():
                     stacked = _ci_tests(sigma, x, y, [g.node_mask(z) for z in zs], tol)
-                    assert stacked == [ci_test(sigma, x, y, z, tol=tol) for z in zs], (g, x, y)
+                    assert stacked == [_reference_pcorr(sigma, x, y, z) < tol
+                                       for z in zs], (g, x, y)
                     seen.update(stacked)
     assert seen == {False, True}
 
@@ -314,3 +321,44 @@ def test_ci_test_singular_matrix():
     with pytest.raises(SingularSubmatrixError,
                        match=r"^covariance submatrix for 1,2\|\[\] is not positive definite$"):
         ci_test(np.diag([1.0, -1.0, 1.0]), 1, 2, [])
+
+
+def test_a_singular_stack_names_its_first_singular_set():
+    # Node 5 copies node 4, so every submatrix holding both is singular; the
+    # stack of sets of size 2 is inverted again one matrix at a time.
+    sigma = np.eye(5)
+    sigma[:, 4] = sigma[:, 3]
+    sigma[4, :] = sigma[3, :]
+    zms = [0b01100, 0b10100, 0b11000]
+    with pytest.raises(SingularSubmatrixError,
+                       match=r"^covariance submatrix for 1,2\|\[4, 5\] is singular$"):
+        _ci_tests(sigma, 1, 2, zms, CI_TOL)
+    assert _ci_tests(sigma, 1, 2, zms[:2], CI_TOL) == [True, True]
+    # Invertible, but nodes 2 and 3 covary more than they vary, so every
+    # set holding node 3 gives the pair's precision a negative diagonal.
+    sigma = np.eye(4)
+    sigma[1, 2] = sigma[2, 1] = 2.0
+    with pytest.raises(SingularSubmatrixError,
+                       match=r"^covariance submatrix for 1,2\|\[3\] is not positive definite$"):
+        _ci_tests(sigma, 1, 2, [0b1000, 0b0100], CI_TOL)
+
+
+def test_a_nan_covariance_gets_no_verdict():
+    # NaN fails every comparison, so a NaN read as "not below tol" would
+    # give a dependence verdict; it is refused as not positive definite.
+    off = np.eye(3)
+    off[0, 2] = off[2, 0] = np.nan
+    diag = np.eye(3)
+    diag[2, 2] = np.nan
+    for sigma in (off, diag):
+        with pytest.raises(SingularSubmatrixError,
+                           match=r"^covariance submatrix for 1,2\|\[3\] is not positive definite$"):
+            ci_test(sigma, 1, 2, [3])
+        assert ci_test(sigma, 1, 2, [])  # this submatrix is finite
+    # One stack, and only the second set's submatrix holds the NaN.
+    sigma = np.eye(4)
+    sigma[1, 3] = sigma[3, 1] = np.nan
+    with pytest.raises(SingularSubmatrixError,
+                       match=r"^covariance submatrix for 1,2\|\[4\] is not positive definite$"):
+        _ci_tests(sigma, 1, 2, [0b0100, 0b1000], CI_TOL)
+    assert _ci_tests(sigma, 1, 2, [0b0100], CI_TOL) == [True]

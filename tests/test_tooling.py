@@ -149,6 +149,23 @@ def test_each_criterion_kernel_has_one_dispatch_site():
                                           "separation.py:connects_route"]}
 
 
+def test_one_kernel_reads_a_partial_correlation():
+    # sem._ci_tests alone inverts a covariance submatrix and reads a partial
+    # correlation from it, and ci_test asks it for its one set.  sem's other
+    # inverses build a model's covariance.
+    def sites(*names):
+        def hit(node):
+            return isinstance(node, ast.Call) and ast.unparse(node.func) in names
+
+        return {f"{path.name}:{func}" for path in SRC.glob("*.py")
+                for func in _sites(ast.parse(path.read_text()), hit)}
+
+    assert sites("math.sqrt", "np.sqrt") == {"sem.py:_ci_tests"}
+    assert sites("np.linalg.inv") == {"sem.py:_ci_tests", "sem.py:__post_init__",
+                                      "sem.py:implied_covariance", "sem.py:random_sem"}
+    assert sites("_ci_tests") == {"sem.py:ci_test", "cli.py:_report_violations"}
+
+
 def test_every_export_is_used_documented_or_traced():
     # A public name that no other module uses, the README does not name and
     # the benchmark does not trace is a second spelling nobody reads.
