@@ -128,14 +128,12 @@ _STEP_RE = re.compile(
     r"^rule\s+(?P<rule>\d+)\s+x=(?P<x>\S*)\s+y=(?P<y>\S*)\s+z=(?P<z>\S*)\s+w=(?P<w>\S*)$")
 
 
-def parse_derivation(text: str, g: MixedGraph | None = None) -> tuple[RuleApplication, ...]:
-    """Parse a derivation script: one ``rule <k> x=.. y=.. z=.. w=..`` per
-    line, sets comma-separated (indices, or labels when the graph has them),
-    empty allowed.  ``#`` starts a comment.  Given a graph, indices are
-    checked against its node range; without one, :func:`rule_applicable`
-    checks them."""
-    n = g.n if g is not None else None
-    labels = _label_index(g.node_names if g is not None else None)
+def parse_derivation(text: str, g: MixedGraph) -> tuple[RuleApplication, ...]:
+    """Parse a derivation script for g: one ``rule <k> x=.. y=.. z=.. w=..``
+    per line, sets comma-separated (indices, or labels when g has them),
+    empty allowed.  ``#`` starts a comment.  Indices are checked against g's
+    node range where they are read."""
+    labels = _label_index(g.node_names)
     steps = []
     for line_no, line in _lines(text):
         m = _STEP_RE.match(line)
@@ -146,7 +144,7 @@ def parse_derivation(text: str, g: MixedGraph | None = None) -> tuple[RuleApplic
         if rule not in (1, 2, 3):
             raise ParseError("rule must be 1, 2 or 3", line_no)
         steps.append(RuleApplication(rule, *(
-            _node_list(m.group(k), n, labels, line_no) for k in "xyzw")))
+            _node_list(m.group(k), g.n, labels, line_no) for k in "xyzw")))
     return tuple(steps)
 
 

@@ -529,22 +529,21 @@ def _label_index(names) -> dict[str, int]:
     return {label: i for i, label in enumerate(names or (), start=1)}
 
 
-def _node(tok: str, n: int | None, labels: dict[str, int],
-          line_no: int | None = None) -> int:
+def _node(tok: str, n: int, labels: dict[str, int], line_no: int | None = None) -> int:
     """Resolve one node token: an integer token is an index, any other
-    token a label in ``labels``.  An index outside 1..n (not checked when
-    n is None) or an unknown label raises :class:`ParseError`."""
+    token a label in ``labels``.  An index outside 1..n or an unknown label
+    raises :class:`ParseError`."""
     i = _int_token(tok, line_no)
     if i is None:
         if tok not in labels:
             raise ParseError(f"unknown node {tok!r}", line_no)
         return labels[tok]
-    if n is not None and not 1 <= i <= n:
+    if not 1 <= i <= n:
         raise ParseError(f"node {tok} out of range 1..{n}", line_no)
     return i
 
 
-def _node_list(raw: str, n: int | None, labels: dict[str, int],
+def _node_list(raw: str, n: int, labels: dict[str, int],
                line_no: int | None = None) -> frozenset[int]:
     """Comma-separated node tokens; space around an item is ignored and
     empty items are skipped."""

@@ -328,7 +328,8 @@ def learn(p: LearnProblem, max_n: int = MAX_NODES_DEFAULT) -> LearnResult:
             elif s == best:
                 models[g] = None
     if best is None:
-        raise NoFeasibleModelError("every candidate graph violates a dependence")
+        raise NoFeasibleModelError(
+            "no candidate graph respects the priors and every hard dependence")
     ordered = sorted(models, key=atom_line)
     return LearnResult(best, tuple(ordered))
 

@@ -23,13 +23,18 @@ from typing import Callable, Iterable, Sequence
 # ``docalc.intervene``, ``separation.separated`` or ``sem.ci_test`` after
 # import (as bench/spans.py binds its spans) sees their calls too.
 from . import docalc, sem, separation
-from .errors import NodeNotInSetError, NotAnAmpCgError
+from .errors import NodeNotInSetError, NotAnAmpCgError, ProblemTooLargeError
 from .graph import MixedGraph, _bits, _components, _node_index, _spread, _submasks, _union
 from .separation import SeparationQuery, _blanket_mask, _extended_masks, _reject_biarrows
 
 OBSERVATIONAL = 0
 
 AMP_FLAVOURS = ("block-recursive", "local", "pairwise")
+
+MAX_BLOCK_COMPONENT = 12
+"""The largest line component the block-recursive property accepts: it
+walks about 4^k (x, y, z) triples of a k-node component, and through the
+CLI a 12-node line path took 25 s and 745 MB (10 nodes: 1.4 s, 80 MB)."""
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -46,21 +51,6 @@ class CiStatement(SeparationQuery):
     def _key(self) -> tuple:
         return (*super()._key(), self.regime)
 
-    def canonical(self) -> "CiStatement":
-        """Swap x and y into a fixed order so symmetric duplicates collapse:
-        the side holding the lower node comes first."""
-        if min(self.xm, self.ym, self.zm) < 0:  # a mask of -1: compare the sets
-            x, y = self.sort_key()[:2]
-            return self if y >= x else CiStatement(self.y, self.x, self.z, self.regime)
-        xm, ym, zm = _canon(self.xm, self.ym, self.zm)
-        return self if xm == self.xm else CiStatement._from_masks(xm, ym, zm, regime=self.regime)
-
-    def sort_key(self):
-        masks = self.xm, self.ym, self.zm
-        if min(masks) < 0:  # a mask of -1: sort the sets
-            return (*(tuple(sorted(s)) for s in (self.x, self.y, self.z)), self.regime)
-        return (*(tuple(_bits(m)) for m in masks), self.regime)
-
 
 def _canon(xm: int, ym: int, zm: int) -> tuple[int, int, int]:
     # x and y are disjoint, so the side holding the lower node comes first.
@@ -68,9 +58,10 @@ def _canon(xm: int, ym: int, zm: int) -> tuple[int, int, int]:
 
 
 def _finish(triples: Iterable[tuple[int, int, int]]) -> tuple[CiStatement, ...]:
-    # Drops a triple with an empty side.
+    # Drops a triple with an empty side; orders by each side's nodes, rising.
     canon = {_canon(*t) for t in triples if t[0] and t[1]}
-    return tuple(sorted((CiStatement._from_masks(*t) for t in canon), key=CiStatement.sort_key))
+    return tuple(CiStatement._from_masks(*t)
+                 for t in sorted(canon, key=lambda t: [tuple(_bits(m)) for m in t]))
 
 
 def _split(triples):
@@ -155,8 +146,13 @@ def amp_statements(g: MixedGraph, flavour: str) -> tuple[CiStatement, ...]:
     if not g.is_amp_cg():
         raise NotAnAmpCgError("graph has double edges, biarrows or a "
                               "semidirected cycle")
+    comps = list(_components(g._adj[2], g.full_mask))
+    k = max((cm.bit_count() for cm in comps), default=0)
+    if flavour == "block-recursive" and k > MAX_BLOCK_COMPONENT:  # before any statement
+        raise ProblemTooLargeError(f"a line component of {k} nodes exceeds the "
+                                   f"block-recursive cap of {MAX_BLOCK_COMPONENT}")
     out = []
-    for cm in _components(g._adj[2], g.full_mask):
+    for cm in comps:
         ndm = g.full_mask & ~g._sde_mask(cm)
         if flavour == "block-recursive":
             out.extend(_block_recursive(g, cm, ndm))
@@ -223,7 +219,8 @@ def separation_oracle(g: MixedGraph, criterion: int = 2) -> Callable[[CiStatemen
 def gaussian_oracle(sigma, tol: float = sem.CI_TOL) -> Callable[[CiStatement], bool]:
     """Oracle that decides observational statements by vanishing partial
     correlations; for a Gaussian, a block is independent exactly when every
-    cross pair is."""
+    cross pair is.  A negative, NaN or infinite ``tol`` is refused here."""
+    sem._check_tol(tol)
 
     def oracle(stmt: CiStatement) -> bool:
         if stmt.regime != OBSERVATIONAL:

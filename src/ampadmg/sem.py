@@ -187,10 +187,17 @@ def random_sem(g: MixedGraph, seed: int) -> LinearSem:
     return LinearSem(g, beta, (cov + cov.T) / 2.0)
 
 
+def _check_tol(tol: float) -> None:
+    # A negative, NaN or infinite tol would fail or pass every test.
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be non-negative and finite, got {tol}")
+
+
 def ci_test(sigma: np.ndarray, x: int, y: int, z: Iterable[int],
             tol: float = CI_TOL) -> bool:
     """Conditional independence read from a covariance matrix: is the float
     partial correlation of x and y given z below ``tol`` in magnitude?"""
+    _check_tol(tol)
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError(f"sigma must be a square 2-D matrix, got shape {sigma.shape}")

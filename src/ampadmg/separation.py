@@ -115,14 +115,6 @@ def _singleton_pairs(n: int) -> Iterator[tuple[int, int, int]]:
             for xm, ym in combinations([1 << i for i in range(n)], 2))
 
 
-def singleton_queries(n: int) -> Iterator[tuple[int, int, frozenset]]:
-    """Every singleton query ``(x, y, z)``: the pairs of :func:`_singleton_pairs`,
-    each with every z inside its ``rest`` in increasing mask order.  Refused
-    at the call as that is."""
-    return ((xm.bit_length(), ym.bit_length(), frozenset(_bits(zm)))
-            for xm, ym, rest in _singleton_pairs(n) for zm in _submasks(rest))
-
-
 def _query_masks(g: MixedGraph, q: SeparationQuery):
     """The query's masks, range-checked against g by one shift.  When that
     fails, ``node_mask`` names the lowest node of x, y or z outside ``1..n``;

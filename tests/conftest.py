@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ampadmg import MixedGraph
-from ampadmg.separation import singleton_queries  # noqa: F401  (re-exported to the tests)
+from ampadmg.graph import _bits, _submasks
+from ampadmg.separation import _singleton_pairs
 
 DATA = Path(__file__).parent / "data"
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -28,6 +29,16 @@ def load_bench(name: str):
             del sys.modules[key]
             raise
     return sys.modules[key]
+
+
+def singleton_queries(n: int):
+    """Every singleton query ``(x, y, z)`` over nodes 1..n: the pairs of
+    ``_singleton_pairs``, each with every z inside its ``rest`` in
+    increasing mask order, the order equiv-check and sem-check walk.  An n
+    above ``MAX_SWEEP_NODES`` is refused at the call, as the generator's
+    outer iterable is built at once."""
+    return ((xm.bit_length(), ym.bit_length(), frozenset(_bits(zm)))
+            for xm, ym, rest in _singleton_pairs(n) for zm in _submasks(rest))
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ import random
 import re
 import shlex
 from collections import Counter
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -31,7 +32,8 @@ from ampadmg import (
     serialize,
 )
 import ampadmg
-from ampadmg import cli, separation
+from ampadmg import cli, markov, separation
+from ampadmg.markov import MAX_BLOCK_COMPONENT
 from ampadmg.cli import main, run
 from ampadmg.separation import MAX_SWEEP_NODES
 
@@ -512,6 +514,25 @@ def test_markov_verify_refuses_more_nodes_than_its_cap(tmp_path, capsys, monkeyp
         assert captured.out == ""
         assert captured.err == (f"error: n={MAX_SWEEP_NODES + 1} exceeds the markov-verify "
                                 f"cap of {MAX_SWEEP_NODES}\n")
+
+
+def test_amp_block_refuses_a_long_line_component(tmp_path, capsys, monkeypatch):
+    # Refused before the block-recursive walk starts; the other chain-graph
+    # properties answer the same graph.
+    def no_walk(*args):
+        raise AssertionError("the block-recursive walk ran")
+
+    monkeypatch.setattr(markov, "_block_recursive", no_walk)
+    k = MAX_BLOCK_COMPONENT + 1
+    g = graph_file(tmp_path, f"nodes {k}\n" + "".join(f"line {i} {i + 1}\n" for i in range(1, k)))
+    assert main(["markov-verify", "--graph", g, "--property", "amp-block"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: a line component of {k} nodes exceeds the "
+                            f"block-recursive cap of {MAX_BLOCK_COMPONENT}\n")
+    for prop in ("amp-local", "amp-pairwise"):
+        assert main(["markov-verify", "--graph", g, "--property", prop]) == 0
+        assert capsys.readouterr().out.endswith(" statements, 0 failures\n")
 
 
 def test_negative_seed_is_usage_error(capsys):
@@ -1000,8 +1021,9 @@ def text_inputs(draw):
         sets = draw(st.lists(FUZZ_LISTS, min_size=4, max_size=4))
         rule = draw(st.sampled_from("123"))
         text = f"rule {rule} x={sets[0]} y={sets[1]} z={sets[2]} w={sets[3]}\n"
-        return ["rule", "--graph", str(DATA / "ident-alt.g"), "--script", "@f"], text, \
-            parse_derivation
+        graph = DATA / "ident-alt.g"
+        return ["rule", "--graph", str(graph), "--script", "@f"], text, \
+            partial(parse_derivation, g=parse(graph.read_text()))
     flags = draw(st.lists(FUZZ_LISTS, min_size=3, max_size=3))
     command = draw(st.sampled_from((
         ["sep", "--x", flags[0], "--y", flags[1], "--z", flags[2]],

@@ -280,8 +280,8 @@ def test_parse_derivation_script(ident_alt):
     )
 
 
-def test_parse_derivation_numeric():
-    steps = parse_derivation("rule 1 x=1 y=2,3 z= w=\n\n# trailing comment\n")
+def test_parse_derivation_numeric(ident_alt):
+    steps = parse_derivation("rule 1 x=1 y=2,3 z= w=\n\n# trailing comment\n", ident_alt)
     assert steps == (
         RuleApplication(1, frozenset({1}), frozenset({2, 3}), frozenset(), frozenset()),
     )
@@ -291,16 +291,19 @@ def test_parse_derivation_errors(ident_alt):
     with pytest.raises(ParseError, match="line 1"):
         parse_derivation("rule 1 x=Q y=2 z= w=", ident_alt)
     with pytest.raises(ParseError, match="line 2"):
-        parse_derivation("rule 1 x= y=1 z= w=\nrule one x= y=1 z= w=")
+        parse_derivation("rule 1 x= y=1 z= w=\nrule one x= y=1 z= w=", ident_alt)
     with pytest.raises(ParseError, match="line 1"):
-        parse_derivation("rule 7 x= y=1 z= w=")
+        parse_derivation("rule 7 x= y=1 z= w=", ident_alt)
 
 
 def test_parse_derivation_checks_range_only_against_a_graph(ident_alt):
-    steps = parse_derivation("rule 1 x=0 y=4 z= w=")
-    assert (steps[0].x, steps[0].y) == ({0}, {4})
     with pytest.raises(ParseError, match="line 2: node 4 out of range"):
         parse_derivation("rule 1 x= y=A z= w=\nrule 1 x= y=4 z= w=", ident_alt)
+    with pytest.raises(ParseError, match="line 1: node 0 out of range"):
+        parse_derivation("rule 1 x=0 y=2 z= w=", ident_alt)
+    # No graph-less mode leaves the range check to rule_applicable.
+    with pytest.raises(TypeError):
+        parse_derivation("rule 1 x=1 y=2 z= w=")
 
 
 def test_check_derivation(ident_alt, ident_orig):

@@ -358,11 +358,14 @@ def test_learn_deterministic():
 
 
 def test_learn_infeasible():
-    p = LearnProblem(
-        2, (Constraint("dep", 1, 2),),
-        forbidden={("arrow", 1, 2), ("arrow", 2, 1), ("line", 1, 2)})
-    with pytest.raises(NoFeasibleModelError):
-        learn(p)
+    # One message covers both causes: every candidate breaks a hard
+    # dependence, or the priors leave none (no ORIGINAL graph has a line).
+    msg = "^no candidate graph respects the priors and every hard dependence$"
+    for p in (LearnProblem(2, (Constraint("dep", 1, 2),),
+                           forbidden={("arrow", 1, 2), ("arrow", 2, 1), ("line", 1, 2)}),
+              LearnProblem(2, required={("line", 1, 2)}, dialects=(Dialect.ORIGINAL,))):
+        with pytest.raises(NoFeasibleModelError, match=msg):
+            learn(p)
 
 
 def test_learn_size_cap():

@@ -31,8 +31,10 @@ from ampadmg import (
     set_index,
     verify_statements,
 )
-from ampadmg import docalc
+from ampadmg import docalc, markov
+from ampadmg.errors import ProblemTooLargeError
 from ampadmg.graph import MAX_GRAPH_NODES
+from ampadmg.markov import MAX_BLOCK_COMPONENT
 from conftest import DATA, random_graph, singleton_queries
 
 
@@ -45,12 +47,6 @@ def test_statement_validation():
         CiStatement(frozenset(), {2}, frozenset())
     with pytest.raises(MalformedQueryError):
         CiStatement({1}, {2}, {1})
-
-
-def test_statement_canonical_swaps_sides():
-    a = CiStatement({2}, {1}, frozenset())
-    b = CiStatement({1}, {2}, frozenset())
-    assert a.canonical() == b.canonical() == b
 
 
 @st.composite
@@ -72,14 +68,6 @@ def test_mask_built_queries_equal_set_built_ones(sets, regime):
                            CiStatement(x, y, z, regime))):
         assert built == public and hash(built) == hash(public)
         assert (built.x, built.y, built.z) == (public.x, public.y, public.z) == sets
-    # A frozenset reference for the order the statement generators sort by.
-    key = (tuple(sorted(x)), tuple(sorted(y)), tuple(sorted(z)), regime)
-    canon = (y, x) if key[1] < key[0] else (x, y)
-    for s in (CiStatement._from_masks(*masks, regime=regime), CiStatement(x, y, z, regime)):
-        assert s.sort_key() == key
-        c = s.canonical()
-        assert (c.x, c.y, c.z, c.regime) == (*canon, z, regime)
-        assert c == CiStatement(*canon, z, regime)
 
 
 def test_queries_naming_nodes_out_of_range_compare_their_sets():
@@ -94,14 +82,6 @@ def test_queries_naming_nodes_out_of_range_compare_their_sets():
     twin = CiStatement({5}, {2, 0}, {-1}, 3)
     assert q == twin and hash(q) == hash(twin) and len({q, twin}) == 1
     assert q != CiStatement({5}, {0, 2}, {-1}, 4)
-
-
-def test_statements_naming_a_node_below_1_still_order():
-    # Their sets hold the mask -1, so they are sorted and swapped as sets.
-    s = CiStatement({5}, {0, 2}, {-1}, 3)
-    assert s.sort_key() == ((5,), (0, 2), (-1,), 3)
-    c = s.canonical()
-    assert (c.x, c.y, c.z, c.regime) == ({0, 2}, {5}, {-1}, 3)
 
 
 def test_verified_statements_build_no_node_set_views():
@@ -292,6 +272,32 @@ def test_amp_rejects_unknown_flavour():
         amp_statements(MixedGraph(2), "global")
 
 
+def _line_path(n: int) -> MixedGraph:
+    return MixedGraph(n, lines={(i, i + 1) for i in range(1, n)})
+
+
+def test_amp_block_refuses_a_line_component_past_its_cap(monkeypatch):
+    # The block-recursive walk is about 4^k over a k-node component, so a
+    # component past the cap is refused before any statement is built.
+    walked = []
+    monkeypatch.setattr(markov, "_block_recursive", lambda g, cm, ndm: walked.append(cm) or ())
+    big = _line_path(MAX_BLOCK_COMPONENT + 1)
+    with pytest.raises(ProblemTooLargeError, match=f"a line component of "
+                       f"{MAX_BLOCK_COMPONENT + 1} nodes exceeds the block-recursive "
+                       f"cap of {MAX_BLOCK_COMPONENT}$"):
+        amp_statements(big, "block-recursive")
+    assert walked == []
+    # At the cap, and beside other components, the walk still runs.
+    g = MixedGraph(MAX_BLOCK_COMPONENT + 2, arrows={(1, 3)},
+                   lines={(i, i + 1) for i in range(3, MAX_BLOCK_COMPONENT + 2)})
+    assert amp_statements(g, "block-recursive") == ()
+    assert [cm.bit_count() for cm in walked] == [1, 1, MAX_BLOCK_COMPONENT]
+    # The local and pairwise flavours have no such cap.
+    far = set(range(3, big.n + 1))
+    assert CiStatement({1}, far, {2}) in amp_statements(big, "local")
+    assert CiStatement({1}, {3}, {2} | far - {3}) in amp_statements(big, "pairwise")
+
+
 def test_amp_statements_are_separations():
     rng = random.Random(37)
     done = 0
@@ -315,8 +321,10 @@ def test_amp_statements_sorted_and_unique():
         done += 1
         for flavour in ("block-recursive", "local", "pairwise"):
             stmts = amp_statements(g, flavour)
-            keys = [s.sort_key() for s in stmts]
+            # Each statement holds its side with the lower node first.
+            keys = [tuple(tuple(sorted(v)) for v in (s.x, s.y, s.z)) for s in stmts]
             assert keys == sorted(set(keys))
+            assert all(x[0] < y[0] for x, y, _z in keys)
 
 
 # -- what the statements imply ------------------------------------------------------
@@ -468,6 +476,16 @@ def test_gaussian_oracle_matches_graph_oracle():
         for s in ordered_local_statements(g):
             assert graph(s)
             assert gauss(s)
+
+
+def test_gaussian_oracle_refuses_a_bad_tol_when_built():
+    # A NaN or negative tol would read "dependent" off an independent pair.
+    sigma = [[1, .5, 0], [.5, 1, 0], [0, 0, 1]]
+    for tol in (float("nan"), -1.0, float("inf")):
+        with pytest.raises(ValueError, match="tol must be non-negative and finite"):
+            gaussian_oracle(sigma, tol=tol)
+    gaussian_oracle(sigma, tol=0.0)
+    assert gaussian_oracle(sigma)(CiStatement({1}, {3}))
 
 
 def test_gaussian_oracle_rejects_interventional_statements():

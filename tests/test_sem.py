@@ -303,6 +303,14 @@ def test_ci_test_validation():
         ci_test(sigma, 1, 2, {2})
     with pytest.raises(ValueError):
         ci_test(sigma, 0, 2, frozenset())
+    # A NaN or negative tol would read "dependent" off an independent pair;
+    # 0 is kept, as the CLI keeps --tol 0.
+    sigma = [[1, .5, 0], [.5, 1, 0], [0, 0, 1]]
+    for tol in (float("nan"), -1.0, float("inf")):
+        with pytest.raises(ValueError, match="tol must be non-negative and finite"):
+            ci_test(sigma, 1, 3, [], tol=tol)
+    assert ci_test(sigma, 1, 3, [], tol=1e-12)
+    assert not ci_test(sigma, 1, 2, [], tol=0)
 
 
 @pytest.mark.parametrize("shape", [(), (3,), (3, 2), (2, 3), (2, 2, 2)])

@@ -166,9 +166,9 @@ def test_one_kernel_reads_a_partial_correlation():
     assert sites("_ci_tests") == {"sem.py:ci_test", "cli.py:_report_violations"}
 
 
-def test_every_export_is_used_documented_or_traced():
-    # A public name that no other module uses, the README does not name and
-    # the benchmark does not trace is a second spelling nobody reads.
+def _live_names() -> set:
+    # Every name read in src/ (outside the re-exports of __init__.py), named
+    # in backticks in the README or traced by the benchmark.
     live = set()
     for path in SRC.glob("*.py"):
         if path.name != "__init__.py":
@@ -179,4 +179,27 @@ def test_every_export_is_used_documented_or_traced():
                     live.add(node.attr)
     live.update(re.findall(r"`(\w+)`", (SRC.parent.parent / "README.md").read_text()))
     live.update(attr for _path, attr, _name in load_bench("spans").TARGETS)
+    return live
+
+
+def test_every_export_is_used_documented_or_traced():
+    # A public name that no other module uses, the README does not name and
+    # the benchmark does not trace is a second spelling nobody reads.
+    live = _live_names()
     assert [name for name in ampadmg.__all__ if name not in live] == []
+
+
+def test_every_public_function_and_method_is_used_documented_or_traced():
+    # The same rule for every public module-level function and every public
+    # method of a public class: one only tests call is surface nobody reads.
+    live = _live_names()
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            members = ([node] if isinstance(node, ast.FunctionDef)
+                       else node.body if isinstance(node, ast.ClassDef)
+                       and not node.name.startswith("_") else [])
+            unread += [f"{path.name}:{f.name}" for f in members
+                       if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+                       and f.name not in live]
+    assert unread == []
