@@ -20,15 +20,16 @@ from typing import Iterable, Sequence
 
 from .docalc import check_derivation, intervene, parse_derivation, rule_applicable
 from .errors import AmpAdmgError, NoFeasibleModelError, ParseError, SingularSubmatrixError
-from .graph import Dialect, MixedGraph, _bits, _label_index, _node_list, parse, serialize
+from .graph import (Dialect, MixedGraph, _bits, _label_index, _node_list, _submasks, parse,
+                    serialize)
 from .learner import (MAX_NODES_DEFAULT, atom_line, export_asp, learn,
                       parse_constraints)
 from .markov import (CiStatement, amp_statements, gaussian_oracle,
                      ordered_local_statements, ordered_pairwise_statements,
                      separation_oracle, verify_statements)
 from .sem import CI_TOL, _ci_tests, ci_test, implied_covariance, magnify, random_sem
-from .separation import (SeparationQuery, _refuse_past_sweep_cap, _reject_biarrows,
-                         _separating_masks, _singleton_pairs, separated)
+from .separation import (SeparationQuery, _connected_lanes, _refuse_past_sweep_cap,
+                         _reject_biarrows, _singleton_pairs, separated)
 
 
 def _load_graph(path: str) -> MixedGraph:
@@ -88,11 +89,13 @@ def _cmd_equiv_check(args: argparse.Namespace) -> int:
     _reject_biarrows(g, "path separation")  # criterion 1's refusal stands for 3 and 4
     checked = 0
     for xm, ym, rest in pairs:
-        seps = [set(_separating_masks(g, c, xm, ym, 0, rest)) for c in (1, 2, 3, 4)]
-        if split := set.union(*seps) - set.intersection(*seps):
-            zm = min(split)  # the first z of the pair that the criteria split on
-            detail = " ".join(f"{c}:{'separated' if zm in sep else 'connected'}"
-                              for c, sep in enumerate(seps, 1))
+        # One lane per z of the pair, set where the criterion finds x and y connected.
+        lanes = [_connected_lanes(g, c, xm, ym, 0, rest) for c in (1, 2, 3, 4)]
+        if len(set(lanes)) > 1:  # then find the first z the criteria split on
+            k, zm = next((k, zm) for k, zm in enumerate(_submasks(rest))
+                         if len({ln >> k & 1 for ln in lanes}) > 1)
+            detail = " ".join(f"{c}:{'connected' if ln >> k & 1 else 'separated'}"
+                              for c, ln in enumerate(lanes, 1))
             print(f"disagreement: x={_names(g, _bits(xm))} y={_names(g, _bits(ym))} "
                   f"z={{{_names(g, _bits(zm))}}}  {detail}")
             return 3
@@ -171,7 +174,8 @@ def _cmd_sem_check(args: argparse.Namespace) -> int:
     sigma = implied_covariance(random_sem(g, seed=args.seed))
     seps = violations = 0
     for xm, ym, rest in pairs:
-        zms = _separating_masks(g, args.criterion, xm, ym, 0, rest)
+        lanes = _connected_lanes(g, args.criterion, xm, ym, 0, rest)
+        zms = [zm for k, zm in enumerate(_submasks(rest)) if not lanes >> k & 1]
         violations += _report_violations(g, sigma, xm, ym, zms, args.tol)
         seps += len(zms)
     print(f"seed {args.seed}, tol {args.tol:g}: "

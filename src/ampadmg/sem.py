@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (ErrorNodeInZError, GraphValidationError, ProblemTooLargeError,
                      SingularSubmatrixError)
 from .graph import MixedGraph, _bits, _check_names, _node_index, _node_mask
-from .separation import SeparationQuery, _query_masks, _reject_biarrows, _separating_masks
+from .separation import SeparationQuery, _connected_lanes, _query_masks, _reject_biarrows
 
 PRECISION_ZERO_TOL = 1e-9
 CI_TOL = 1e-7
@@ -94,7 +94,7 @@ def separated_with_determinism(gp: MixedGraph, q: SeparationQuery) -> bool:
     _reject_biarrows(gp, "path separation")
     xm, ym, zm = _query_masks(gp, q)
     dtm = _determined_mask(gp._adj[0], _magnified_half(gp), zm)
-    return bool(_separating_masks(gp, 1, xm, ym, dtm, 0))
+    return not _connected_lanes(gp, 1, xm, ym, dtm, 0) & 1
 
 
 def _determined_mask(pa, m: int, zm: int) -> int:

@@ -20,12 +20,14 @@ The four decision procedures:
    every conditioning set of one (x, y) pair at once, one bit (lane) per
    set and three lane ints per node;
 3. reachability in the augmented graph of the extended subgraph over
-   x + y + z;
+   x + y + z; its lane form, ``_moral_lanes``, spreads once for every
+   conditioning set of a pair, each edge carrying the lanes it is in;
 4. as 3 but with the undirected part marginalised onto the ancestor set.
 
-``_separating_masks``, the one kernel table, gives the s inside ``rest``
-for which z + s separates x and y; :func:`separated` asks it with
-``rest = 0``, the singleton sweeps once per (x, y) pair and criterion.
+``_connected_lanes``, the one kernel table, sets lane k when x and y are
+connected given z plus the k-th subset of ``rest``; :func:`separated` asks
+it with ``rest = 0`` and reads lane 0, the singleton sweeps ask it once
+per (x, y) pair and criterion.
 
 A query is its node masks, checked once where it enters; the package builds
 its own queries (statements, singleton sweeps, rule premises) from masks,
@@ -43,7 +45,7 @@ from typing import Iterable, Iterator
 
 from .errors import MalformedQueryError, ProblemTooLargeError, UnsupportedDialectError
 from .graph import (MAX_GRAPH_NODES, Dialect, MixedGraph, _bits, _components, _node_index,
-                    _restrict, _spread, _submasks, _undirected, _union, set_index)
+                    _restrict, _spread, _undirected, _union, set_index)
 
 # End marks: how a walk most recently arrived at a node.
 END_LINE, END_HEAD, END_TAIL = 0, 1, 2
@@ -276,12 +278,7 @@ def _path_connected(g: MixedGraph, xm: int, ym: int, zm: int, rest: int) -> int:
     lanes in which its path is still open."""
     pa, ch, ne, _bi = g._adj
     full, in_z = _lanes(rest, len(pa), zm)
-    anm = g._an_mask(zm)
-    # an_z[v]: the lanes whose part of rest holds v or a descendant of v.
-    an_z = [0] * len(pa)
-    for w in _bits(rest):
-        for v in _bits(g._an_mask(1 << (w - 1))):
-            an_z[v] |= in_z[w]
+    in_an = _an_lanes(g, zm, rest, full, in_z)
     # A start node has no end mark (None): it leaves every way, even from z.
     stack = [(s, None, 1 << (s - 1), full) for s in _bits(xm)]
     connected = 0
@@ -296,7 +293,7 @@ def _path_connected(g: MixedGraph, xm: int, ym: int, zm: int, rest: int) -> int:
         # a collider in An(z), and a line-line one in z where a parent is not.
         line = arrow = up = lanes if mark is None else lanes & ~in_z[v]
         if mark == END_HEAD or mark == END_LINE:
-            up = lanes if anm >> (v - 1) & 1 else lanes & an_z[v]
+            up = lanes & in_an[v]
             if mark == END_HEAD:
                 line = up
             elif lanes & in_z[v]:
@@ -315,6 +312,18 @@ def _path_connected(g: MixedGraph, xm: int, ym: int, zm: int, rest: int) -> int:
                     targets ^= wb
                     stack.append((wb.bit_length(), end, vis | wb, open_))
     return connected
+
+
+def _an_lanes(g: MixedGraph, seed: int, rest: int, full: int, in_z: list[int]) -> list[int]:
+    """For each node v the lanes whose An(seed + s) holds v: every lane for v
+    in An(seed), else the lanes whose s holds v or a descendant of v."""
+    in_an = [0] * len(in_z)
+    for w in _bits(rest):
+        for v in _bits(g._an_mask(1 << (w - 1))):
+            in_an[v] |= in_z[w]
+    for v in _bits(g._an_mask(seed)):
+        in_an[v] = full
+    return in_an
 
 
 # -- subgraph constructions ---------------------------------------------------
@@ -416,24 +425,94 @@ def _moral_masks(g: MixedGraph, smask: int, criterion: int) -> tuple:
     return aug
 
 
+def _moral_lanes(g: MixedGraph, criterion: int, xm: int, ym: int, zm: int, rest: int) -> int:
+    """Criteria 3 and 4 for every conditioning set zm + s, s inside ``rest``:
+    bit k is set iff x and y are connected in lane k's augmented graph over
+    A_k = An(x + y + zm + s_k), lanes as in ``_route_lanes``.  One spread, z
+    reached but never left, over the rows of ``_blanket_mask``, each built
+    when its node is first left, each term masked by the lanes in which its
+    edges are in the extended (criterion 4: marginal) graph over A_k."""
+    pa, ch, ne, _bi = g._adj
+    full, in_z = _lanes(rest, len(pa), zm)
+    in_an = _an_lanes(g, xm | ym | zm, rest, full, in_z)
+    # lines[c]: c's lines as (d, lanes).  Criterion 3 keeps a line where its
+    # component meets A, but a spread from x in A enters a component only
+    # there, so each line may hold every lane.  Criterion 4 joins c and d in
+    # A where a line path joins them outside A, found by a lane search from c.
+    lines = [[(d, full) for d in _bits(m)] for m in ne]
+    for c in _bits(_union(ne, g.full_mask)) if criterion == 4 else ():
+        reach, todo = {}, [(c, in_an[c])]
+        while todo:
+            w, lanes = todo.pop()
+            for d in _bits(ne[w]):
+                if new := lanes & ~reach.get(d, 0):
+                    reach[d] = reach.get(d, 0) | new
+                    todo.append((d, new & ~in_an[d]))
+        lines[c] = [(d, lanes & in_an[d]) for d, lanes in reach.items()
+                    if d != c and lanes & in_an[d]]
+
+    def row(b):
+        # (nodes, lanes) terms: pa(b); each child c in A with pa(c); the lines
+        # of b and, where c is in A, of each c, with the parents at their far
+        # ends d in A.  b itself may appear: a walk to itself adds nothing.
+        out = []
+        for c in _bits(ch[b] | 1 << (b - 1)):
+            via = full if c == b else in_an[c]
+            out.append((pa[c] | 1 << (c - 1), in_an[c]))
+            for d, lanes in lines[c]:
+                out += ((1 << (d - 1), lanes & via), (pa[d], lanes & via & in_an[d]))
+        return out
+
+    reached, rows = [0] * len(pa), [None] * len(pa)
+    for v in _bits(xm):
+        reached[v] = full
+    connected, hit = 0, xm
+    while hit:
+        todo, hit = hit, 0
+        while todo:
+            vb = todo & -todo
+            todo ^= vb
+            v = vb.bit_length()
+            if rows[v] is None:
+                rows[v] = row(v)
+            send = reached[v] & ~in_z[v]
+            for targets, lanes in rows[v]:
+                lanes &= send
+                while lanes and targets:
+                    wb = targets & -targets
+                    targets ^= wb
+                    w = wb.bit_length()
+                    if new := lanes & ~reached[w]:
+                        reached[w] |= new
+                        if wb & ym:  # y keeps its lanes and goes no further
+                            connected |= new
+                            if connected == full:
+                                return full
+                        else:
+                            hit |= wb
+    return connected
+
+
 # -- the kernel table ---------------------------------------------------------
 
 
-def _separating_masks(g: MixedGraph, criterion: int, xm: int, ym: int, zm: int,
-                      rest: int) -> list[int]:
-    """The s inside ``rest`` for which zm + s separates x and y under the
-    criterion, in ``_submasks`` order, on trusted masks; the caller checks the
-    dialect.  For one question (``rest = 0``) criterion 2's scalar kernel beats one lane."""
+def _connected_lanes(g: MixedGraph, criterion: int, xm: int, ym: int, zm: int,
+                     rest: int) -> int:
+    """Bit k is set iff x and y are connected under the criterion given zm
+    plus the k-th submask of ``rest`` in ``_submasks`` order, on trusted
+    masks; the caller checks the dialect.  For one question (``rest = 0``)
+    the scalar kernels of criteria 2, 3 and 4 beat one lane."""
     if criterion == 1:
-        lanes = _path_connected(g, xm, ym, zm, rest)
-    elif criterion == 2 and rest:
-        lanes = _route_lanes(g._adj, xm, ym, zm, rest)
-    elif criterion == 2:
-        return [] if _route_connected(g._adj, xm, ym, zm) else [0]
+        return _path_connected(g, xm, ym, zm, rest)
+    if rest:
+        if criterion == 2:
+            return _route_lanes(g._adj, xm, ym, zm, rest)
+        return _moral_lanes(g, criterion, xm, ym, zm, rest)
+    if criterion == 2:
+        connected = _route_connected(g._adj, xm, ym, zm)
     else:
-        return [s for s in _submasks(rest) if not _spread(
-            _moral_masks(g, xm | ym | zm | s, criterion), xm, zm | s, ym) & ym]
-    return [s for k, s in enumerate(_submasks(rest)) if not lanes >> k & 1]
+        connected = _spread(_moral_masks(g, xm | ym | zm, criterion), xm, zm, ym) & ym
+    return 1 if connected else 0
 
 
 def separated(g: MixedGraph, q: SeparationQuery, criterion: int = 2) -> bool:
@@ -449,4 +528,4 @@ def separated(g: MixedGraph, q: SeparationQuery, criterion: int = 2) -> bool:
         _reject_biarrows(g, "path separation")
     elif criterion != 2:
         _reject_biarrows(g, "criterion %d", criterion)
-    return bool(_separating_masks(g, criterion, *_query_masks(g, q), 0))
+    return not _connected_lanes(g, criterion, *_query_masks(g, q), 0) & 1

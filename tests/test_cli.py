@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from ampadmg import (
     AmpAdmgError,
+    Dialect,
     export_asp,
     intervene,
     magnify,
@@ -171,15 +172,15 @@ def test_equiv_check_reports_query_count(capsys):
 
 
 def test_equiv_check_reports_a_disagreement_and_exits_3(capsys, monkeypatch):
-    # Every criterion comes from one kernel table, asked on masks once per pair.
-    real = cli._separating_masks
+    # Every criterion comes from one kernel table, asked on masks once per
+    # pair; it answers one lane per z of the pair, lane 1 being z = {B}.
+    real = cli._connected_lanes
 
     def criterion_4_flips_one(g, criterion, xm, ym, zm, rest):
-        seps = real(g, criterion, xm, ym, zm, rest)
-        flip = criterion == 4 and (xm, ym) == (0b001, 0b100)
-        return sorted(set(seps) ^ {0b010}) if flip else seps
+        lanes = real(g, criterion, xm, ym, zm, rest)
+        return lanes ^ 0b10 if criterion == 4 and (xm, ym) == (0b001, 0b100) else lanes
 
-    monkeypatch.setattr(cli, "_separating_masks", criterion_4_flips_one)
+    monkeypatch.setattr(cli, "_connected_lanes", criterion_4_flips_one)
     assert main(["equiv-check", "--graph", str(DATA / "double-edge.g")]) == 3
     assert capsys.readouterr().out == (
         "disagreement: x=A y=D z={B}  1:connected 2:connected 3:connected 4:separated\n")
@@ -197,6 +198,23 @@ def test_equiv_check_reports_a_lane_disagreement_and_exits_3(capsys, monkeypatch
     assert main(["equiv-check", "--graph", str(DATA / "double-edge.g")]) == 3
     assert capsys.readouterr().out == (
         "disagreement: x=A y=D z={B}  1:connected 2:separated 3:connected 4:connected\n")
+
+
+@pytest.mark.parametrize("criterion", [3, 4])
+def test_equiv_check_reports_a_moral_lane_disagreement_and_exits_3(criterion, capsys,
+                                                                   monkeypatch):
+    # Criteria 3 and 4 come from the augmented-graph lane kernel, one lane per z.
+    real = separation._moral_lanes
+
+    def lane_of_b_flips(g, c, xm, ym, zm, rest):
+        lanes = real(g, c, xm, ym, zm, rest)
+        return lanes ^ 0b10 if c == criterion and (xm, ym) == (0b001, 0b100) else lanes
+
+    monkeypatch.setattr(separation, "_moral_lanes", lane_of_b_flips)
+    assert main(["equiv-check", "--graph", str(DATA / "double-edge.g")]) == 3
+    verdicts = " ".join(f"{c}:{'separated' if c == criterion else 'connected'}"
+                        for c in (1, 2, 3, 4))
+    assert capsys.readouterr().out == f"disagreement: x=A y=D z={{B}}  {verdicts}\n"
 
 
 MARKOV_GENERATORS = {"ordered-local": "ordered_local_statements",
@@ -222,7 +240,7 @@ def test_sweep_commands_ask_through_the_cli_names(capsys, monkeypatch):
         monkeypatch.setattr(cli, name, count)
 
     counting("separated", lambda g, q, criterion=2: criterion)
-    counting("_separating_masks", lambda g, criterion, xm, ym, zm, rest: ("masks", criterion))
+    counting("_connected_lanes", lambda g, criterion, xm, ym, zm, rest: ("masks", criterion))
     for name in ("ci_test", "_ci_tests"):
         counting(name)
     assert main(["equiv-check", "--graph", str(DATA / "mixed6.g")]) == 0
@@ -360,6 +378,23 @@ def test_sem_check_prints_the_same_under_every_criterion(tmp_path, capsys):
             (code, captured), = runs
             assert captured.err == ""
             assert ("VIOLATION" in captured.out) == (code == 1) == bool(tol), (n, seed, tol)
+
+
+ALTERNATIVE_FILES = sorted(p.name for p in DATA.glob("*.g")
+                           if parse(p.read_text()).dialect is Dialect.ALTERNATIVE)
+
+
+@pytest.mark.parametrize("name", ALTERNATIVE_FILES)
+def test_sem_check_prints_the_same_under_every_criterion_on_the_data_files(name, capsys):
+    # The sweep decodes each criterion's lanes into the z it tests; at --tol 0
+    # every separation is a VIOLATION line, in the order of its z.
+    for tol in ([], ["--tol", "0"]):
+        runs = {(main(["sem-check", "--graph", str(DATA / name), "--criterion", c, *tol]),
+                 capsys.readouterr()) for c in "1234"}
+        assert len(runs) == 1, (name, tol)
+        (code, captured), = runs
+        assert captured.err == ""
+        assert ("VIOLATION" in captured.out) == (code == 1), (name, tol)
 
 
 # -- magnify / intervene -----------------------------------------------------

@@ -297,9 +297,11 @@ def test_stacked_ci_tests_match_ci_test():
 
 def test_ci_test_validation():
     sigma = np.eye(3)
-    with pytest.raises(ValueError):
+    # Matched by message: a singular submatrix is a ValueError too, and
+    # ci_test(sigma, 1, 2, {2}) would raise one without its own check.
+    with pytest.raises(ValueError, match="distinct"):
         ci_test(sigma, 1, 1, frozenset())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="distinct"):
         ci_test(sigma, 1, 2, {2})
     with pytest.raises(ValueError):
         ci_test(sigma, 0, 2, frozenset())

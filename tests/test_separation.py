@@ -23,8 +23,8 @@ from ampadmg import (
 )
 from ampadmg import separation
 from ampadmg.graph import MAX_GRAPH_NODES, _bits, _submasks
-from ampadmg.separation import (MAX_SWEEP_NODES, _moral_masks, _route_connected, _route_lanes,
-                                 _separating_masks, _singleton_pairs)
+from ampadmg.separation import (MAX_SWEEP_NODES, _connected_lanes, _moral_masks, _route_connected,
+                                 _route_lanes, _singleton_pairs)
 from conftest import (DATA, gf_separated, gf_sigma, load_bench, random_graph,
                       singleton_queries)
 
@@ -310,26 +310,50 @@ def test_path_lanes_match_the_path_oracle():
     assert checked == 227_515
 
 
-def test_separating_masks_match_the_public_path():
-    # Each pair's separating z, asked once per criterion, against separated()
-    # per query, the table's rest = 0 case (for criterion 2 the scalar
-    # kernel): every alternative graph with n = 3 and seeded ones with
-    # n = 4..7 under all four criteria; under criterion 2, biarrow graphs too.
+def _table_matches_queries(g, c, xm, ym, zm, rest):
+    # Lane k of the kernel table against separated() for zm plus the k-th
+    # submask of rest: the table's rest = 0 case, for criteria 2, 3 and 4
+    # the scalar kernels.
+    lanes = _connected_lanes(g, c, xm, ym, zm, rest)
+    count = 0
+    for k, s in enumerate(_submasks(rest)):
+        sep = separated(g, SeparationQuery._from_masks(xm, ym, zm | s), c)
+        assert (not lanes >> k & 1) == sep, (g, c, xm, ym, zm, s)
+        count += 1
+    assert lanes >> count == 0, (g, c, xm, ym, zm, rest)
+    return count
+
+
+def test_connected_lanes_match_the_public_path():
+    # Every alternative graph with n = 3 and seeded ones with n = 4..8 under
+    # all four criteria; under criterion 2, biarrow graphs too.  Each pair is
+    # asked with every other node in rest, as the sweeps ask, and with one
+    # seeded node fixed in zm and lanes over the others; the seeded graphs
+    # also with x and y of several nodes.
     rng = random.Random(61)
     lines = list(enumerate_graphs(3, Dialect.ALTERNATIVE))
     lines += [random_graph(rng, n) for n in (4, 5, 6, 7) for _ in range(10)]
     biarrows = list(enumerate_graphs(3, Dialect.ORIGINAL))
     biarrows += [random_graph(rng, n, biarrow_ok=True) for n in (4, 5, 6, 7) for _ in range(10)]
+    lines += [random_graph(rng, 8) for _ in range(4)]
     checked = 0
     for criteria, graphs in (((1, 2, 3, 4), lines), ((2,), biarrows)):
         for g in graphs:
+            full = (1 << g.n) - 1
+            asks = []
             for xm, ym, rest in _singleton_pairs(g.n):
-                for c in criteria:
-                    expected = [zm for zm in _submasks(rest) if separated(
-                        g, SeparationQuery._from_masks(xm, ym, zm), c)]
-                    assert _separating_masks(g, c, xm, ym, 0, rest) == expected, (g, xm, ym, c)
-                    checked += 1 << rest.bit_count()
-    assert checked == 56_800
+                asks.append((xm, ym, 0, rest))
+                if rest:
+                    zm = 1 << (rng.choice(list(_bits(rest))) - 1)
+                    asks.append((xm, ym, zm, rest & ~zm))
+            for _ in range(3 if g.n >= 5 else 0):
+                x, y, _z = _random_sets(rng, g.n)
+                xm, ym = g.node_mask(x), g.node_mask(y)
+                rest = full & ~xm & ~ym
+                zm = rest & -rest if rng.random() < 0.5 else 0
+                asks.append((xm, ym, zm, rest & ~zm))
+            checked += sum(_table_matches_queries(g, c, *ask) for ask in asks for c in criteria)
+    assert checked == 129_367
 
 
 def test_criterion_2_matches_the_exact_gaussian_oracle():

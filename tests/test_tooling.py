@@ -124,12 +124,15 @@ def test_graphs_are_validated_only_where_text_enters():
 
 
 def test_each_criterion_kernel_has_one_dispatch_site():
-    # separation._separating_masks maps every criterion to its kernel, for a
+    # separation._connected_lanes maps every criterion to its kernel, for a
     # single question and a sweep pair alike; every other caller asks the
-    # kernels through it.  Both lane kernels build their lane patterns with
-    # _lanes.  The scalar route kernel is also asked directly by
-    # connects_route and by the learner's and the rule premises' cut graphs.
-    kernels = ("_path_connected", "_moral_masks", "_route_lanes", "_lanes", "_route_connected")
+    # kernels through it.  The three lane kernels build their lane patterns
+    # with _lanes, and the two that read ancestor sets their An lanes with
+    # _an_lanes.  Criteria 3 and 4 read the memoised augmented graph only
+    # for a single question.  The scalar route kernel is also asked directly
+    # by connects_route and by the learner's and the rule premises' cut graphs.
+    kernels = ("_path_connected", "_moral_masks", "_moral_lanes", "_route_lanes", "_lanes",
+               "_an_lanes", "_route_connected")
 
     def calls(name):
         # A call of `name`, bare or as a module attribute.
@@ -140,12 +143,15 @@ def test_each_criterion_kernel_has_one_dispatch_site():
     sites = {name: sorted({f"{path.name}:{func}" for path in SRC.glob("*.py")
                            for func in _sites(ast.parse(path.read_text()), calls(name))})
              for name in kernels}
-    assert sites == {"_path_connected": ["separation.py:_separating_masks"],
-                     "_moral_masks": ["separation.py:_separating_masks"],
-                     "_route_lanes": ["separation.py:_separating_masks"],
-                     "_lanes": ["separation.py:_path_connected", "separation.py:_route_lanes"],
-                     "_route_connected": ["docalc.py:rule_applicable", "learner.py:score",
-                                          "separation.py:_separating_masks",
+    table = "separation.py:_connected_lanes"
+    assert sites == {"_path_connected": [table],
+                     "_moral_masks": [table],
+                     "_moral_lanes": [table],
+                     "_route_lanes": [table],
+                     "_lanes": ["separation.py:_moral_lanes", "separation.py:_path_connected",
+                                "separation.py:_route_lanes"],
+                     "_an_lanes": ["separation.py:_moral_lanes", "separation.py:_path_connected"],
+                     "_route_connected": ["docalc.py:rule_applicable", "learner.py:score", table,
                                           "separation.py:connects_route"]}
 
 
