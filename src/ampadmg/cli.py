@@ -167,38 +167,50 @@ def _cmd_markov_verify(args: argparse.Namespace) -> int:
     return 0 if not failing else 1
 
 
+_BATCH_TESTS = 1024  # sem-check ends a batch at the first pair's end at or past this many
+
+
 def _cmd_sem_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     pairs = _singleton_pairs(g.n)  # refuses a graph over the cap before sigma is built
     # random_sem refuses biarrows, so it is the dialect check of every criterion.
     sigma = implied_covariance(random_sem(g, seed=args.seed))
     seps = violations = 0
-    for xm, ym, rest in pairs:
-        lanes = _connected_lanes(g, args.criterion, xm, ym, 0, rest)
-        zms = [zm for k, zm in enumerate(_submasks(rest)) if not lanes >> k & 1]
-        violations += _report_violations(g, sigma, xm, ym, zms, args.tol)
-        seps += len(zms)
+    tests: list = []  # (x, y, zm) of each separating z, over consecutive pairs
+    try:
+        for xm, ym, rest in pairs:
+            lanes = _connected_lanes(g, args.criterion, xm, ym, 0, rest)
+            lo = rest & (1 << rest.bit_length() // 2) - 1  # lane k's z: k's bits spread on rest
+            low, high, h = list(_submasks(lo)), list(_submasks(rest ^ lo)), lo.bit_count()
+            x, y = xm.bit_length(), ym.bit_length()
+            tests += [(x, y, low[(k - 1) & len(low) - 1] | high[(k - 1) >> h])
+                      for k in _bits(~lanes & (1 << len(low) * len(high)) - 1)]
+            if len(tests) >= _BATCH_TESTS:
+                batch, tests = tests, []  # taken out first, so finally never reports it twice
+                violations += _report_violations(g, sigma, batch, args.tol)
+                seps += len(batch)
+    finally:  # after a refused pair too, so the lines of the pairs before it print
+        violations += _report_violations(g, sigma, tests, args.tol)
+        seps += len(tests)
     print(f"seed {args.seed}, tol {args.tol:g}: "
           f"{seps} separations checked, {violations} violations")
     return 0 if violations == 0 else 1
 
 
-def _report_violations(g: MixedGraph, sigma, xm: int, ym: int, zms: list, tol: float) -> int:
-    """Print a VIOLATION line for each z mask of the pair whose partial
-    correlation is not below tol, in order, and count them.  One stacked
-    inverse per |z|; a pair with a singular submatrix is replayed one z at
-    a time through ``ci_test``, which prints the lines before that z and
-    raises the error naming it."""
-    x, y = xm.bit_length(), ym.bit_length()
+def _report_violations(g: MixedGraph, sigma, tests: list, tol: float) -> int:
+    """Print a VIOLATION line for each test ``(x, y, zm)`` whose partial
+    correlation is not below tol, in order, and count them.  A batch with a
+    singular submatrix is replayed one test at a time through ``ci_test``,
+    which prints the lines before that test and raises the error naming it."""
     try:
-        verdicts = _ci_tests(sigma, x, y, zms, tol)
+        verdicts = _ci_tests(sigma, tests, tol)
     except SingularSubmatrixError:
-        verdicts = (ci_test(sigma, x, y, _bits(zm), tol=tol) for zm in zms)
+        verdicts = (ci_test(sigma, x, y, _bits(zm), tol=tol) for x, y, zm in tests)
     violations = 0
-    for zm, independent in zip(zms, verdicts):
+    for (x, y, zm), independent in zip(tests, verdicts):
         if not independent:
             violations += 1
-            print(f"VIOLATION {_fmt_stmt(g, CiStatement._from_masks(xm, ym, zm))}")
+            print(f"VIOLATION {_fmt_stmt(g, CiStatement._from_masks(1 << x - 1, 1 << y - 1, zm))}")
     return violations
 
 

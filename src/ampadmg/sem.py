@@ -206,30 +206,33 @@ def ci_test(sigma: np.ndarray, x: int, y: int, z: Iterable[int],
     zm = _node_mask(z, n)
     if x == y or zm & (1 << (x - 1) | 1 << (y - 1)):
         raise ValueError("x, y and z must be distinct")
-    return _ci_tests(sigma, x, y, [zm], tol)[0]
+    return _ci_tests(sigma, [(x, y, zm)], tol)[0]
 
 
-def _ci_tests(sigma: np.ndarray, x: int, y: int, zms, tol: float) -> list[bool]:
-    """For each z mask in ``zms``, in order: is the float partial correlation
-    of x and y given z below ``tol`` in magnitude?  On trusted arguments (x
-    and y distinct nodes of sigma, each mask inside the other nodes); every
-    partial correlation, :func:`ci_test`'s included, is read here.
-
-    Each size's submatrices (rows and columns x, y, then z ascending) are
-    inverted as one stack.  A singular or not positive definite submatrix
-    raises :class:`SingularSubmatrixError` naming its set; a singular stack
-    is inverted again one matrix at a time, by the same LAPACK routine, to
-    name its first singular set.
+def _ci_tests(sigma: np.ndarray, tests, tol: float) -> list[bool]:
+    """For each test ``(x, y, zm)`` in ``tests``, in order: is the float
+    partial correlation of x and y given z below ``tol`` in magnitude?  On
+    trusted arguments: x and y distinct nodes of sigma, the mask inside the
+    other nodes.  Each size's submatrices (rows and columns x, y, then z
+    ascending), over all the tests, are inverted as one stack.  A singular
+    or not positive definite submatrix raises :class:`SingularSubmatrixError`
+    naming its set; a singular stack is inverted again one matrix at a time,
+    by the same LAPACK routine, to name its first singular set.
     """
     def named(i, what):
-        return f"covariance submatrix for {x},{y}|{list(_bits(zms[i]))} is {what}"
+        x, y, zm = tests[i]
+        return f"covariance submatrix for {x},{y}|{list(_bits(zm))} is {what}"
 
-    groups: dict[int, list[int]] = {}
-    for i, zm in enumerate(zms):
-        groups.setdefault(zm.bit_count(), []).append(i)
-    out = [False] * len(zms)
-    for where in groups.values():
-        idx = np.array([[x - 1, y - 1] + [v - 1 for v in _bits(zms[i])] for i in where])
+    groups: dict[int, tuple[list, list]] = {}
+    zs: dict[int, list[int]] = {}  # each mask's z positions, found once per call
+    for i, (x, y, zm) in enumerate(tests):
+        z = zs.get(zm) or zs.setdefault(zm, [v - 1 for v in _bits(zm)])
+        where, rows = groups.setdefault(len(z), ([], []))
+        where.append(i)
+        rows.append([x - 1, y - 1, *z])
+    out = [False] * len(tests)
+    for where, rows in groups.values():
+        idx = np.array(rows)
         sub = sigma[idx[:, :, None], idx[:, None, :]]
         try:
             prec = np.linalg.inv(sub)

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from ampadmg import (
     AmpAdmgError,
     Dialect,
+    MixedGraph,
     export_asp,
     intervene,
     magnify,
@@ -227,8 +228,8 @@ def test_sweep_commands_ask_through_the_cli_names(capsys, monkeypatch):
     # bench/spans.py counts the sweeps' questions by wrapping cli.separated
     # and cli.ci_test, and traces the Markov generators by their cli names.
     # The sweeps ask for each pair's separating z by its cli name, once per
-    # pair and criterion, and the Gaussian test one _ci_tests call per pair;
-    # neither asks separated() per query.
+    # pair and criterion, and the Gaussian test one _ci_tests call per batch
+    # of pairs, here all 15 of them; neither asks separated() per query.
     asked = Counter()
 
     def counting(name, key=None):
@@ -249,11 +250,11 @@ def test_sweep_commands_ask_through_the_cli_names(capsys, monkeypatch):
     asked.clear()
     assert main(["sem-check", "--graph", str(DATA / "mixed6.g")]) == 0
     assert capsys.readouterr().out == "seed 0, tol 1e-07: 25 separations checked, 0 violations\n"
-    assert asked == {("masks", 2): 15, "_ci_tests": 15}
+    assert asked == {("masks", 2): 15, "_ci_tests": 1}
     asked.clear()
     assert main(["sem-check", "--graph", str(DATA / "mixed6.g"), "--criterion", "3"]) == 0
     assert capsys.readouterr().out == "seed 0, tol 1e-07: 25 separations checked, 0 violations\n"
-    assert asked == {("masks", 3): 15, "_ci_tests": 15}
+    assert asked == {("masks", 3): 15, "_ci_tests": 1}
     # markov-verify looks its generator up by the cli name at call time, once.
     for name in set(MARKOV_GENERATORS.values()):
         counting(name)
@@ -318,6 +319,12 @@ _BEFORE_B_F = _violations(("A", "E", ("", "B", "F", "B,F")), ("A", "F", ("", "B"
                           ("B", "E", ("", "A", "A,C", "F", "A,F", "A,C,F")))
 
 
+# The batch caps a sem-check test runs under: one pair per batch, batches
+# that close mid-graph, and the default.  A test loops over them inside,
+# so one test id covers every cap.
+_CAPS = (1, 7, cli._BATCH_TESTS)
+
+
 @pytest.mark.parametrize("copy, replaced, out, err", [
     (5, 3, _BEFORE_B_F + _violations(("B", "F", ("", "A", "A,C", "E", "A,E"))),
      "covariance submatrix for 2,6|[1, 3, 5] is singular"),
@@ -328,7 +335,8 @@ def test_sem_check_reports_a_bad_submatrix_as_one_test_at_a_time(copy, replaced,
     # Node `replaced` gets node `copy`'s row and column of sigma, so every
     # submatrix holding both is singular.  At --tol 0 every separation is a
     # VIOLATION: the lines up to the first bad submatrix print in order,
-    # those of its own pair included, and its error names it.
+    # those of its own pair included, and its error names it, wherever the
+    # batches of pairs close.
     real = cli.implied_covariance
 
     def rank_deficient(sem):
@@ -338,16 +346,18 @@ def test_sem_check_reports_a_bad_submatrix_as_one_test_at_a_time(copy, replaced,
         return sigma
 
     monkeypatch.setattr(cli, "implied_covariance", rank_deficient)
-    assert main(["sem-check", "--graph", str(DATA / "mixed6.g"), "--tol", "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == out
-    assert captured.err == f"error: {err}\n"
+    for cap in _CAPS:
+        monkeypatch.setattr(cli, "_BATCH_TESTS", cap)
+        assert main(["sem-check", "--graph", str(DATA / "mixed6.g"), "--tol", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == out, cap
+        assert captured.err == f"error: {err}\n", cap
 
 
 def test_sem_check_refusing_a_pair_follows_the_pairs_before_it(capsys, monkeypatch):
     # Criterion 1 answers a whole pair in one search, so a refusal at B, F
     # comes after the VIOLATION lines of the pairs before it and prints none
-    # of its own.
+    # of its own, in whatever batch those pairs were collected.
     real = separation._path_connected
 
     def refuses_one(g, xm, ym, zm, rest=0):
@@ -356,11 +366,13 @@ def test_sem_check_refusing_a_pair_follows_the_pairs_before_it(capsys, monkeypat
         return real(g, xm, ym, zm, rest)
 
     monkeypatch.setattr(separation, "_path_connected", refuses_one)
-    assert main(["sem-check", "--graph", str(DATA / "mixed6.g"), "--tol", "0",
-                 "--criterion", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == _BEFORE_B_F
-    assert captured.err == "error: criterion 1 ran past its 1000-step budget\n"
+    for cap in _CAPS:
+        monkeypatch.setattr(cli, "_BATCH_TESTS", cap)
+        assert main(["sem-check", "--graph", str(DATA / "mixed6.g"), "--tol", "0",
+                     "--criterion", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == _BEFORE_B_F, cap
+        assert captured.err == "error: criterion 1 ran past its 1000-step budget\n", cap
 
 
 def test_sem_check_prints_the_same_under_every_criterion(tmp_path, capsys):
@@ -395,6 +407,46 @@ def test_sem_check_prints_the_same_under_every_criterion_on_the_data_files(name,
         (code, captured), = runs
         assert captured.err == ""
         assert ("VIOLATION" in captured.out) == (code == 1), (name, tol)
+
+
+@pytest.mark.parametrize("cap", _CAPS[:2])
+@pytest.mark.parametrize("name", ALTERNATIVE_FILES)
+def test_sem_check_prints_the_same_whatever_its_batch_cap(name, cap, capsys, monkeypatch):
+    # Batches close at the first pair boundary at or past the cap, so a cap
+    # of 1 asks the kernel once per pair and 7 closes batches mid-graph;
+    # neither may change a byte or an exit code.
+    def runs():
+        out = []
+        for tol in ([], ["--tol", "0"]):
+            code = main(["sem-check", "--graph", str(DATA / name), *tol])
+            out.append((code, capsys.readouterr()))
+        return out
+
+    default = runs()
+    monkeypatch.setattr(cli, "_BATCH_TESTS", cap)
+    assert runs() == default
+
+
+def test_sem_check_batches_hold_at_most_the_cap_plus_one_pair(tmp_path, capsys, monkeypatch):
+    # A batch closes at the first pair boundary at or past the cap, so no
+    # kernel call holds more than the cap plus one pair's 2^(n-2) sets.  A
+    # sparse seeded DAG, whose many separations fill several batches.
+    n, rng = 10, random.Random(43)
+    arrows = {(a, b) for a, b in combinations(range(1, n + 1), 2) if rng.random() < 0.2}
+    g = graph_file(tmp_path, serialize(MixedGraph(n, arrows)))
+    sizes = []
+    real = cli._ci_tests
+
+    def sized(sigma, tests, tol):
+        sizes.append(len(tests))
+        return real(sigma, tests, tol)
+
+    monkeypatch.setattr(cli, "_ci_tests", sized)
+    assert main(["sem-check", "--graph", g, "--tol", "0"]) == 1
+    checked = int(re.search(r"(\d+) separations checked", capsys.readouterr().out)[1])
+    assert sum(sizes) == checked and len(sizes) > 2
+    assert max(sizes) <= cli._BATCH_TESTS + (1 << n - 2)
+    assert all(size >= cli._BATCH_TESTS for size in sizes[:-1])
 
 
 # -- magnify / intervene -----------------------------------------------------

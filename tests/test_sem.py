@@ -21,6 +21,7 @@ from ampadmg import (
     separated,
     separated_with_determinism,
 )
+from ampadmg.graph import _bits
 from ampadmg.sem import CI_TOL, _ci_tests
 from conftest import random_graph, singleton_queries
 
@@ -274,25 +275,43 @@ def test_ci_test_partial_correlation_is_bit_exact():
 
 def test_stacked_ci_tests_match_ci_test():
     # Every separated singleton query of seeded n = 6-9 graphs, one
-    # _ci_tests call per pair, at tolerances where both verdicts occur,
-    # against the reference |pcorr| computed one matrix at a time.
+    # _ci_tests call per graph and tol mixing every pair, at tolerances
+    # where both verdicts occur, against the reference |pcorr| computed one
+    # matrix at a time.
     rng = random.Random(32)
     seen = set()
     for n in (6, 7, 8, 9):
         for _ in range(5):
             g = random_graph(rng, n)
             sigma = implied_covariance(random_sem(g, rng.randint(0, 10**6)))
-            zs_of = {}
-            for x, y, z in singleton_queries(n):
-                if separated(g, SeparationQuery({x}, {y}, z)):
-                    zs_of.setdefault((x, y), []).append(z)
+            tests = [(x, y, g.node_mask(z)) for x, y, z in singleton_queries(n)
+                     if separated(g, SeparationQuery({x}, {y}, z))]
+            refs = [_reference_pcorr(sigma, x, y, _bits(zm)) for x, y, zm in tests]
             for tol in (0, 1e-7, 0.05, 0.5, 1.0):
-                for (x, y), zs in zs_of.items():
-                    stacked = _ci_tests(sigma, x, y, [g.node_mask(z) for z in zs], tol)
-                    assert stacked == [_reference_pcorr(sigma, x, y, z) < tol
-                                       for z in zs], (g, x, y)
-                    seen.update(stacked)
+                stacked = _ci_tests(sigma, tests, tol)
+                assert stacked == [ref < tol for ref in refs], (g, tol)
+                seen.update(stacked)
     assert seen == {False, True}
+
+
+def test_a_mixed_batch_reads_each_partial_correlation_bit_exactly():
+    # The batch form of test_ci_test_partial_correlation_is_bit_exact: one
+    # _ci_tests call holds every separated test of a seeded graph, across
+    # all pairs and sizes of z, and still reads test k's |pcorr| to the last
+    # bit: False at tol = |pcorr|, True one ulp above.
+    rng = random.Random(33)
+    for n in (6, 7, 8, 9):
+        g = random_graph(rng, n)
+        sigma = implied_covariance(random_sem(g, rng.randint(0, 10**6)))
+        tests = [(x, y, g.node_mask(z)) for x, y, z in singleton_queries(n)
+                 if separated(g, SeparationQuery({x}, {y}, z))]
+        pairs, sizes = {(x, y) for x, y, _ in tests}, {zm.bit_count() for *_, zm in tests}
+        assert len(pairs) > 1 and len(sizes) > 1, g
+        for k in sorted(rng.sample(range(len(tests)), min(len(tests), 12))):
+            x, y, zm = tests[k]
+            ref = _reference_pcorr(sigma, x, y, _bits(zm))
+            assert not _ci_tests(sigma, tests, ref)[k], (g, tests[k])
+            assert _ci_tests(sigma, tests, np.nextafter(ref, np.inf))[k], (g, tests[k])
 
 
 def test_ci_test_validation():
@@ -339,18 +358,18 @@ def test_a_singular_stack_names_its_first_singular_set():
     sigma = np.eye(5)
     sigma[:, 4] = sigma[:, 3]
     sigma[4, :] = sigma[3, :]
-    zms = [0b01100, 0b10100, 0b11000]
+    tests = [(1, 2, 0b01100), (2, 3, 0b00001), (1, 2, 0b10100), (1, 3, 0b11000)]
     with pytest.raises(SingularSubmatrixError,
-                       match=r"^covariance submatrix for 1,2\|\[4, 5\] is singular$"):
-        _ci_tests(sigma, 1, 2, zms, CI_TOL)
-    assert _ci_tests(sigma, 1, 2, zms[:2], CI_TOL) == [True, True]
+                       match=r"^covariance submatrix for 1,3\|\[4, 5\] is singular$"):
+        _ci_tests(sigma, tests, CI_TOL)
+    assert _ci_tests(sigma, tests[:3], CI_TOL) == [True, True, True]
     # Invertible, but nodes 2 and 3 covary more than they vary, so every
     # set holding node 3 gives the pair's precision a negative diagonal.
     sigma = np.eye(4)
     sigma[1, 2] = sigma[2, 1] = 2.0
     with pytest.raises(SingularSubmatrixError,
                        match=r"^covariance submatrix for 1,2\|\[3\] is not positive definite$"):
-        _ci_tests(sigma, 1, 2, [0b1000, 0b0100], CI_TOL)
+        _ci_tests(sigma, [(1, 2, 0b1000), (1, 2, 0b0100)], CI_TOL)
 
 
 def test_a_nan_covariance_gets_no_verdict():
@@ -365,10 +384,10 @@ def test_a_nan_covariance_gets_no_verdict():
                            match=r"^covariance submatrix for 1,2\|\[3\] is not positive definite$"):
             ci_test(sigma, 1, 2, [3])
         assert ci_test(sigma, 1, 2, [])  # this submatrix is finite
-    # One stack, and only the second set's submatrix holds the NaN.
+    # One stack, and only the second test's submatrix holds the NaN.
     sigma = np.eye(4)
     sigma[1, 3] = sigma[3, 1] = np.nan
     with pytest.raises(SingularSubmatrixError,
                        match=r"^covariance submatrix for 1,2\|\[4\] is not positive definite$"):
-        _ci_tests(sigma, 1, 2, [0b0100, 0b1000], CI_TOL)
-    assert _ci_tests(sigma, 1, 2, [0b0100], CI_TOL) == [True]
+        _ci_tests(sigma, [(1, 2, 0b0100), (1, 2, 0b1000)], CI_TOL)
+    assert _ci_tests(sigma, [(1, 2, 0b0100), (1, 3, 0b0010)], CI_TOL) == [True, True]

@@ -158,7 +158,8 @@ def test_each_criterion_kernel_has_one_dispatch_site():
 def test_one_kernel_reads_a_partial_correlation():
     # sem._ci_tests alone inverts a covariance submatrix and reads a partial
     # correlation from it, and ci_test asks it for its one set.  sem's other
-    # inverses build a model's covariance.
+    # inverses build a model's covariance.  sem-check alone reports a batch
+    # of tests.
     def sites(*names):
         def hit(node):
             return isinstance(node, ast.Call) and ast.unparse(node.func) in names
@@ -170,6 +171,7 @@ def test_one_kernel_reads_a_partial_correlation():
     assert sites("np.linalg.inv") == {"sem.py:_ci_tests", "sem.py:__post_init__",
                                       "sem.py:implied_covariance", "sem.py:random_sem"}
     assert sites("_ci_tests") == {"sem.py:ci_test", "cli.py:_report_violations"}
+    assert sites("_report_violations") == {"cli.py:_cmd_sem_check"}
 
 
 def _live_names() -> set:
