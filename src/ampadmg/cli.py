@@ -16,12 +16,13 @@ import traceback
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .docalc import check_derivation, intervene, parse_derivation, rule_applicable
+from .docalc import (RuleApplication, check_derivation, intervene, parse_derivation,
+                     rule_applicable)
 from .errors import AmpAdmgError, NoFeasibleModelError, ParseError, SingularSubmatrixError
-from .graph import (Dialect, MixedGraph, _bits, _label_index, _node_list, _submasks, parse,
-                    serialize)
+from .graph import (Dialect, MixedGraph, _bits, _labels, _NodeTokens, _submasks,
+                    parse, serialize)
 from .learner import (MAX_NODES_DEFAULT, atom_line, export_asp, learn,
                       parse_constraints)
 from .markov import (CiStatement, amp_statements, gaussian_oracle,
@@ -40,7 +41,7 @@ def _node_set(g: MixedGraph, raw: str | None) -> frozenset:
     """Comma-separated indices or labels; missing or empty means the empty set."""
     if raw is None:
         return frozenset()
-    return _node_list(raw, g.n, _label_index(g.node_names))
+    return g.mask_nodes(_NodeTokens(g.n, g.node_names).mask(raw))
 
 
 def _non_negative(what: str, kind=int):
@@ -60,12 +61,14 @@ def _non_negative(what: str, kind=int):
     return parse_value
 
 
-def _names(g: MixedGraph, nodes: Iterable[int]) -> str:
-    return ",".join(g.node_label(v) for v in sorted(nodes))
+def _names(label: list[str], mask: int) -> str:
+    # The labels of the mask's nodes, rising; ``label`` is graph._labels(g).
+    return ",".join([label[v] for v in _bits(mask)])
 
 
-def _fmt_stmt(g: MixedGraph, s: CiStatement) -> str:
-    return f"{{{_names(g, s.x)}}} _||_ {{{_names(g, s.y)}}} | {{{_names(g, s.z)}}}"
+def _fmt_stmt(label: list[str], s: CiStatement) -> str:
+    x, y, z = (_names(label, m) for m in (s.xm, s.ym, s.zm))
+    return f"{{{x}}} _||_ {{{y}}} | {{{z}}}"
 
 
 # -- subcommands -----------------------------------------------------------
@@ -96,8 +99,9 @@ def _cmd_equiv_check(args: argparse.Namespace) -> int:
                          if len({ln >> k & 1 for ln in lanes}) > 1)
             detail = " ".join(f"{c}:{'connected' if ln >> k & 1 else 'separated'}"
                               for c, ln in enumerate(lanes, 1))
-            print(f"disagreement: x={_names(g, _bits(xm))} y={_names(g, _bits(ym))} "
-                  f"z={{{_names(g, _bits(zm))}}}  {detail}")
+            label = _labels(g)
+            print(f"disagreement: x={_names(label, xm)} y={_names(label, ym)} "
+                  f"z={{{_names(label, zm)}}}  {detail}")
             return 3
         checked += 1 << rest.bit_count()
     print(f"{checked} queries, criteria 1-4 agree")
@@ -115,9 +119,9 @@ def _cmd_intervene(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fmt_step(g: MixedGraph, rule: int, x, y, z, w) -> str:
-    return (f"rule {rule} x={_names(g, x)} y={_names(g, y)} "
-            f"z={_names(g, z)} w={_names(g, w)}")
+def _fmt_step(label: list[str], s: RuleApplication) -> str:
+    return (f"rule {s.rule} x={_names(label, s.xm)} y={_names(label, s.ym)} "
+            f"z={_names(label, s.zm)} w={_names(label, s.wm)}")
 
 
 def _cmd_rule(args: argparse.Namespace) -> int:
@@ -127,9 +131,10 @@ def _cmd_rule(args: argparse.Namespace) -> int:
         verdicts = check_derivation(g, steps)
         # Each output line stays parseable as a script line; the verdict
         # rides in a comment.
+        label = _labels(g)
         for s, good in zip(steps, verdicts):
             tag = "applicable" if good else "NOT applicable"
-            print(f"{_fmt_step(g, s.rule, s.x, s.y, s.z, s.w)}  # {tag}")
+            print(f"{_fmt_step(label, s)}  # {tag}")
         return 0 if all(verdicts) else 1
     if not args.y:
         raise ParseError("--y is required with --rule")
@@ -162,8 +167,9 @@ def _cmd_markov_verify(args: argparse.Namespace) -> int:
         oracle = gaussian_oracle(sigma, tol=args.tol)
     failing = verify_statements(stmts, oracle)
     print(f"{args.property}: {len(stmts)} statements, {len(failing)} failures")
+    label = _labels(g)
     for s in failing:
-        print(f"FAIL {_fmt_stmt(g, s)}")
+        print(f"FAIL {_fmt_stmt(label, s)}")
     return 0 if not failing else 1
 
 
@@ -175,6 +181,7 @@ def _cmd_sem_check(args: argparse.Namespace) -> int:
     pairs = _singleton_pairs(g.n)  # refuses a graph over the cap before sigma is built
     # random_sem refuses biarrows, so it is the dialect check of every criterion.
     sigma = implied_covariance(random_sem(g, seed=args.seed))
+    label = _labels(g)
     seps = violations = 0
     tests: list = []  # (x, y, zm) of each separating z, over consecutive pairs
     try:
@@ -187,17 +194,17 @@ def _cmd_sem_check(args: argparse.Namespace) -> int:
                       for k in _bits(~lanes & (1 << len(low) * len(high)) - 1)]
             if len(tests) >= _BATCH_TESTS:
                 batch, tests = tests, []  # taken out first, so finally never reports it twice
-                violations += _report_violations(g, sigma, batch, args.tol)
+                violations += _report_violations(label, sigma, batch, args.tol)
                 seps += len(batch)
     finally:  # after a refused pair too, so the lines of the pairs before it print
-        violations += _report_violations(g, sigma, tests, args.tol)
+        violations += _report_violations(label, sigma, tests, args.tol)
         seps += len(tests)
     print(f"seed {args.seed}, tol {args.tol:g}: "
           f"{seps} separations checked, {violations} violations")
     return 0 if violations == 0 else 1
 
 
-def _report_violations(g: MixedGraph, sigma, tests: list, tol: float) -> int:
+def _report_violations(label: list[str], sigma, tests: list, tol: float) -> int:
     """Print a VIOLATION line for each test ``(x, y, zm)`` whose partial
     correlation is not below tol, in order, and count them.  A batch with a
     singular submatrix is replayed one test at a time through ``ci_test``,
@@ -210,7 +217,8 @@ def _report_violations(g: MixedGraph, sigma, tests: list, tol: float) -> int:
     for (x, y, zm), independent in zip(tests, verdicts):
         if not independent:
             violations += 1
-            print(f"VIOLATION {_fmt_stmt(g, CiStatement._from_masks(1 << x - 1, 1 << y - 1, zm))}")
+            s = CiStatement._from_masks(1 << x - 1, 1 << y - 1, zm)
+            print(f"VIOLATION {_fmt_stmt(label, s)}")
     return violations
 
 

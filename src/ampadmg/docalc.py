@@ -17,16 +17,26 @@ One indicator F into all of z does as well: a walk from F starts
 walk that passes F again can be cut at its last visit without changing
 its inner colliders.  So the premise asks whether a walk that enters z
 through an arrowhead reaches y.
+
+:func:`_premise` asks every premise on the masks of a checked step.  A
+script step, :class:`RuleApplication`, holds its sets as masks:
+:func:`parse_derivation` reads each set straight into one, checking each
+node token once, where it first reads it, and :func:`check_derivation`
+range-checks a step against its graph with one shift.
+:func:`rule_applicable` reads and checks its own sets, then asks the same
+premise.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import MalformedQueryError, OverlappingSetsError, ParseError
-from .graph import MixedGraph, _bits, _integer, _label_index, _lines, _node_list
+from .graph import (MAX_GRAPH_NODES, MixedGraph, _bits, _integer, _lines, _node_mask,
+                    _NodeTokens)
 from .separation import SeparationQuery, _marginal_masks, _route_connected, connects_route
 
 
@@ -92,10 +102,20 @@ def rule_applicable(g: MixedGraph, rule: int, x: Iterable[int], y: Iterable[int]
     enters z through an arrowhead reaches y (see the module docstring),
     given x ∪ z ∪ w (rule 2) or x ∪ w (rule 3).
     """
+    _check_rule(rule)
+    masks = [g.node_mask(s) for s in (x, y, z, w)]
+    _check_sets(*masks)
+    return _premise(g, rule, *masks)
+
+
+def _check_rule(rule) -> None:
     if rule not in (1, 2, 3):
         raise ValueError(f"rule must be 1, 2 or 3, got {rule!r}")
-    xm, ym, zm, wm = masks = [g.node_mask(s) for s in (x, y, z, w)]
-    if not ym:
+
+
+def _check_sets(*masks: int) -> None:
+    # The masks (x, y, z, w) of one step: y non-empty, the four disjoint.
+    if not masks[1]:
         raise MalformedQueryError("y must be non-empty")
     seen = 0
     for m in masks:
@@ -103,6 +123,10 @@ def rule_applicable(g: MixedGraph, rule: int, x: Iterable[int], y: Iterable[int]
             i = next(_bits(m & seen))
             raise OverlappingSetsError(f"node {i} appears in two argument sets")
         seen |= m
+
+
+def _premise(g: MixedGraph, rule: int, xm: int, ym: int, zm: int, wm: int) -> bool:
+    # The premise of a checked step, asked on its masks.
     if not zm:
         return True  # empty z: the rewrite is the identity
     cut = _cut(g, xm)
@@ -113,15 +137,38 @@ def rule_applicable(g: MixedGraph, rule: int, x: Iterable[int], y: Iterable[int]
     return not _route_connected(cut, 0, ym, cond, zm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RuleApplication:
-    """One scripted do-calculus step."""
+    """One scripted do-calculus step: the rule and the masks ``xm``, ``ym``,
+    ``zm``, ``wm`` of its sets (node i is bit i - 1), which equality and
+    hashing compare.  ``x``, ``y``, ``z`` and ``w`` are frozenset views
+    built on first access.  The constructor takes sets; it refuses a rule
+    other than 1, 2 or 3 and a node outside ``1..MAX_GRAPH_NODES``, naming
+    the lowest such node of the first set that holds one."""
 
     rule: int
-    x: frozenset
-    y: frozenset
-    z: frozenset
-    w: frozenset
+    xm: int
+    ym: int
+    zm: int
+    wm: int
+
+    def __init__(self, rule: int, x: Iterable[int], y: Iterable[int], z: Iterable[int],
+                 w: Iterable[int]):
+        _check_rule(rule)
+        xm, ym, zm, wm = (_node_mask(s, MAX_GRAPH_NODES) for s in (x, y, z, w))
+        self.__dict__.update(rule=rule, xm=xm, ym=ym, zm=zm, wm=wm)
+
+    @classmethod
+    def _from_masks(cls, rule: int, xm: int, ym: int, zm: int, wm: int) -> "RuleApplication":
+        """Trusted: a step built from masks the package read."""
+        s = object.__new__(cls)
+        s.__dict__.update(rule=rule, xm=xm, ym=ym, zm=zm, wm=wm)
+        return s
+
+    x = cached_property(lambda s: frozenset(_bits(s.xm)))
+    y = cached_property(lambda s: frozenset(_bits(s.ym)))
+    z = cached_property(lambda s: frozenset(_bits(s.zm)))
+    w = cached_property(lambda s: frozenset(_bits(s.wm)))
 
 
 _STEP_RE = re.compile(
@@ -131,9 +178,10 @@ _STEP_RE = re.compile(
 def parse_derivation(text: str, g: MixedGraph) -> tuple[RuleApplication, ...]:
     """Parse a derivation script for g: one ``rule <k> x=.. y=.. z=.. w=..``
     per line, sets comma-separated (indices, or labels when g has them),
-    empty allowed.  ``#`` starts a comment.  Indices are checked against g's
-    node range where they are read."""
-    labels = _label_index(g.node_names)
+    empty allowed.  ``#`` starts a comment.  Each set is read straight
+    into a mask, each distinct node token checked against g's node range
+    once, where it is first read."""
+    nodes = _NodeTokens(g.n, g.node_names)
     steps = []
     for line_no, line in _lines(text):
         m = _STEP_RE.match(line)
@@ -143,12 +191,23 @@ def parse_derivation(text: str, g: MixedGraph) -> tuple[RuleApplication, ...]:
         rule = _integer(m.group("rule"), "rule", line_no)
         if rule not in (1, 2, 3):
             raise ParseError("rule must be 1, 2 or 3", line_no)
-        steps.append(RuleApplication(rule, *(
-            _node_list(m.group(k), g.n, labels, line_no) for k in "xyzw")))
+        nodes.line_no = line_no
+        steps.append(RuleApplication._from_masks(
+            rule, *map(nodes.mask, m.group("x", "y", "z", "w"))))
     return tuple(steps)
 
 
 def check_derivation(g: MixedGraph, steps: Sequence[RuleApplication]) -> tuple[bool, ...]:
     """Replay scripted rule applications against the graph: one verdict per
-    step, True where its premise holds."""
-    return tuple(rule_applicable(g, s.rule, s.x, s.y, s.z, s.w) for s in steps)
+    step, True where its premise holds.  Each step is range-checked against
+    g by one shift; a step that fails it is refused as
+    :func:`rule_applicable` refuses its sets."""
+    verdicts = []
+    for s in steps:
+        masks = s.xm, s.ym, s.zm, s.wm
+        if (s.xm | s.ym | s.zm | s.wm) >> g.n:  # a node past n
+            for m in masks:
+                g.node_mask(_bits(m))  # raises for the first set holding one
+        _check_sets(*masks)
+        verdicts.append(_premise(g, s.rule, *masks))
+    return tuple(verdicts)

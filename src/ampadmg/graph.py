@@ -11,21 +11,25 @@ caller hands the package is read by one rule: :func:`_node_index` takes
 ``operator.index(i)`` (ints and numpy integers pass, floats and strings are
 refused) and :func:`_node_mask` checks a set against ``1..n`` before it
 builds the mask, naming the lowest bad node; both raise
-:class:`NodeOutOfRangeError`.  Text inputs read node tokens by :func:`_node`.
-The canonical integer encoding (node ``i`` occupies bit ``i - 1``) used by
-the constraint formats is exposed through :func:`set_index` and
-:func:`set_members`; queries and statements store their sets in it.
+:class:`NodeOutOfRangeError`.  Text goes straight to masks: each text input
+keeps one token table, :class:`_NodeTokens`, which resolves a node token
+(an index or a label) and checks its range the first time it appears;
+later occurrences are dict hits.  The canonical integer encoding (node
+``i`` occupies bit ``i - 1``) used by the constraint formats is exposed
+through :func:`set_index` and :func:`set_members`; queries, statements and
+script steps store their sets in it.
 
-Invariants are checked once, where input enters the package: the public
-constructor ``MixedGraph(...)``, :func:`parse` and the learner's
-``parse_atom_line`` turn edge pairs into per-node adjacency masks and
-validate those.  The masks are the graph: every engine reads them, and the
-edge sets ``arrows``, ``lines`` and ``biarrows`` are views built from them
-on first access.  A graph the package derives from a valid one (an
-intervention, a subgraph, an augmented or marginal graph, a magnified
-graph, an enumerated candidate) is built from masks by
-``MixedGraph._from_masks``, which trusts its caller and stores them as
-they are.
+Invariants are checked once, where input enters the package.  The public
+constructor ``MixedGraph(...)`` and the learner's ``parse_atom_line`` turn
+edge pairs into per-node adjacency masks and validate those; :func:`parse`
+sets the mask bits as it reads each edge line and validates the masks once
+the text is read.  The masks are the graph: every engine reads them, and
+the edge sets ``arrows``, ``lines`` and ``biarrows`` are views built from
+them on first access; :func:`serialize` reads the masks.  A graph the
+package derives from a valid one (an intervention, a subgraph, an
+augmented or marginal graph, a magnified graph, an enumerated candidate)
+is built from masks by ``MixedGraph._from_masks``, which trusts its caller
+and stores them as they are.
 
 :func:`_spread` is the one reachability function over the masks: the
 closures, criteria 3 and 4 and the marginalisation of lines all call it.
@@ -205,7 +209,11 @@ def _peel(pa, ch, n: int) -> list[int]:
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for w in _bits(ch[v]):
+        kids = ch[v]
+        while kids:  # _bits(ch[v]) inlined: every parsed graph is validated through here
+            low = kids & -kids
+            kids ^= low
+            w = low.bit_length()
             waiting[w] -= 1
             if not waiting[w]:
                 heapq.heappush(ready, w)
@@ -464,7 +472,8 @@ class MixedGraph:
 #
 # Graph files, constraint files, derivation scripts and CLI node lists all
 # read lines through `_lines`, integers through `_int_token` and node
-# tokens through `_node`, so a token means the same thing in each of them.
+# tokens through a `_NodeTokens` table, so a token means the same thing in
+# each of them.
 
 
 def _lines(text: str) -> Iterator[tuple[int, str]]:
@@ -525,52 +534,68 @@ def _unreadable_label(label: str) -> bool:
             or _numeric(label))
 
 
-def _label_index(names) -> dict[str, int]:
-    return {label: i for i, label in enumerate(names or (), start=1)}
+class _NodeTokens(dict):
+    """The token table of one text input: each node token read so far, to
+    its index.  It starts out holding the labels, and a token it lacks is
+    resolved once, on the line set last in ``line_no``: an integer token is
+    an index, checked against 1..n; any other token is an unknown label (a
+    label is never an integer token).  Either fault raises
+    :class:`ParseError` where the token first appears."""
+
+    def __init__(self, n: int, names=None):
+        super().__init__(zip(names or (), range(1, n + 1)))
+        self.n, self.line_no = n, None
+
+    def __missing__(self, tok: str) -> int:
+        i = _int_token(tok, self.line_no)
+        if i is None:
+            raise ParseError(f"unknown node {tok!r}", self.line_no)
+        if not 1 <= i <= self.n:
+            raise ParseError(f"node {tok} out of range 1..{self.n}", self.line_no)
+        self[tok] = i
+        return i
+
+    def mask(self, raw: str) -> int:
+        """The mask of comma-separated node tokens; space around an item is
+        ignored and empty items are skipped."""
+        mask = 0
+        for tok in raw.split(","):
+            tok = tok.strip()
+            if tok:
+                mask |= 1 << (self[tok] - 1)
+        return mask
 
 
-def _node(tok: str, n: int, labels: dict[str, int], line_no: int | None = None) -> int:
-    """Resolve one node token: an integer token is an index, any other
-    token a label in ``labels``.  An index outside 1..n or an unknown label
-    raises :class:`ParseError`."""
-    i = _int_token(tok, line_no)
-    if i is None:
-        if tok not in labels:
-            raise ParseError(f"unknown node {tok!r}", line_no)
-        return labels[tok]
-    if not 1 <= i <= n:
-        raise ParseError(f"node {tok} out of range 1..{n}", line_no)
-    return i
-
-
-def _node_list(raw: str, n: int, labels: dict[str, int],
-               line_no: int | None = None) -> frozenset[int]:
-    """Comma-separated node tokens; space around an item is ignored and
-    empty items are skipped."""
-    return frozenset(_node(tok.strip(), n, labels, line_no)
-                     for tok in raw.split(",") if tok.strip())
+def _labels(g: MixedGraph) -> list[str]:
+    """Each node's display label, by index (index 0 unused): the table the
+    writers of one command read labels from."""
+    return ["", *(g.node_names or map(str, range(1, g.n + 1)))]
 
 
 def serialize(g: MixedGraph) -> str:
     """Render a graph in the line-oriented text format.
 
     The output starts with a ``nodes`` line followed by one line per edge:
-    arrows sorted by (tail, head), then lines, then biarrows.  When the
-    graph carries labels the output uses them; otherwise 1-based indices.
+    arrows sorted by (tail, head), read off the ``ch`` rows, then lines and
+    biarrows as sorted pairs ``a < b``, read off the upper parts of ``ne``
+    and ``bi``.  When the graph carries labels the output uses them;
+    otherwise 1-based indices.
     """
-    tok = g.node_label
-    out = []
-    if g.node_names:
-        out.append("nodes " + " ".join(g.node_names))
-    else:
-        out.append(f"nodes {g.n}")
-    for t, h in sorted(g.arrows):
-        out.append(f"arrow {tok(t)} {tok(h)}")
-    for a, b in sorted(g.lines):
-        out.append(f"line {tok(a)} {tok(b)}")
-    for a, b in sorted(g.biarrows):
-        out.append(f"biarrow {tok(a)} {tok(b)}")
+    label = _labels(g)
+    out = ["nodes " + (" ".join(g.node_names) if g.node_names else str(g.n))]
+    _pa, ch, ne, bi = g._adj
+    for kind, rows, upper in (("arrow", ch, False), ("line", ne, True),
+                              ("biarrow", bi, True)):
+        for a in range(1, g.n + 1):
+            row = rows[a] >> a << a if upper else rows[a]
+            if row:
+                out += [f"{kind} {label[a]} {label[b]}" for b in _bits(row)]
     return "\n".join(out) + "\n"
+
+
+_EDGE_ROWS = {"arrow": (1, 0), "line": (2, 2), "biarrow": (3, 3)}
+"""Each edge keyword's rows in ``(pa, ch, ne, bi)``: the tail's row gets the
+head's bit, the head's row the tail's."""
 
 
 def parse(text: str) -> MixedGraph:
@@ -579,44 +604,60 @@ def parse(text: str) -> MixedGraph:
     ``#`` starts a comment.  The ``nodes`` line is either a node count or a
     list of distinct non-numeric labels; labels map to indices in the order
     they are declared.  Edge lines accept indices or declared labels.
+
+    Each edge line sets its bits in the ``(pa, ch, ne, bi)`` masks as it is
+    read, each distinct node token is resolved once, and the masks are
+    validated once the text is read.  A self-edge is refused after the
+    last line, naming the lowest node of the first kind (arrow, line,
+    biarrow) that has one.
     """
     n = None
     names: tuple | None = None
-    labels: dict[str, int] = {}
-    edges = {"arrow": set(), "line": set(), "biarrow": set()}
     for line_no, line in _lines(text):
         tokens = line.split()
         kw = tokens[0]
-        if kw == "nodes":
-            if n is not None:
-                raise ParseError("duplicate nodes line", line_no)
-            rest = tokens[1:]
-            if not rest:
-                raise ParseError("nodes line needs a count or labels", line_no)
-            numeric = len(rest) == 1 and rest[0].isdecimal()
-            n = _integer(rest[0], "node count", line_no) if numeric else len(rest)
-            _check_node_count(n, line_no)
-            if numeric:
-                continue
+        rows = _EDGE_ROWS.get(kw)
+        if rows and n is not None and len(tokens) == 3:
+            nodes.line_no = line_no
+            a, b = nodes[tokens[1]], nodes[tokens[2]]
+            if a == b:
+                loops[kw] |= 1 << (a - 1)
+            else:
+                adj[rows[0]][a] |= 1 << (b - 1)
+                adj[rows[1]][b] |= 1 << (a - 1)
+            continue
+        if kw != "nodes":
+            if n is None:
+                raise ParseError("first line must declare nodes", line_no)
+            raise ParseError(f"unrecognised line {line!r}", line_no)
+        if n is not None:
+            raise ParseError("duplicate nodes line", line_no)
+        rest = tokens[1:]
+        if not rest:
+            raise ParseError("nodes line needs a count or labels", line_no)
+        numeric = len(rest) == 1 and rest[0].isdecimal()
+        n = _integer(rest[0], "node count", line_no) if numeric else len(rest)
+        _check_node_count(n, line_no)
+        if not numeric:
             for lbl in rest:
                 if "," in lbl:
                     raise ParseError(f"label {lbl!r} holds a comma, which splits node lists",
                                      line_no)
                 if _unreadable_label(lbl):  # any other such token here is numeric
-                    raise ParseError(
-                        f"label {lbl!r} is numeric; use a node count instead",
-                        line_no)
+                    raise ParseError(f"label {lbl!r} is numeric; use a node count instead",
+                                     line_no)
             names = tuple(rest)
             if len(set(names)) != n:
                 raise ParseError("duplicate node label", line_no)
-            labels = _label_index(names)
-            continue
-        if n is None:
-            raise ParseError("first line must declare nodes", line_no)
-        if kw not in edges or len(tokens) != 3:
-            raise ParseError(f"unrecognised line {line!r}", line_no)
-        edges[kw].add((_node(tokens[1], n, labels, line_no),
-                       _node(tokens[2], n, labels, line_no)))
+        nodes = _NodeTokens(n, names)
+        adj = tuple([0] * (n + 1) for _ in range(4))
+        loops = dict.fromkeys(_EDGE_ROWS, 0)  # self-edges by kind, refused at the end
     if n is None:
         raise ParseError("missing nodes line")
-    return MixedGraph(n, edges["arrow"], edges["line"], edges["biarrow"], names)
+    for kind, mask in loops.items():
+        if mask:
+            a = (mask & -mask).bit_length()
+            raise SelfEdgeError(f"{kind} {a} {'->' if kind == 'arrow' else '-'} {a}")
+    g = MixedGraph._from_masks(n, adj, names)
+    g.validate()
+    return g

@@ -34,8 +34,8 @@ from .errors import (
     ParseError,
     ProblemTooLargeError,
 )
-from .graph import (Dialect, MixedGraph, _check_node_count, _integer, _lines, _node,
-                    _node_index, _node_list, _node_mask, _peel, set_index)
+from .graph import (Dialect, MixedGraph, _bits, _check_node_count, _integer, _lines,
+                    _node_index, _node_mask, _NodeTokens, _peel, set_index)
 from .separation import _route_connected
 
 EDGE_KINDS = ("arrow", "line", "biarrow")
@@ -365,18 +365,20 @@ def parse_constraints(text: str) -> LearnProblem:
                 raise ParseError("nodes line needs a count", line_no)
             n = _integer(tokens[1], "node count", line_no)
             _check_node_count(n, line_no)
+            nodes = _NodeTokens(n)
             continue
         if n is None:
             raise ParseError("first line must declare nodes", line_no)
+        nodes.line_no = line_no
         if kw in ("dep", "indep"):
             if len(tokens) != 6:
                 raise ParseError(f"{kw} needs x y {{set}} regime weight", line_no)
-            x, y = (_node(t, n, {}, line_no) for t in tokens[1:3])
+            x, y = nodes[tokens[1]], nodes[tokens[2]]
             braced = tokens[3]
             if not (braced.startswith("{") and braced.endswith("}")):
                 raise ParseError("conditioning set must be braced, e.g. {1,3} or {}",
                                  line_no)
-            cond = _node_list(braced[1:-1], n, {}, line_no)
+            cond = frozenset(_bits(nodes.mask(braced[1:-1])))
             regime = _integer(tokens[4], "regime", line_no)
             if not 0 <= regime <= n:
                 raise ParseError(f"regime {regime} out of range 0..{n}", line_no)
@@ -388,13 +390,13 @@ def parse_constraints(text: str) -> LearnProblem:
         elif kw == "order":
             if ordering is not None:
                 raise ParseError("duplicate order line", line_no)
-            ordering = tuple(_node(t, n, {}, line_no) for t in tokens[1:])
+            ordering = tuple(nodes[t] for t in tokens[1:])
             if sorted(ordering) != list(range(1, n + 1)):
                 raise ParseError("ordering must list each node exactly once", line_no)
         elif kw in ("forbid", "require"):
             if len(tokens) != 4 or tokens[1] not in EDGE_KINDS:
                 raise ParseError(f"{kw} needs an edge kind and two nodes", line_no)
-            a, b = (_node(t, n, {}, line_no) for t in tokens[2:])
+            a, b = (nodes[t] for t in tokens[2:])
             if a == b:
                 raise ParseError("prior edge endpoints must differ", line_no)
             (forbidden if kw == "forbid" else required).add((tokens[1], a, b))

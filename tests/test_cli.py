@@ -1077,6 +1077,19 @@ def test_empty_y_is_usage_error(tmp_path, capsys):
         assert capsys.readouterr().err == "error: y must be non-empty\n"
 
 
+def test_a_script_step_with_overlapping_sets_or_empty_y_prints_nothing(tmp_path, capsys):
+    # The steps are checked before any line is written, so a refused later
+    # step leaves stdout empty.
+    script = tmp_path / "s.txt"
+    for step, message in (("rule 2 x=A y=B z=C w=B", "node 2 appears in two argument sets"),
+                          ("rule 1 x=A,C y=B z=A w=", "node 1 appears in two argument sets"),
+                          ("rule 3 x=A y= z=C w=", "y must be non-empty")):
+        script.write_text(f"rule 3 x= y=C z=A w=\n{step}\n")
+        assert main(["rule", "--graph", str(DATA / "ident-alt.g"),
+                     "--script", str(script)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 FUZZ_TOKENS = st.sampled_from(
     ["1", "2", "3", "0", "-1", "-", "--2", "²", "١", "A", "B", "C", "Q", "", ","])
 FUZZ_LISTS = st.lists(FUZZ_TOKENS, max_size=4).map(",".join)

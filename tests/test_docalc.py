@@ -306,6 +306,45 @@ def test_parse_derivation_checks_range_only_against_a_graph(ident_alt):
         parse_derivation("rule 1 x=1 y=2 z= w=")
 
 
+def test_a_step_built_from_sets_is_the_step_a_script_reads(ident_alt):
+    # parse_derivation reads each set straight into a mask; the public
+    # constructor takes sets.  The two build equal steps with equal hashes,
+    # whose sets are frozenset views of the masks.
+    read = parse_derivation("rule 2 x=A y=B,C z= w=\nrule 3 x= y=2 z=1,A w=3\n", ident_alt)
+    built = (RuleApplication(2, {1}, [2, 3], (), frozenset()),
+             RuleApplication(3, [], {np.int64(2)}, {1}, [3]))
+    assert read == built and list(map(hash, read)) == list(map(hash, built))
+    assert len({*read, *built}) == 2
+    for s in read + built:
+        assert all(type(v) is frozenset for v in (s.x, s.y, s.z, s.w))
+    assert (read[0].xm, read[0].ym, read[0].zm, read[0].wm) == (0b1, 0b110, 0, 0)
+    assert (read[1].x, read[1].y, read[1].z, read[1].w) == (set(), {2}, {1}, {3})
+    assert read[0] != RuleApplication(1, {1}, {2, 3}, (), ())
+
+
+def test_a_step_refuses_what_no_graph_can_hold():
+    with pytest.raises(ValueError, match="rule must be 1, 2 or 3, got 4"):
+        RuleApplication(4, (), {1}, {2}, ())
+    for bad, message in ((0, "node 0 out of range"), (MAX_GRAPH_NODES + 1, "node 100001 out"),
+                         (2.0, "is not an integer")):
+        with pytest.raises(NodeOutOfRangeError, match=message):
+            RuleApplication(1, (), {1}, {bad, 3}, ())
+
+
+def test_check_derivation_range_checks_steps_read_for_a_bigger_graph(ident_alt):
+    # Steps read for a 9-node graph, replayed on a 3-node one: the refusal
+    # names the lowest node past 3 of the first set holding one, as
+    # rule_applicable does for the same sets.
+    big = parse("nodes 9\n")
+    steps = parse_derivation("rule 1 x= y=1 z=2 w=\nrule 2 x=1 y=2 z=9,5 w=7,4\n", big)
+    with pytest.raises(NodeOutOfRangeError, match=r"^node 5 out of range 1\.\.3$"):
+        check_derivation(ident_alt, steps)
+    with pytest.raises(NodeOutOfRangeError, match=r"^node 5 out of range 1\.\.3$"):
+        rule_applicable(ident_alt, 2, {1}, {2}, {9, 5}, {7, 4})
+    assert check_derivation(ident_alt, steps[:1]) == (
+        rule_applicable(ident_alt, 1, (), {1}, {2}, ()),)
+
+
 def test_check_derivation(ident_alt, ident_orig):
     steps = parse_derivation((DATA / "ident-deriv.txt").read_text(), ident_alt)
     assert check_derivation(ident_alt, steps) == (True, True)

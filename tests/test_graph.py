@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ampadmg import (
+    AmpAdmgError,
     CiStatement,
     Constraint,
     Dialect,
@@ -19,9 +21,11 @@ from ampadmg import (
     MixedGraph,
     NodeOutOfRangeError,
     ParseError,
+    RuleApplication,
     SelfEdgeError,
     SeparationQuery,
     augmented_graph,
+    check_derivation,
     ci_test,
     enumerate_graphs,
     determined_closure,
@@ -520,6 +524,177 @@ def test_parse_caps_the_declared_node_count():
     assert str(err.value) == "line 2: 100001 nodes exceed the cap of 100000"
 
 
+# -- the reader and writer against their edge-set forms -----------------------
+#
+# parse sets mask bits as it reads each edge line, and serialize reads the
+# masks.  The two functions below are the edge-set forms they replaced, kept
+# frozen: one collects edge sets and hands them to MixedGraph(...), the other
+# sorts the graph's edge sets.
+
+
+def _edge_set_parse(text: str) -> MixedGraph:
+    n = None
+    names = None
+    labels = {}
+    edges = {"arrow": set(), "line": set(), "biarrow": set()}
+
+    def node(tok, line_no):
+        i = graph._int_token(tok, line_no)
+        if i is None:
+            if tok not in labels:
+                raise ParseError(f"unknown node {tok!r}", line_no)
+            return labels[tok]
+        if not 1 <= i <= n:
+            raise ParseError(f"node {tok} out of range 1..{n}", line_no)
+        return i
+
+    for line_no, line in graph._lines(text):
+        tokens = line.split()
+        kw = tokens[0]
+        if kw == "nodes":
+            if n is not None:
+                raise ParseError("duplicate nodes line", line_no)
+            rest = tokens[1:]
+            if not rest:
+                raise ParseError("nodes line needs a count or labels", line_no)
+            numeric = len(rest) == 1 and rest[0].isdecimal()
+            n = graph._integer(rest[0], "node count", line_no) if numeric else len(rest)
+            graph._check_node_count(n, line_no)
+            if numeric:
+                continue
+            for lbl in rest:
+                if "," in lbl:
+                    raise ParseError(f"label {lbl!r} holds a comma, which splits node lists",
+                                     line_no)
+                if graph._unreadable_label(lbl):
+                    raise ParseError(f"label {lbl!r} is numeric; use a node count instead",
+                                     line_no)
+            names = tuple(rest)
+            if len(set(names)) != n:
+                raise ParseError("duplicate node label", line_no)
+            labels = {label: i for i, label in enumerate(names, start=1)}
+            continue
+        if n is None:
+            raise ParseError("first line must declare nodes", line_no)
+        if kw not in edges or len(tokens) != 3:
+            raise ParseError(f"unrecognised line {line!r}", line_no)
+        edges[kw].add((node(tokens[1], line_no), node(tokens[2], line_no)))
+    if n is None:
+        raise ParseError("missing nodes line")
+    return MixedGraph(n, edges["arrow"], edges["line"], edges["biarrow"], names)
+
+
+def _edge_set_serialize(g: MixedGraph) -> str:
+    tok = g.node_label
+    out = ["nodes " + " ".join(g.node_names) if g.node_names else f"nodes {g.n}"]
+    out += [f"arrow {tok(t)} {tok(h)}" for t, h in sorted(g.arrows)]
+    out += [f"line {tok(a)} {tok(b)}" for a, b in sorted(g.lines)]
+    out += [f"biarrow {tok(a)} {tok(b)}" for a, b in sorted(g.biarrows)]
+    return "\n".join(out) + "\n"
+
+
+_KINDS = ("arrow", "line", "biarrow")
+
+
+def _faulty_text(rng: random.Random) -> tuple[str, list]:
+    """A graph file with one to three injected faults, its edge lines
+    shuffled, and the ``(kind, node)`` self-edges it holds."""
+    n = rng.randint(3, 9)
+    g = random_graph(rng, n, biarrow_ok=True)
+    if rng.random() < 0.5:
+        g = MixedGraph(n, g.arrows, g.lines, g.biarrows, [f"v{i}" for i in range(1, n + 1)])
+    head, *edges = serialize(g).splitlines()
+
+    def tok(v):  # a token for node v: its label, its index, or the index with a leading 0
+        r = rng.random()
+        if g.node_names and r < 0.5:
+            return g.node_names[v - 1]
+        return ("0" if r > 0.9 else "") + str(v)
+
+    loops = []
+
+    def self_edges(kinds):
+        for kind in kinds:
+            v = rng.randint(1, n)
+            loops.append((kind, v))
+            edges.append(f"{kind} {tok(v)} {tok(v)}")
+
+    a, b, c, d = rng.sample(range(1, n + 1), 4) if n >= 4 else (1, 2, 3, 1)
+    bad = rng.choice(["Q", "v0", str(n + 1), "0", "-1", "--2", "\u00b2"])
+    faults = {
+        "self-edges of one kind": lambda: self_edges([rng.choice(_KINDS)] * rng.randint(2, 4)),
+        "self-edges of several kinds": lambda: self_edges(rng.sample(_KINDS, rng.randint(2, 3))),
+        "2-cycle": lambda: edges.extend([f"arrow {tok(a)} {tok(b)}", f"arrow {tok(b)} {tok(a)}"]),
+        "3-cycle": lambda: edges.extend([f"arrow {tok(a)} {tok(b)}", f"arrow {tok(b)} {tok(c)}",
+                                         f"arrow {tok(c)} {tok(a)}"]),
+        "line and biarrow on a pair": lambda: edges.extend([f"line {tok(a)} {tok(b)}",
+                                                            f"biarrow {tok(b)} {tok(a)}"]),
+        "lines with biarrows": lambda: edges.extend([f"line {tok(a)} {tok(b)}",
+                                                     f"biarrow {tok(c)} {tok(d)}"]),
+        "duplicate and reversed lines": lambda: edges.extend(
+            [f"line {tok(a)} {tok(b)}", f"line {tok(a)} {tok(b)}", f"line {tok(b)} {tok(a)}"]),
+        "a bad token on several lines": lambda: edges.extend(
+            f"{rng.choice(_KINDS)} {tok(a)} {bad}" for _ in range(rng.randint(2, 3))),
+        "an integer too long for int()": lambda: edges.append(f"arrow {'7' * 5000} {tok(a)}"),
+        "a malformed line": lambda: edges.append(rng.choice(
+            [f"arrow {tok(a)}", f"line {tok(a)} {tok(b)} {tok(c)}", f"edge {tok(a)} {tok(b)}",
+             head])),
+    }
+    for name in rng.sample(sorted(faults), rng.randint(1, 3)):
+        faults[name]()
+    rng.shuffle(edges)
+    return "\n".join(["# faults, seeded", head, *edges]) + "\n", loops
+
+
+def _outcome(read, text):
+    # The graph and its labels, or the refusal's class, message and line.
+    try:
+        g = read(text)
+    except AmpAdmgError as err:
+        return type(err), str(err), getattr(err, "line_no", None)
+    return g, g.node_names
+
+
+def test_the_mask_reader_matches_the_edge_set_reader_on_faulty_texts():
+    # Each text has one to three faults, so a refusal must come from the same
+    # line and say the same thing.  The one allowed difference: of several
+    # self-edges, the edge-set reader named the one its set happened to
+    # yield first; the mask reader names the lowest node of the first kind
+    # (arrow, line, biarrow) that has one.
+    rng = random.Random(44)
+    outcomes, renamed = Counter(), 0
+    for _ in range(1500):
+        text, loops = _faulty_text(rng)
+        new, old = _outcome(parse, text), _outcome(_edge_set_parse, text)
+        outcomes[new[0].__name__ if len(new) == 3 else "graph"] += 1
+        if new[0] is SelfEdgeError:
+            kind = next(k for k in _KINDS if any(kd == k for kd, _v in loops))
+            v = min(v for kd, v in loops if kd == kind)
+            assert new[1] == f"{kind} {v} {'->' if kind == 'arrow' else '-'} {v}"
+            assert old[0] is SelfEdgeError and old[1].startswith(f"{kind} ")
+            renamed += new != old
+        else:
+            assert new == old, text
+    # Every outcome occurs: graphs, and each refusal the faults can cause.
+    assert set(outcomes) == {"graph", "ParseError", "SelfEdgeError", "DoubleArrowError",
+                             "DoubleEdgeError", "LineBiarrowMixError", "DirectedCycleError"}
+    assert renamed
+
+
+@pytest.mark.parametrize("dialect", list(Dialect))
+def test_serialize_reads_masks_as_the_sorted_edge_sets_did(dialect):
+    for n in range(5):
+        for g in enumerate_graphs(n, dialect):
+            assert serialize(g) == _edge_set_serialize(g)
+    rng = random.Random(44)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, biarrow_ok=dialect is Dialect.ORIGINAL)
+        g = MixedGraph(n, g.arrows, g.lines, g.biarrows,
+                       rng.sample([f"n{i}" for i in range(3 * n)], n))
+        assert serialize(g) == _edge_set_serialize(g)
+
+
 def _reads_back(label: str) -> bool:
     # Whether a nodes line declaring the one label gives that label back.
     try:
@@ -588,6 +763,7 @@ NODE_ENTRY_POINTS = {
     "markov_blanket": lambda k: markov_blanket(_G, {k, 2}, k),
     "intervene": lambda k: intervene(_G, [k]),
     "rule_applicable": lambda k: rule_applicable(_G, 1, [], [3], [k], [2]),
+    "RuleApplication": lambda k: RuleApplication(1, [], [3], [k], [2]),
     "with_regime_nodes": lambda k: with_regime_nodes(_G, [k, 3]),
     "Constraint.x": lambda k: Constraint("indep", k, 3),
     "Constraint.cond": lambda k: Constraint("indep", 2, 3, {k}),
@@ -619,6 +795,7 @@ def test_every_entry_point_reads_nodes_by_one_rule(call):
     lambda g: rule_applicable(g, 1, [], [1], {9, 16}, []),
     lambda g: LearnProblem(3, (Constraint("indep", 1, 2, {9, 16}),)),
     lambda g: separated_with_determinism(magnify(g), SeparationQuery({1}, {2}, {9, 16})),
+    lambda g: check_derivation(g, [RuleApplication(1, [], [1], {9, 16}, [])]),
 ])
 def test_of_several_bad_nodes_the_lowest_is_named(call):
     # {9, 16} iterates as 16, 9: the name must not follow hash-slot order.

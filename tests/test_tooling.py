@@ -6,11 +6,16 @@ benchmark run, so the names are checked here, with the tier-1 tests.
 """
 
 import ast
+import contextlib
+import io
+import random
 import re
+import sys
 from pathlib import Path
 
 import ampadmg
-from conftest import load_bench
+from ampadmg import cli, graph
+from conftest import load_bench, random_graph
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ampadmg"
 
@@ -51,6 +56,12 @@ def _sites(tree, hit) -> list:
 
     visit(tree, None)
     return sites
+
+
+def _calls(name: str):
+    # A call of `name`, bare or as a module attribute.
+    return lambda node: (isinstance(node, ast.Call)
+                         and getattr(node.func, "id", getattr(node.func, "attr", None)) == name)
 
 
 def _raise_sites(tree, name: str) -> list:
@@ -112,15 +123,65 @@ def test_only_the_token_reader_calls_int():
 
 
 def test_graphs_are_validated_only_where_text_enters():
-    # The public constructor validates; every graph the package derives
-    # from a valid one is built by MixedGraph._from_masks, which trusts it.
-    def hit(node):
-        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "MixedGraph")
+    # The public constructor validates, and graph.parse validates the masks
+    # it sets while it reads; every graph the package derives from a valid
+    # one is built by MixedGraph._from_masks, which trusts it.  Of the text
+    # readers only the learner's model lines go through the constructor.
+    def sites(name):
+        return sorted(f"{path.name}:{func}" for path in SRC.glob("*.py")
+                      for func in _sites(ast.parse(path.read_text()), _calls(name)))
 
-    sites = sorted(f"{path.name}:{func}" for path in SRC.glob("*.py")
-                   for func in _sites(ast.parse(path.read_text()), hit))
-    assert sites == ["graph.py:parse", "learner.py:parse_atom_line"]
+    assert sites("MixedGraph") == ["learner.py:parse_atom_line"]
+    assert sites("validate") == ["graph.py:__init__", "graph.py:parse"]
+
+
+def _node_index_calls_after_the_readers(monkeypatch, tmp_path, steps: int) -> int:
+    # Runs `rule --script` with `steps` random steps on one 32-node labelled
+    # graph and counts the graph._node_index calls made after the script is
+    # read, under every name a module binds it by.
+    rng = random.Random(44)
+    g = random_graph(rng, 32)
+    names = [f"n{v}" for v in range(1, 33)]
+    (tmp_path / "g.g").write_text(graph.serialize(graph.MixedGraph(32, g.arrows, g.lines, (),
+                                                                   names)))
+    lines = []
+    for _ in range(steps):
+        nodes = rng.sample(names, 6)
+        x, y, z, w = nodes[:1], nodes[1:3], nodes[3:5], nodes[5:]
+        lines.append(f"rule {rng.randint(1, 3)} x={','.join(x)} y={','.join(y)} "
+                     f"z={','.join(z)} w={','.join(w)}\n")
+    (tmp_path / "s.txt").write_text("".join(lines))
+    calls = [0]
+    original = graph._node_index
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    for module in sys.modules.values():
+        if getattr(module, "__name__", "").startswith("ampadmg") and \
+                getattr(module, "_node_index", None) is original:
+            monkeypatch.setattr(module, "_node_index", counted)
+    read = cli.parse_derivation
+
+    def read_then_reset(*args):
+        steps = read(*args)
+        calls[0] = 0
+        return steps
+
+    monkeypatch.setattr(cli, "parse_derivation", read_then_reset)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.main(["rule", "--graph", str(tmp_path / "g.g"), "--script", str(tmp_path / "s.txt")])
+    assert len(out.getvalue().splitlines()) == steps
+    return calls[0]
+
+
+def test_script_steps_are_range_checked_once_where_they_are_read(monkeypatch, tmp_path):
+    # parse_derivation checks each node token where it reads it; replaying
+    # and printing the steps reads their masks, so no node is checked again
+    # however many steps there are.
+    assert (_node_index_calls_after_the_readers(monkeypatch, tmp_path, 20)
+            == _node_index_calls_after_the_readers(monkeypatch, tmp_path, 50))
 
 
 def test_each_criterion_kernel_has_one_dispatch_site():
@@ -130,18 +191,15 @@ def test_each_criterion_kernel_has_one_dispatch_site():
     # with _lanes, and the two that read ancestor sets their An lanes with
     # _an_lanes.  Criteria 3 and 4 read the memoised augmented graph only
     # for a single question.  The scalar route kernel is also asked directly
-    # by connects_route and by the learner's and the rule premises' cut graphs.
+    # by connects_route and by the learner's and the rule premises' cut graphs;
+    # rule_applicable and check_derivation both ask the premises through
+    # docalc._premise.
     kernels = ("_path_connected", "_moral_masks", "_moral_lanes", "_route_lanes", "_lanes",
                "_an_lanes", "_route_connected")
 
-    def calls(name):
-        # A call of `name`, bare or as a module attribute.
-        return lambda node: (isinstance(node, ast.Call)
-                             and getattr(node.func, "id", getattr(node.func, "attr", None)) == name)
-
     # The functions that call each kernel, however many times.
     sites = {name: sorted({f"{path.name}:{func}" for path in SRC.glob("*.py")
-                           for func in _sites(ast.parse(path.read_text()), calls(name))})
+                           for func in _sites(ast.parse(path.read_text()), _calls(name))})
              for name in kernels}
     table = "separation.py:_connected_lanes"
     assert sites == {"_path_connected": [table],
@@ -151,7 +209,7 @@ def test_each_criterion_kernel_has_one_dispatch_site():
                      "_lanes": ["separation.py:_moral_lanes", "separation.py:_path_connected",
                                 "separation.py:_route_lanes"],
                      "_an_lanes": ["separation.py:_moral_lanes", "separation.py:_path_connected"],
-                     "_route_connected": ["docalc.py:rule_applicable", "learner.py:score", table,
+                     "_route_connected": ["docalc.py:_premise", "learner.py:score", table,
                                           "separation.py:connects_route"]}
 
 
